@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from repro.errors import SweepError
 from repro.gpu.device import list_devices
 from repro.runtime import (
+    DEFAULT_BACKEND,
     REGISTRY,
     BackendRegistry,
     Device,
@@ -103,9 +104,12 @@ class SweepPoint:
 class SweepConfig:
     """What one offline sweep covers.
 
-    ``backends``/``devices`` of ``None`` mean "everything the registry
-    / device table offers" *at enumeration time* — the sweep literally
-    reads the live registry. ``min_bits`` mirrors how serving sessions
+    ``backends`` defaults to the serving default
+    (:data:`~repro.runtime.DEFAULT_BACKEND`), so a default sweep ships
+    the keys a default engine plans under. ``backends``/``devices`` of
+    ``None`` mean "everything the registry / device table offers" *at
+    enumeration time* — the sweep literally reads the live registry.
+    ``min_bits`` mirrors how serving sessions
     tighten their objective to the operands' actual bit widths
     (:meth:`Objective.with_min_bits`): sweep the pairs your sessions
     will classify requests into, and the shipped keys line up.
@@ -118,7 +122,7 @@ class SweepConfig:
     shapes: tuple[tuple[int, int, int], ...] = DEFAULT_SHAPES
     vector_lengths: tuple[int, ...] = (8,)
     sparsities: tuple[float, ...] = (0.9,)
-    backends: tuple[str, ...] | None = None
+    backends: tuple[str, ...] | None = (DEFAULT_BACKEND,)
     devices: tuple[str, ...] | None = None
     min_bits: tuple[tuple[int, int], ...] = ((4, 4), (8, 8))
     max_bits: tuple[tuple[int, int], ...] | None = None
@@ -203,7 +207,7 @@ class SweepConfig:
                 return default
             return tuple(tuple(v) if isinstance(v, list) else v for v in value)
 
-        backends = d.get("backends")
+        backends = d.get("backends", [DEFAULT_BACKEND])
         devices = d.get("devices")
         max_bits = d.get("max_bits")
         return cls(

@@ -23,6 +23,8 @@ import argparse
 import sys
 import time
 
+from repro.runtime import DEFAULT_BACKEND
+
 
 def _print_table1() -> None:
     from repro.baselines import capability_table
@@ -155,11 +157,11 @@ def _print_fig17(count: int) -> None:
         print()
 
 
-def _print_serve(count: int) -> None:
+def _print_serve(count: int, backend: str | None = None) -> None:
     from repro.serve.cli import demo
 
     # scale the request stream with --count (the DLMC-density knob)
-    demo(num_requests=max(120, count * 40))
+    demo(num_requests=max(120, count * 40), backend=backend)
 
 
 def _print_backends(count: int) -> None:
@@ -243,7 +245,6 @@ def _print_autotune(count: int) -> None:
         vector_lengths=(8,),
         sparsities=(weights.sparsity,),
         devices=("A100",),
-        backends=("magicube-emulation",),
         min_bits=((weight_bits, 8),),
     )
     report = run_sweep(config, repeats=max(1, count))
@@ -346,7 +347,6 @@ def _print_retune(count: int) -> None:
             vector_lengths=(8,),
             sparsities=(weights.sparsity,),
             devices=("A100",),
-            backends=("magicube-emulation",),
             min_bits=((weight_bits, 8),),
         )
         manual_report = run_sweep(manual_cfg, repeats=max(1, count))
@@ -489,6 +489,7 @@ def _run_replay(args) -> int:
         seed=args.seed,
         trace_path=args.arrival_trace,
         gateway_workers=args.gateway,
+        backend=args.backend,
         **mix_kwargs,
     )
     report = run_replay(config, out=args.out)
@@ -552,6 +553,12 @@ def main(argv: list[str] | None = None) -> int:
     replay.add_argument(
         "--out", default="BENCH_serve.json", help="report artifact path"
     )
+    parser.add_argument(
+        "--backend", default=DEFAULT_BACKEND, metavar="NAME",
+        help="runtime backend 'serve' (demo and --replay) serves on; "
+             "recorded in the replay artifact's config "
+             f"(default: {DEFAULT_BACKEND})",
+    )
     args = parser.parse_args(argv)
 
     if args.list:
@@ -577,7 +584,10 @@ def main(argv: list[str] | None = None) -> int:
         desc, fn = EXPERIMENTS[key]
         print(f"\n=== {desc} ===")
         t0 = time.time()
-        fn(args.count)
+        if key == "serve":
+            fn(args.count, backend=args.backend)
+        else:
+            fn(args.count)
         print(f"[{key} done in {time.time() - t0:.1f}s]")
     return 0
 

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.errors import AdmissionError, ConfigError
 from repro.ioutil import atomic_write_text
+from repro.runtime import DEFAULT_BACKEND
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import Histogram, MetricsRegistry
@@ -90,6 +91,8 @@ class ReplayConfig:
     #: worker processes instead of a single in-process engine
     #: (None = direct engine, the historical path)
     gateway_workers: int | None = None
+    #: the runtime backend the engine (or every fleet worker) serves on
+    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         if self.requests < 1:
@@ -119,6 +122,7 @@ class ReplayConfig:
             "device": self.device,
             "max_queue_depth": self.max_queue_depth,
             "gateway_workers": self.gateway_workers,
+            "backend": self.backend,
         }
 
 
@@ -313,8 +317,8 @@ def run_replay(
     futures = []
     rejected = 0
     with api.open_engine(
-        device=config.device, policy=policy, metrics=registry, tracer=tracer,
-        profile=ProfileConfig(),
+        device=config.device, backend=config.backend, policy=policy,
+        metrics=registry, tracer=tracer, profile=ProfileConfig(),
     ) as client:
         # prepare every class up front so session build cost (operand
         # conversion, backend pinning) is not billed to the first arrival
@@ -447,6 +451,7 @@ def _run_replay_gateway(
     fleet_config = FleetConfig(
         workers=config.gateway_workers,
         device=config.device,
+        backend=config.backend,
         policy=BatchPolicy(max_queue_depth=config.max_queue_depth),
     )
     futures = []

@@ -1,27 +1,26 @@
-"""Wall-clock fast paths for the Magicube kernels.
+"""Wall-clock fast paths for the Magicube kernels — the serving default.
 
 :mod:`repro.kernels` is *functional + accounted*: it computes the true
 quantized result and models the CUDA kernel's cost, but its hot path
-walks Python loops per row strip. This package provides bit-exact
-replacements whose inner loops are fully vectorized — batched gathers
-built from layout plans memoized on the operand (:mod:`.plans`), the
-SpMM strip loop collapsed into one compiled sparse x dense product
-(:mod:`.spmm`), the SDDMM gather hoisted out of the strip loop
-(:mod:`.sddmm`), and the quantized softmax bucketed by segment length
-(:mod:`.softmax`).
+walks Python loops per row strip (and per slice of a grouped launch).
+This package provides bit-exact replacements whose inner loops are
+fully vectorized: strips are bucketed by length once per sparse layout
+(:mod:`.plans`, memoized in the operand's ``layout_memo``), and each
+bucket runs as one batched matmul over every slice — SpMM
+(:mod:`.spmm`), SDDMM (:mod:`.sddmm`) and the quantized softmax
+(:mod:`.softmax`). NumPy is the only dependency.
 
-Two backends expose them through the runtime registry:
-
-- ``fastpath-vectorized`` (:class:`.backend.FastpathVectorizedBackend`)
-  — pure NumPy/SciPy, always available;
-- ``fastpath-jit`` (:class:`.jit.FastpathJitBackend`) — numba-compiled
-  strip loops, registered only when numba is importable.
-
-Both share ``magicube-emulation``'s capabilities, cost accounting and
-``plan_candidates``, so plans route through the same planner with only
-the backend name differing in the plan key. Results are bit-exact
-against the emulation backend (asserted by ``tests/fastpath`` and the
-``repro bench kernels --wall`` gate).
+The ``fastpath-vectorized`` backend
+(:class:`.backend.FastpathVectorizedBackend`) exposes them through the
+runtime registry and is :data:`repro.runtime.DEFAULT_BACKEND`: engines,
+one-shot ``api.run`` and transformer sessions serve on it unless a
+backend is pinned. It shares ``magicube-emulation``'s capabilities,
+cost accounting and ``plan_candidates``, so plans route through the
+same planner with only the backend name differing in the plan key.
+Results are bit-exact against the emulation backend — the oracle, pin
+``backend="magicube-emulation"`` to run it — as asserted by
+``tests/fastpath``, ``tests/transformer/test_grouped_attention.py`` and
+the ``repro bench kernels --wall`` gate.
 """
 
 from repro.fastpath.sddmm import FastpathSDDMM

@@ -1,132 +1,129 @@
-"""Gather plans memoized on the sparse operands.
+"""Gather plans memoized on the sparse operands' layouts.
 
 The fastpath kernels trade the per-strip Python loops of
 :mod:`repro.kernels` for batched array operations. What makes that a
-*win per call* is that the index arithmetic — expanding the SR-BCRS
-group layout into scalar-row gather indices, or flattening the BCRS
-strip pointers into plain int bounds — happens **once per operand** and
-is cached on the matrix object itself, the same way
-:class:`~repro.core.matrix.SparseMatrix` memoizes its per-stride
-SR-BCRS conversions. A serving engine reuses the prepared operand
-across thousands of requests, so every request after the first pays
-only the arithmetic, none of the layout work.
+*win per call* is that the index arithmetic — bucketing strips of equal
+length and expanding their gather indices — happens **once per
+layout** and is cached in the matrix's ``layout_memo``. Plans read the
+index arrays only, never the values, so every matrix that shares the
+layout (``with_values`` siblings: the grouped attention scores and
+probabilities of each forward, say) reuses one plan.
 
-Cached state is keyed on identity (an attribute on the matrix), which
-is safe because the format dataclasses are treated as immutable after
-construction everywhere in the codebase.
+A plan walks its *buckets*: strips with the same number of stride
+groups (SpMM) or the same vector count rounded up to :data:`GRANULE`
+(SDDMM), so one batched matmul covers every strip of a bucket and every
+slice of a grouped launch. Uniform attention masks have one or two
+buckets.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.formats.bcrs import BCRSMatrix
 from repro.formats.srbcrs import PAD_INDEX, SRBCRSMatrix
 
-__all__ = ["SpmmGatherPlan", "SddmmGatherPlan", "spmm_plan", "sddmm_plan"]
+__all__ = ["BcrsStripPlan", "SpmmGatherPlan", "bcrs_plan", "spmm_plan"]
 
-_SPMM_ATTR = "_fastpath_spmm_plan"
-_SDDMM_ATTR = "_fastpath_sddmm_plan"
+#: SDDMM strip lengths are padded to a multiple of this many vectors:
+#: a ragged mask then needs a handful of matmuls, not one per length
+GRANULE = 8
+
+
+def _buckets(counts: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(length, strips)`` for every distinct nonzero entry of ``counts``."""
+    return [
+        (int(length), np.flatnonzero(counts == length))
+        for length in np.unique(counts)
+        if length
+    ]
 
 
 class SpmmGatherPlan:
-    """Scalar-row CSR views of one SR-BCRS operand.
+    """Bucketed gather indices of one SR-BCRS layout.
 
-    The SR-BCRS layout stores stride groups vector-major (each group is
-    a ``(V, stride)`` tile); the emulation kernel re-gathers RHS rows
-    per group on every call. This plan expands the layout *once* into a
-    scalar CSR matrix, so each SpMM becomes a single compiled
-    sparse x dense product. Two dtype views are built lazily:
-    ``float64`` (exact for every Table-IV pair — products are bounded
-    well under 2^53) and ``float32`` (exact only when the per-row
-    accumulation bound fits the 24-bit mantissa; see
-    :meth:`FastpathSpMM._accum_dtype <repro.fastpath.spmm.FastpathSpMM>`).
+    For each bucket of strips with ``ng`` stride groups: the strips,
+    their ``(strips, ng)`` global group indices (LHS tiles) and their
+    ``(strips, ng * stride)`` RHS row indices, with padding slots
+    pointing one past the last row — the zero row the kernel appends.
     """
 
     def __init__(self, lhs: SRBCRSMatrix) -> None:
-        v = lhs.vector_length
         stride = lhs.stride
-        cols = np.asarray(lhs.col_indices)
+        k = lhs.shape[1]
+        cols = np.where(lhs.col_indices == PAD_INDEX, k, lhs.col_indices)
         counts = np.asarray(lhs.row_ends) - np.asarray(lhs.row_starts)
         #: densest scalar row: bounds the f32 accumulation guard
         self.max_nnz_row = int(counts.max()) if counts.size else 0
-        self.shape = lhs.shape
-        num_padded = cols.size
-        if num_padded == 0:
-            base = sp.csr_matrix(lhs.shape, dtype=np.float64)
-        else:
-            groups = num_padded // stride
-            valid = cols != PAD_INDEX
-            # padded vector -> owning strip (strips are back-to-back)
-            gcounts = -(-counts // stride)
-            strip_of = np.repeat(np.arange(counts.size), gcounts * stride)
-            # group tiles are (V, stride) row-major: transpose to get the
-            # V lane values of each padded vector contiguously
-            vecvals = (
-                np.asarray(lhs.values)
-                .reshape(groups, v, stride)
-                .transpose(0, 2, 1)
-                .reshape(num_padded, v)
+        first_group = np.asarray(lhs.row_starts) // stride
+        self.buckets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for groups, strips in _buckets(-(-counts // stride)):
+            group_idx = first_group[strips, None] + np.arange(groups)
+            slots = group_idx[:, :, None] * stride + np.arange(stride)
+            self.buckets.append(
+                (strips, group_idx, cols[slots.reshape(len(strips), -1)])
             )
-            rows = (strip_of[valid, None] * v + np.arange(v)).ravel()
-            ccols = np.repeat(cols[valid], v)
-            data = vecvals[valid].ravel().astype(np.float64)
-            base = sp.csr_matrix(
-                (data, (rows, ccols)), shape=lhs.shape, dtype=np.float64
-            )
-        self._csr: dict[np.dtype, sp.csr_matrix] = {np.dtype(np.float64): base}
+        #: the non-empty strips in bucket order (empty strips output zero)
+        self.order = np.concatenate(
+            [strips for strips, _, _ in self.buckets] or [np.zeros(0, np.intp)]
+        )
         #: memoized cost accounting, keyed ``(config, n)`` — the model
         #: depends only on layout + config, not on the operand values
         self.stats_cache: dict = {}
 
-    def csr(self, dtype: np.dtype) -> sp.csr_matrix:
-        """The CSR view at ``dtype``, converting (and caching) on first
-        use."""
-        key = np.dtype(dtype)
-        view = self._csr.get(key)
-        if view is None:
-            view = self._csr[np.dtype(np.float64)].astype(key)
-            self._csr[key] = view
-        return view
 
+class BcrsStripPlan:
+    """Bucketed strip indices of one BCRS topology.
 
-class SddmmGatherPlan:
-    """Flattened strip bounds of one BCRS mask.
-
-    ``cols`` drives the one batched RHS row gather; ``strips`` lists the
-    non-empty strips as plain ``(strip, lo, hi)`` ints so the per-strip
-    BLAS calls spend nothing on numpy scalar conversion.
+    For each SDDMM bucket — strips whose vector count rounds up to the
+    same multiple ``L`` of :data:`GRANULE` — the strips, their
+    ``(strips, L)`` vector positions and the matching column indices
+    (the RHS rows to gather). The rounding keeps a ragged mask to a few
+    matmuls; the extra slots gather column 0 and land on position
+    ``num_vectors``, one scratch row past the real vectors.
     """
 
     def __init__(self, mask: BCRSMatrix) -> None:
-        ptrs = np.asarray(mask.row_ptrs)
-        self.cols = np.asarray(mask.col_indices)
-        self.num_vectors = int(self.cols.size)
-        bounds = [
-            (r, int(ptrs[r]), int(ptrs[r + 1]))
-            for r in range(len(ptrs) - 1)
-        ]
-        self.strips: list[tuple[int, int, int]] = [
-            (r, lo, hi) for r, lo, hi in bounds if hi > lo
-        ]
+        self._ptrs = np.asarray(mask.row_ptrs)
+        self._counts = np.diff(self._ptrs)
+        scratch = mask.num_vectors
+        cols = np.append(mask.col_indices, 0)
+        self.buckets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for length, strips in _buckets(-(-self._counts // GRANULE) * GRANULE):
+            offsets = np.arange(length)
+            positions = np.where(
+                offsets < self._counts[strips, None],
+                self._ptrs[strips, None] + offsets,
+                scratch,
+            )
+            self.buckets.append((strips, positions, cols[positions]))
         #: memoized cost accounting, keyed ``(config, a_shape, b_shape)``
         self.stats_cache: dict = {}
 
+    @functools.cached_property
+    def segments(self) -> list[np.ndarray]:
+        """``(strips, L)`` vector positions of the strips holding exactly
+        ``L`` vectors, one array per ``L`` — what the quantized softmax
+        reduces over (no padding: the reduction order is observable)."""
+        return [
+            self._ptrs[strips, None] + np.arange(length)
+            for length, strips in _buckets(self._counts)
+        ]
+
 
 def spmm_plan(lhs: SRBCRSMatrix) -> SpmmGatherPlan:
-    """The memoized :class:`SpmmGatherPlan` of ``lhs`` (built once)."""
-    plan = getattr(lhs, _SPMM_ATTR, None)
+    """The memoized :class:`SpmmGatherPlan` of ``lhs``'s layout."""
+    plan = lhs.layout_memo.get("fastpath-spmm")
     if plan is None:
-        plan = SpmmGatherPlan(lhs)
-        setattr(lhs, _SPMM_ATTR, plan)
+        plan = lhs.layout_memo["fastpath-spmm"] = SpmmGatherPlan(lhs)
     return plan
 
 
-def sddmm_plan(mask: BCRSMatrix) -> SddmmGatherPlan:
-    """The memoized :class:`SddmmGatherPlan` of ``mask`` (built once)."""
-    plan = getattr(mask, _SDDMM_ATTR, None)
+def bcrs_plan(matrix: BCRSMatrix) -> BcrsStripPlan:
+    """The memoized :class:`BcrsStripPlan` of ``matrix``'s topology."""
+    plan = matrix.layout_memo.get("fastpath-bcrs")
     if plan is None:
-        plan = SddmmGatherPlan(mask)
-        setattr(mask, _SDDMM_ATTR, plan)
+        plan = matrix.layout_memo["fastpath-bcrs"] = BcrsStripPlan(matrix)
     return plan

@@ -1,14 +1,17 @@
 """Vectorized sparse softmax, bucketed by segment length.
 
 The emulated :func:`~repro.kernels.softmax.sparse_softmax_quantized`
-loops strips in Python. Strips cannot be batched naively — segments
-have ragged lengths and the fp16 modelling makes the reduction order
-observable — but strips *of the same length* can be stacked into one
-``(S, L, V)`` slab and reduced along axis 1, which NumPy evaluates with
-the same pairwise-summation blocking as the per-strip
-``sum(axis=0)``. Bucketing by length therefore keeps the result
-bit-exact while collapsing the loop to ``O(distinct lengths)``
-iterations (uniform attention topologies have exactly one).
+loops strips (and the slices of grouped scores) in Python. Strips
+cannot be batched naively — segments have ragged lengths and the fp16
+modelling makes the reduction order observable — but strips *of the
+same length* can be stacked into one ``(S, B, L, V)`` slab and reduced
+along the ``L`` axis, which NumPy evaluates in the same order as the
+per-strip ``sum(axis=0)``. Bucketing by length therefore keeps the
+result bit-exact while collapsing both loops to ``O(distinct lengths)``
+iterations (uniform attention topologies have one or two). The
+segments come from the scores' memoized
+:class:`~repro.fastpath.plans.BcrsStripPlan` — the one their SDDMM
+already built for the mask.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.fastpath.plans import bcrs_plan
 from repro.formats.bcrs import BCRSMatrix
 from repro.kernels.softmax import SoftmaxResult, _account
 from repro.lowp.quantize import QuantParams, int_range
@@ -25,46 +29,40 @@ __all__ = ["sparse_softmax_quantized_fast"]
 
 def sparse_softmax_quantized_fast(
     scores: BCRSMatrix,
-    scale: float,
+    scale: "float | np.ndarray",
     out_bits: int = 8,
 ) -> SoftmaxResult:
     """Bit-exact, batched variant of
     :func:`repro.kernels.softmax.sparse_softmax_quantized`.
 
-    Same contract, same fp16 rounding points, same quantization — the
-    per-strip loop is replaced by one pass per distinct segment length.
+    Same contract (grouped scores included), same fp16 rounding points,
+    same quantization — the per-slice and per-strip loops are replaced
+    by one pass per distinct segment length.
     """
     if out_bits not in (8, 16):
         raise ShapeError(f"softmax output must be 8 or 16 bits, got {out_bits}")
-    m, n = scores.shape
-    v = scores.vector_length
     _, qmax = int_range(out_bits, signed=False)
     params = QuantParams(scale=1.0 / qmax, bits=out_bits, signed=False)
 
-    logits = np.float16(
-        np.asarray(scores.values, dtype=np.float32) * np.float32(scale)
+    values = np.asarray(scores.values, dtype=np.float32)
+    lead = values.shape[:-2]
+    per_slice = np.asarray(scale, dtype=np.float32).reshape(
+        lead + (1, 1) if np.ndim(scale) else ()
     )
-    out_values = np.zeros_like(scores.values, dtype=np.int64)
-    ptrs = np.asarray(scores.row_ptrs)
-    counts = np.diff(ptrs)
-    for length in np.unique(counts):
-        if length == 0:
-            continue
-        los = ptrs[:-1][counts == length]
-        idx = los[:, None] + np.arange(int(length))[None, :]  # (S, L)
-        batch = logits[idx].astype(np.float32)  # (S, L, V)
-        mx = batch.max(axis=1, keepdims=True)
+    logits = np.float16(values * per_slice)
+    out_values = np.zeros(values.shape, dtype=np.int64)
+    for positions in bcrs_plan(scores).segments:
+        batch = logits[..., positions, :].astype(np.float32)  # (S, B, L, V)
+        mx = batch.max(axis=-2, keepdims=True)
         ex = np.exp(batch - mx)
-        sm = np.float16(ex / ex.sum(axis=1, keepdims=True))
-        out_values[idx] = np.clip(
+        sm = np.float16(ex / ex.sum(axis=-2, keepdims=True))
+        out_values[..., positions, :] = np.clip(
             np.rint(sm.astype(np.float32) / params.scale), 0, qmax
         ).astype(np.int64)
 
-    out = BCRSMatrix(
-        shape=(m, n),
-        vector_length=v,
-        row_ptrs=scores.row_ptrs.copy(),
-        col_indices=scores.col_indices.copy(),
-        values=out_values,
+    stats = _account(scores, out_bits)
+    if scores.slices is not None:
+        stats = stats.repeated(scores.slices)
+    return SoftmaxResult(
+        output=scores.with_values(out_values), params=params, stats=stats
     )
-    return SoftmaxResult(output=out, params=params, stats=_account(scores, out_bits))

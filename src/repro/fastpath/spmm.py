@@ -1,46 +1,56 @@
-"""Vectorized SpMM: the strip loop as one sparse x dense product.
+"""Vectorized SpMM: one batched matmul per bucket of equal strips.
+
+The emulation kernel walks strips (and the slices of a grouped launch)
+in Python, gathering the RHS rows of each strip's stride groups. This
+path walks the :class:`~repro.fastpath.plans.SpmmGatherPlan` buckets
+instead — strips with the same number of stride groups — and runs each
+bucket, over every slice at once, as one stacked
+``(S, strips, V, groups*stride) @ (S, strips, groups*stride, N)``
+matmul, written in bucket order and placed by one casting scatter.
+Padding slots gather an appended zero RHS row.
 
 Bit-exactness argument: the emulation kernel accumulates in ``int64``,
 which is exact. A floating-point accumulation of the same integer data
 is exact — in *any* summation order — as long as every partial sum is
 exactly representable, i.e. below the mantissa capacity. Each output
-element is a dot product of at most ``max_nnz_row`` terms, each bounded
-by ``max|lhs| * max|rhs|`` (the configured Table-IV operand ranges), so
+element is a dot product of at most ``max_nnz_row`` nonzero terms, each
+bounded by ``max|lhs| * max|rhs|`` (the configured Table-IV operand
+ranges), so
 
 - ``float64`` is always exact here (the bound never approaches 2^53);
 - ``float32`` is exact iff ``max_nnz_row * max|lhs| * max|rhs| < 2^24``,
   which holds for the low-bit pairs that dominate serving traffic.
 
-The kernel picks the narrowest exact dtype per call, runs one compiled
-CSR x dense product against the plan's memoized CSR view, and rounds
-back to ``int64`` — identical bits to the emulated result, asserted by
+The kernel picks the narrowest exact dtype per call and rounds back to
+``int64`` — identical bits to the emulated result, asserted by
 ``tests/fastpath`` across the full equivalence grid.
 """
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from repro.fastpath.plans import spmm_plan
 from repro.formats.srbcrs import SRBCRSMatrix
-from repro.kernels.spmm import MagicubeSpMM, SpMMResult
+from repro.gpu.timing import KernelStats
+from repro.kernels.spmm import MagicubeSpMM
 from repro.lowp.quantize import int_range
 
 __all__ = ["FastpathSpMM"]
 
 #: largest integer magnitude float32 accumulates exactly (24-bit mantissa)
 _F32_EXACT_BOUND = float(2**24)
+#: gathered RHS bytes per matmul, sized to stay in a core's L2 cache
+_GATHER_BYTES = 512 * 1024
 
 
 class FastpathSpMM(MagicubeSpMM):
     """Drop-in :class:`~repro.kernels.spmm.MagicubeSpMM` with the strip
-    loop replaced by one memoized-CSR sparse x dense product.
+    and slice loops replaced by one batched matmul per strip bucket.
 
-    Validation, cost accounting and the strict (digit-decomposition)
-    path are inherited unchanged — only the arithmetic hot path
-    differs, and only in speed.
+    Validation, the fused dequantization, cost accounting and the
+    strict (digit-decomposition) path are inherited unchanged — only the
+    arithmetic hot path differs, and only in speed.
     """
 
     def _accum_dtype(self, max_nnz_row: int) -> np.dtype:
@@ -54,36 +64,51 @@ class FastpathSpMM(MagicubeSpMM):
             return np.dtype(np.float32)
         return np.dtype(np.float64)
 
-    def __call__(
-        self,
-        lhs: SRBCRSMatrix,
-        rhs: np.ndarray,
-        scale: float | None = None,
-        strict: bool = False,
-    ) -> SpMMResult:
+    def _products(
+        self, lhs: SRBCRSMatrix, rhs3: np.ndarray, strict: bool
+    ) -> np.ndarray:
         if strict:
             # verification path: the fragment-level algebra is the point
-            return super().__call__(lhs, rhs, scale=scale, strict=True)
-        cfg = self.config
-        self._validate(lhs, rhs)
+            return super()._products(lhs, rhs3, strict)
         plan = spmm_plan(lhs)
         dtype = self._accum_dtype(plan.max_nnz_row)
-        acc = plan.csr(dtype) @ np.asarray(rhs, dtype=dtype)
-        out = np.rint(acc).astype(np.int64)
-        deq = None
-        if scale is not None and cfg.fuse_dequant:
-            # fused dequant epilogue: one array expression over the tile
-            deq = (out * scale).astype(np.float32)
-        return SpMMResult(
-            output=out, stats=self._stats(plan, lhs, rhs.shape[1]), dequantized=deq
-        )
+        slices, k, n = rhs3.shape
+        v, stride = lhs.vector_length, lhs.stride
+        # row k is zero: the padding slots' gather target
+        rhs = np.empty((slices, k + 1, n), dtype=dtype)
+        rhs[:, :k] = rhs3
+        rhs[:, k] = 0
+        tiles = lhs.values.reshape(slices, -1, v, stride).astype(dtype)
+        # results land in bucket order; one casting scatter places them
+        acc = np.empty((slices, len(plan.order), v, n), dtype=dtype)
+        done = 0
+        # strips per matmul: keeps the gathered RHS rows cache-resident
+        row_bytes = slices * n * dtype.itemsize
+        for strips, groups, rows in plan.buckets:
+            step = max(1, _GATHER_BYTES // (row_bytes * rows.shape[1]))
+            for lo in range(0, len(strips), step):
+                part = slice(lo, lo + step)
+                # (S, B, groups, V, stride) -> (S, B, V, groups*stride)
+                strip_lhs = tiles[:, groups[part]].transpose(0, 1, 3, 2, 4)
+                strip_lhs = strip_lhs.reshape(slices, -1, v, rows.shape[1])
+                # padding targets row k, so "clip" never clips: it only
+                # skips the bounds check
+                gathered = rhs.take(rows[part], axis=1, mode="clip")
+                width = strip_lhs.shape[1]
+                np.matmul(strip_lhs, gathered, out=acc[:, done : done + width])
+                done += width
+        # every partial sum is an exactly represented integer
+        out = np.zeros((slices, lhs.num_strips, v, n), dtype=np.int64)
+        out[:, plan.order] = acc
+        return out.reshape(slices, lhs.shape[0], n)
 
-    def _stats(self, plan, lhs, n: int):
+    def _stats(self, lhs: SRBCRSMatrix, n: int) -> KernelStats:
         """Memoized cost accounting: the model is a pure function of
-        (layout, config, N), so it is computed once per request class
-        and deep-copied out (results must not alias each other)."""
+        (layout, config, N), so it is computed once per layout and
+        copied out (results must not alias each other)."""
+        plan = spmm_plan(lhs)
         key = (self.config, n)
         cached = plan.stats_cache.get(key)
         if cached is None:
             cached = plan.stats_cache[key] = self._account(lhs, n)
-        return copy.deepcopy(cached)
+        return cached.repeated(1)

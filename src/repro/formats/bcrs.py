@@ -4,11 +4,17 @@ This is the *column-vector sparse encoding* of vectorSparse: the matrix
 is divided into M/V row strips; each nonzero of a strip is a dense
 V x 1 vector identified by its column index, and vectors are stored
 consecutively (each vector's V elements contiguous).
+
+A *grouped* matrix stacks several value sets over one topology: its
+``values`` carry a leading slice axis, ``(slices, num_vectors, V)``.
+The Fig. 16 attention launches use it for every (batch, head) slice
+that shares one attention mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +28,13 @@ class BCRSMatrix(SparseFormat):
 
     ``row_ptrs`` has length M/V + 1 in units of vectors; strip r's
     vectors occupy ``[row_ptrs[r], row_ptrs[r+1])`` of ``col_indices``
-    and of the first axis of ``values`` (shape ``(num_vectors, V)``).
+    and of the vector axis of ``values`` (shape ``(num_vectors, V)``,
+    or ``(slices, num_vectors, V)`` when grouped).
+
+    ``layout_memo`` holds state derived from the index arrays alone
+    (conversion maps, gather plans). Matrices made by
+    :meth:`with_values` share it, so a layout is derived once per
+    topology however many value sets flow through it.
     """
 
     shape: tuple[int, int]
@@ -30,6 +42,9 @@ class BCRSMatrix(SparseFormat):
     row_ptrs: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
+    layout_memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.row_ptrs = np.ascontiguousarray(self.row_ptrs, dtype=np.int64)
@@ -46,14 +61,40 @@ class BCRSMatrix(SparseFormat):
             raise FormatError("row_ptrs must start at 0 and end at num_vectors")
         if np.any(np.diff(self.row_ptrs) < 0):
             raise FormatError("row_ptrs must be non-decreasing")
-        if self.values.shape != (self.col_indices.size, v):
-            raise FormatError(
-                f"values must be (num_vectors, {v}), got {self.values.shape}"
-            )
+        self._check_values(self.values)
         if self.col_indices.size and (
             self.col_indices.min() < 0 or self.col_indices.max() >= k
         ):
             raise FormatError("column index out of range")
+
+    def _check_values(self, values: np.ndarray) -> None:
+        expected = (self.col_indices.size, self.vector_length)
+        if values.ndim not in (2, 3) or values.shape[-2:] != expected:
+            raise FormatError(
+                f"values must be {expected} or (slices, *{expected}), "
+                f"got {values.shape}"
+            )
+
+    def with_values(self, values: np.ndarray) -> "BCRSMatrix":
+        """This topology with new ``values`` (plain or grouped).
+
+        The index arrays and ``layout_memo`` are shared, not copied:
+        formats are treated as immutable once built.
+        """
+        values = np.ascontiguousarray(values)
+        self._check_values(values)
+        out = copy.copy(self)
+        out.values = values
+        return out
+
+    @property
+    def slices(self) -> int | None:
+        """Leading slice count of a grouped matrix; ``None`` if plain."""
+        return self.values.shape[0] if self.values.ndim == 3 else None
+
+    def slice(self, index: int) -> "BCRSMatrix":
+        """Slice ``index`` of a grouped matrix, as a plain matrix."""
+        return self.with_values(self.values[index])
 
     @property
     def num_strips(self) -> int:
@@ -95,6 +136,9 @@ class BCRSMatrix(SparseFormat):
         )
 
     def to_dense(self) -> np.ndarray:
+        """The dense matrix; ``(slices, M, K)`` when grouped."""
+        if self.slices is not None:
+            return np.stack([self.slice(g).to_dense() for g in range(self.slices)])
         m, k = self.shape
         v = self.vector_length
         out = np.zeros((self.num_strips, v, k), dtype=self.values.dtype)
@@ -104,7 +148,8 @@ class BCRSMatrix(SparseFormat):
 
     @property
     def nnz(self) -> int:
-        return int(self.values.size)
+        """Stored scalars of one slice (the topology's count)."""
+        return self.num_vectors * self.vector_length
 
     def storage_bytes(self, value_bits: int) -> int:
         ptr_bytes = self.row_ptrs.size * 4
@@ -113,9 +158,10 @@ class BCRSMatrix(SparseFormat):
         return ptr_bytes + idx_bytes + val_bytes
 
     def strip_vectors(self, strip: int) -> tuple[np.ndarray, np.ndarray]:
-        """(col_indices, values) of one row strip — values ``(n_vec, V)``."""
+        """(col_indices, values) of one row strip — values ``(n_vec, V)``
+        (with the leading slice axis when grouped)."""
         lo, hi = self.row_ptrs[strip], self.row_ptrs[strip + 1]
-        return self.col_indices[lo:hi], self.values[lo:hi]
+        return self.col_indices[lo:hi], self.values[..., lo:hi, :]
 
     def vectors_per_strip(self) -> np.ndarray:
         """Vector counts per strip (load-balance statistic)."""

@@ -15,7 +15,6 @@ from repro.formats.bcrs import BCRSMatrix
 from repro.formats.blocked_ell import BlockedEllMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.srbcrs import PAD_INDEX, SRBCRSMatrix
-from repro.gpu.warp import ceil_div
 
 
 def dense_to_csr(dense: np.ndarray) -> CSRMatrix:
@@ -42,45 +41,59 @@ def bcrs_to_srbcrs(bcrs: BCRSMatrix, stride: int) -> SRBCRSMatrix:
     """Re-lay a BCRS matrix into SR-BCRS storage (no value change).
 
     This is the format-construction step a user of the library performs
-    once per sparse operand; it is pure data movement, vectorized per
-    strip.
+    once per sparse operand; it is pure data movement. The layout — the
+    SR-BCRS index arrays and where each BCRS vector lands — is derived
+    once per topology and stride and memoized on ``bcrs.layout_memo``,
+    so converting another value set over the same topology (a grouped
+    matrix, or the next forward's attention probabilities) is one
+    scatter, and every result shares the first one's ``layout_memo``.
     """
+    key = ("srbcrs", stride)
+    got = bcrs.layout_memo.get(key)
+    if got is not None:
+        template, dest = got
+        return template.with_values(_scatter(
+            bcrs, dest, template.col_indices.size, stride
+        ))
     v = bcrs.vector_length
-    strips = bcrs.num_strips
     counts = bcrs.vectors_per_strip().astype(np.int64)
-    padded_counts = np.array(
-        [ceil_div(int(c), stride) * stride if c else 0 for c in counts], dtype=np.int64
-    )
-    row_starts = np.zeros(strips, dtype=np.int64)
+    padded_counts = -(-counts // stride) * stride
+    row_starts = np.zeros(bcrs.num_strips, dtype=np.int64)
     np.cumsum(padded_counts[:-1], out=row_starts[1:])
-    row_ends = row_starts + counts
     total = int(padded_counts.sum())
+    # padded slot of every BCRS vector: its strip's start + its rank
+    strip_of = np.repeat(np.arange(bcrs.num_strips), counts)
+    rank = np.arange(bcrs.num_vectors) - bcrs.row_ptrs[strip_of]
+    slot = row_starts[strip_of] + rank
     col_indices = np.full(total, PAD_INDEX, dtype=np.int32)
-    values = np.zeros(total * v, dtype=bcrs.values.dtype)
-    for r in range(strips):
-        cols, vecs = bcrs.strip_vectors(r)  # vecs: (n, v) vector-major
-        n = cols.size
-        if n == 0:
-            continue
-        start = int(row_starts[r])
-        col_indices[start : start + n] = cols
-        tile_cols = vecs.T  # (v, n): row-major strip content
-        for g0 in range(0, int(padded_counts[r]), stride):
-            block = np.zeros((v, stride), dtype=bcrs.values.dtype)
-            take = min(stride, n - g0)
-            if take > 0:
-                block[:, :take] = tile_cols[:, g0 : g0 + take]
-            flat0 = (start + g0) * v
-            values[flat0 : flat0 + v * stride] = block.reshape(-1)
-    return SRBCRSMatrix(
+    col_indices[slot] = bcrs.col_indices
+    # groups are (V, stride) row-major: lane l of slot s sits at
+    # group_base + l * stride + s % stride
+    dest = (slot // stride) * (stride * v) + slot % stride
+    out = SRBCRSMatrix(
         shape=bcrs.shape,
         vector_length=v,
         stride=stride,
         row_starts=row_starts,
-        row_ends=row_ends,
+        row_ends=row_starts + counts,
         col_indices=col_indices,
-        values=values,
+        values=_scatter(bcrs, dest, total, stride),
     )
+    bcrs.layout_memo[key] = (out, dest)
+    return out
+
+
+def _scatter(
+    bcrs: BCRSMatrix, dest: np.ndarray, padded: int, stride: int
+) -> np.ndarray:
+    """BCRS values (plain or grouped) placed at their SR-BCRS offsets."""
+    v = bcrs.vector_length
+    lead = bcrs.values.shape[:-2]
+    values = np.zeros(lead + (padded * v,), dtype=bcrs.values.dtype)
+    values[..., (dest[:, None] + np.arange(v) * stride).ravel()] = (
+        bcrs.values.reshape(lead + (-1,))
+    )
+    return values
 
 
 def srbcrs_to_bcrs(sr: SRBCRSMatrix) -> BCRSMatrix:

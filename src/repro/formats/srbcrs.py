@@ -14,11 +14,15 @@ the last group with zero vectors, and the column indices with the
 sentinel :data:`PAD_INDEX`. To address strips independently despite the
 padding, the format keeps **2M row pointers** (one first-vector and one
 last-vector pointer per strip) instead of CSR's M+1.
+
+A *grouped* matrix stacks several value sets over one layout: its flat
+``values`` carry a leading slice axis, ``(slices, padded_vectors * V)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -55,6 +59,10 @@ class SRBCRSMatrix(SparseFormat):
         group-row-major: group g of a strip occupies
         ``[g0 * V, (g0 + stride) * V)`` (``g0`` = group start offset)
         reshaped as ``(V, stride)`` row-major. Padding slots hold zeros.
+        Grouped matrices prepend a slice axis.
+    layout_memo:
+        State derived from the index arrays alone (gather plans, cost
+        accounting), shared with every matrix :meth:`with_values` makes.
     """
 
     shape: tuple[int, int]
@@ -64,6 +72,9 @@ class SRBCRSMatrix(SparseFormat):
     row_ends: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
+    layout_memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.row_starts = np.ascontiguousarray(self.row_starts, dtype=np.int64)
@@ -85,13 +96,38 @@ class SRBCRSMatrix(SparseFormat):
             raise FormatError("row_starts must be stride-aligned")
         if np.any(self.row_ends < self.row_starts):
             raise FormatError("row_ends must be >= row_starts")
-        padded = self.col_indices.size
-        if self.values.shape != (padded * v,):
-            raise FormatError(
-                f"values must be flat with {padded * v} elements, got {self.values.shape}"
-            )
-        if padded % s != 0:
+        self._check_values(self.values)
+        if self.col_indices.size % s != 0:
             raise FormatError("total padded vectors must be a multiple of the stride")
+
+    def _check_values(self, values: np.ndarray) -> None:
+        flat = self.col_indices.size * self.vector_length
+        if values.ndim not in (1, 2) or values.shape[-1] != flat:
+            raise FormatError(
+                f"values must be flat with {flat} elements (or (slices, "
+                f"{flat}) when grouped), got {values.shape}"
+            )
+
+    def with_values(self, values: np.ndarray) -> "SRBCRSMatrix":
+        """This layout with new ``values`` (plain or grouped).
+
+        The index arrays and ``layout_memo`` are shared, not copied:
+        formats are treated as immutable once built.
+        """
+        values = np.ascontiguousarray(values)
+        self._check_values(values)
+        out = copy.copy(self)
+        out.values = values
+        return out
+
+    @property
+    def slices(self) -> int | None:
+        """Leading slice count of a grouped matrix; ``None`` if plain."""
+        return self.values.shape[0] if self.values.ndim == 2 else None
+
+    def slice(self, index: int) -> "SRBCRSMatrix":
+        """Slice ``index`` of a grouped matrix, as a plain matrix."""
+        return self.with_values(self.values[index])
 
     # ------------------------------------------------------------------
     @classmethod
@@ -194,6 +230,9 @@ class SRBCRSMatrix(SparseFormat):
             yield self.group(strip, g)
 
     def to_dense(self) -> np.ndarray:
+        """The dense matrix; ``(slices, M, K)`` when grouped."""
+        if self.slices is not None:
+            return np.stack([self.slice(g).to_dense() for g in range(self.slices)])
         m, k = self.shape
         v = self.vector_length
         out = np.zeros((m, k), dtype=self.values.dtype)

@@ -62,6 +62,37 @@ class KernelStats:
     def total_mma_ops(self) -> int:
         return sum(self.mma_ops.values())
 
+    def repeated(self, times: int) -> "KernelStats":
+        """The stats of one launch doing this work ``times`` over.
+
+        A grouped launch runs the same per-slice kernel over ``times``
+        slices: every count and the grid scale, the launch overhead is
+        paid once. ``repeated(1)`` is an independent copy.
+        """
+        traffic = TrafficCounter(
+            unique_read_bytes=self.traffic.unique_read_bytes * times,
+            read_bytes=self.traffic.read_bytes * times,
+            write_bytes=self.traffic.write_bytes * times,
+            by_stream={
+                k: [x * times for x in v] for k, v in self.traffic.by_stream.items()
+            },
+        )
+        grid = self.grid
+        if grid is not None:
+            grid = LaunchGrid(blocks=grid.blocks * times, block=grid.block)
+        return KernelStats(
+            name=self.name,
+            mma_ops={k: v * times for k, v in self.mma_ops.items()},
+            useful_ops=self.useful_ops * times,
+            traffic=traffic,
+            smem_transaction_cycles=self.smem_transaction_cycles * times,
+            epilogue_cycles=self.epilogue_cycles * times,
+            grid=grid,
+            prefetch=self.prefetch,
+            serial_bytes=self.serial_bytes * times,
+            notes=dict(self.notes),
+        )
+
 
 @dataclass(frozen=True)
 class TimingBreakdown:

@@ -112,16 +112,48 @@ class MagicubeSDDMM:
         column-major); ``mask`` supplies the output topology (its values
         are ignored). ``strict`` routes every strip through the
         digit-decomposition algebra.
+
+        A leading slice axis — ``a`` (S, M, K), ``b`` (S, K, N) — makes
+        one grouped launch over S slices that share ``mask``: the
+        output is a grouped matrix with ``(S, num_vectors, V)`` values
+        and the stats are those of one launch doing the work S times.
         """
         cfg = self.config
+        a = np.asarray(a)
+        b = np.asarray(b)
         self._validate(a, b, mask)
+        grouped = a.ndim == 3
+        a3, b3 = (a, b) if grouped else (a[None], b[None])
+        values = self._products(a3, b3, mask, strict)
+        out = mask.with_values(values if grouped else values[0])
+        result: BCRSMatrix | SRBCRSMatrix = out
+        if cfg.output_format == "srbcrs":
+            # feed the subsequent SpMM: stride = that kernel's MMA k dim
+            result = bcrs_to_srbcrs(out, stride=16)
+        stats = self._stats(a3.shape[1:], b3.shape[1:], mask)
+        if grouped:
+            stats = stats.repeated(len(a3))
+        return SDDMMResult(output=result, stats=stats)
+
+    def _products(
+        self, a3: np.ndarray, b3: np.ndarray, mask: BCRSMatrix, strict: bool
+    ) -> np.ndarray:
+        """``(S, num_vectors, V)`` int64 sampled products, computed slice
+        by slice and strip by strip (the oracle for faster overrides)."""
+        return np.stack([
+            self._slice_products(a, b, mask, strict) for a, b in zip(a3, b3)
+        ])
+
+    def _slice_products(
+        self, a: np.ndarray, b: np.ndarray, mask: BCRSMatrix, strict: bool
+    ) -> np.ndarray:
+        cfg = self.config
         # dtype promotions and pointer reads hoisted out of the strip
         # loop; one (V, max_vectors) accumulator is reused per strip
         a64 = np.asarray(a, dtype=np.int64)
         b64 = np.asarray(b, dtype=np.int64)
         v = mask.vector_length
-        num_vectors = mask.num_vectors
-        values = np.zeros((num_vectors, v), dtype=np.int64)
+        values = np.zeros((mask.num_vectors, v), dtype=np.int64)
         ptrs = np.asarray(mask.row_ptrs)
         seg_counts = np.diff(ptrs)
         max_vec = int(seg_counts.max()) if seg_counts.size else 0
@@ -144,35 +176,31 @@ class MagicubeSDDMM:
             else:
                 prod = np.matmul(a_strip, b_cols, out=acc[:, : hi - lo])
             values[lo:hi] = prod.T  # vector-major
+        return values
 
-        out = BCRSMatrix(
-            shape=(mask.shape[0], mask.shape[1]),
-            vector_length=v,
-            row_ptrs=mask.row_ptrs.copy(),
-            col_indices=mask.col_indices.copy(),
-            values=values,
-        )
-        result: BCRSMatrix | SRBCRSMatrix = out
-        if cfg.output_format == "srbcrs":
-            # feed the subsequent SpMM: stride = that kernel's MMA k dim
-            result = bcrs_to_srbcrs(out, stride=16)
-        stats = self._account(a64.shape, b64.shape, mask)
-        return SDDMMResult(output=result, stats=stats)
+    def _stats(
+        self, a_shape: tuple[int, int], b_shape: tuple[int, int], mask: BCRSMatrix
+    ) -> KernelStats:
+        """The cost accounting of one slice (a fresh object per call)."""
+        return self._account(a_shape, b_shape, mask)
 
     # ------------------------------------------------------------------
     def _validate(self, a: np.ndarray, b: np.ndarray, mask: BCRSMatrix) -> None:
         cfg = self.config
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        if (
+            a.ndim not in (2, 3)
+            or b.ndim != a.ndim
+            or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]
+        ):
             raise ShapeError(f"incompatible SDDMM shapes {a.shape} @ {b.shape}")
-        if mask.shape != (a.shape[0], b.shape[1]):
+        if mask.shape != (a.shape[-2], b.shape[-1]):
             raise ShapeError(
-                f"mask shape {mask.shape} != output shape {(a.shape[0], b.shape[1])}"
+                f"mask shape {mask.shape} != output shape {(a.shape[-2], b.shape[-1])}"
             )
-        if a.shape[1] % self.bsk != 0:
+        if a.shape[-1] % self.bsk != 0:
             raise ShapeError(
-                f"K={a.shape[1]} must be a multiple of BSk={self.bsk} "
+                f"K={a.shape[-1]} must be a multiple of BSk={self.bsk} "
                 f"for {self.plan.name}"
             )
         if mask.vector_length > 8:

@@ -38,7 +38,7 @@ class SoftmaxResult:
 
 def sparse_softmax_quantized(
     scores: BCRSMatrix,
-    scale: float,
+    scale: "float | np.ndarray",
     out_bits: int = 8,
 ) -> SoftmaxResult:
     """Row-wise fp16 softmax over a sparse score matrix, fused quantize.
@@ -50,11 +50,23 @@ def sparse_softmax_quantized(
     ``1 / qmax`` — softmax outputs are in [0, 1], so calibration is
     static, which is what lets the paper fuse quantization into the
     softmax kernel without a second pass.
+
+    Grouped ``scores`` (S slices over one mask) take one ``scale`` per
+    slice and run as one launch; this oracle computes slice by slice.
     """
     if out_bits not in (8, 16):
         raise ShapeError(f"softmax output must be 8 or 16 bits, got {out_bits}")
-    m, n = scores.shape
-    v = scores.vector_length
+    if scores.slices is not None:
+        scales = np.broadcast_to(np.asarray(scale, dtype=np.float64), (scores.slices,))
+        parts = [
+            sparse_softmax_quantized(scores.slice(g), float(scales[g]), out_bits)
+            for g in range(scores.slices)
+        ]
+        return SoftmaxResult(
+            output=scores.with_values(np.stack([p.output.values for p in parts])),
+            params=parts[0].params,
+            stats=_account(scores, out_bits).repeated(scores.slices),
+        )
     _, qmax = int_range(out_bits, signed=False)
     params = QuantParams(scale=1.0 / qmax, bits=out_bits, signed=False)
 
@@ -77,15 +89,11 @@ def sparse_softmax_quantized(
             np.rint(sm.astype(np.float32) / params.scale), 0, qmax
         ).astype(np.int64)
 
-    out = BCRSMatrix(
-        shape=(m, n),
-        vector_length=v,
-        row_ptrs=scores.row_ptrs.copy(),
-        col_indices=scores.col_indices.copy(),
-        values=out_values,
+    return SoftmaxResult(
+        output=scores.with_values(out_values),
+        params=params,
+        stats=_account(scores, out_bits),
     )
-    stats = _account(scores, out_bits)
-    return SoftmaxResult(output=out, params=params, stats=stats)
 
 
 def _account(scores: BCRSMatrix, out_bits: int) -> KernelStats:

@@ -103,7 +103,7 @@ class MagicubeSpMM:
         self,
         lhs: SRBCRSMatrix,
         rhs: np.ndarray,
-        scale: float | None = None,
+        scale: "float | np.ndarray | None" = None,
         strict: bool = False,
     ) -> SpMMResult:
         """Compute ``C = lhs @ rhs`` and account the kernel's costs.
@@ -113,10 +113,46 @@ class MagicubeSpMM:
         the fused dequantization epilogue. ``strict`` computes every
         strip through the digit-decomposition algebra instead of a
         direct matmul (slow; for verification).
+
+        A grouped ``lhs`` (S slices over one layout) with an
+        ``(S, K, N)`` ``rhs`` makes one grouped launch: the output is
+        ``(S, M, N)``, ``scale`` may hold one value per slice, and the
+        stats are those of one launch doing the work S times.
         """
         cfg = self.config
+        rhs = np.asarray(rhs)
         self._validate(lhs, rhs)
-        m, k = lhs.shape
+        grouped = rhs.ndim == 3
+        out = self._products(lhs, rhs if grouped else rhs[None], strict)
+        stats = self._stats(lhs, rhs.shape[-1])
+        if grouped:
+            stats = stats.repeated(len(rhs))
+        else:
+            out = out[0]
+        deq = None
+        if scale is not None and cfg.fuse_dequant:
+            factor = np.asarray(scale, dtype=np.float64)
+            if grouped and factor.ndim == 1:
+                factor = factor[:, None, None]
+            deq = (out * factor).astype(np.float32)
+        return SpMMResult(output=out, stats=stats, dequantized=deq)
+
+    def _products(
+        self, lhs: SRBCRSMatrix, rhs3: np.ndarray, strict: bool
+    ) -> np.ndarray:
+        """``(S, M, N)`` int64 products, computed slice by slice and strip
+        by strip (the oracle for faster overrides)."""
+        values = np.asarray(lhs.values).reshape(len(rhs3), -1)
+        return np.stack([
+            self._slice_products(lhs, vals, rhs, strict)
+            for vals, rhs in zip(values, rhs3)
+        ])
+
+    def _slice_products(
+        self, lhs: SRBCRSMatrix, values: np.ndarray, rhs: np.ndarray, strict: bool
+    ) -> np.ndarray:
+        cfg = self.config
+        m, _ = lhs.shape
         n = rhs.shape[1]
         v = lhs.vector_length
         stride = lhs.stride
@@ -125,7 +161,7 @@ class MagicubeSpMM:
         # dtype promotions hoisted out of the strip loop; the staging
         # buffer below is allocated once and reused per strip
         rhs64 = np.asarray(rhs, dtype=np.int64)
-        values = np.asarray(lhs.values, dtype=np.int64)
+        values = np.asarray(values, dtype=np.int64)
         row_starts = lhs.row_starts
         counts = np.asarray(lhs.row_ends) - np.asarray(row_starts)
         max_pad = int((-(-counts // stride)).max()) * stride if counts.size else 0
@@ -155,20 +191,25 @@ class MagicubeSpMM:
                 )
             else:
                 np.matmul(lhs_strip, gathered, out=out[r * v : (r + 1) * v])
+        return out
 
-        stats = self._account(lhs, n)
-        deq = None
-        if scale is not None and cfg.fuse_dequant:
-            deq = (out * scale).astype(np.float32)
-        return SpMMResult(output=out, stats=stats, dequantized=deq)
+    def _stats(self, lhs: SRBCRSMatrix, n: int) -> KernelStats:
+        """The cost accounting of one slice (a fresh object per call)."""
+        return self._account(lhs, n)
 
     # ------------------------------------------------------------------
     def _validate(self, lhs: SRBCRSMatrix, rhs: np.ndarray) -> None:
         cfg = self.config
-        rhs = np.asarray(rhs)
-        if rhs.ndim != 2 or rhs.shape[0] != lhs.shape[1]:
+        if rhs.ndim not in (2, 3) or rhs.shape[-2] != lhs.shape[1]:
             raise ShapeError(
-                f"RHS must be ({lhs.shape[1]}, N), got {rhs.shape}"
+                f"RHS must be ({lhs.shape[1]}, N) or (S, {lhs.shape[1]}, N), "
+                f"got {rhs.shape}"
+            )
+        slices = rhs.shape[0] if rhs.ndim == 3 else None
+        if lhs.slices != slices:
+            raise ShapeError(
+                f"LHS has {lhs.slices or 'no'} slices, RHS {slices or 'none'}: "
+                f"a grouped launch needs one LHS slice per RHS slice"
             )
         if lhs.stride != self.required_stride:
             raise ShapeError(

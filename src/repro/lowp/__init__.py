@@ -37,6 +37,7 @@ from repro.lowp.decompose import (
 from repro.lowp.quantize import (
     QuantParams,
     symmetric_quantize,
+    symmetric_quantize_slices,
     unsigned_quantize,
     dequantize,
     quantize_with,
@@ -61,6 +62,7 @@ __all__ = [
     "digit_weights",
     "QuantParams",
     "symmetric_quantize",
+    "symmetric_quantize_slices",
     "unsigned_quantize",
     "dequantize",
     "quantize_with",

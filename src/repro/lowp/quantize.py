@@ -70,6 +70,28 @@ def symmetric_quantize(x: np.ndarray, bits: int) -> tuple[np.ndarray, QuantParam
     return q, QuantParams(scale=scale, bits=bits, signed=True)
 
 
+def symmetric_quantize_slices(
+    x: np.ndarray, bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`symmetric_quantize` of every slice along ``x``'s leading
+    axis at once, each with its own scale.
+
+    Returns ``(q, scales)``: int32 codes shaped like ``x`` and the
+    float64 per-slice scales. Slice ``i`` is bit-identical to
+    ``symmetric_quantize(x[i], bits)``, including the 1.0 scale of an
+    all-zero slice and the smallest-normal floor of a subnormal amax.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    qmin, qmax = int_range(bits, signed=True)
+    amax = np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
+    scales = np.where(
+        amax > 0, np.maximum(amax / qmax, np.finfo(np.float64).tiny), 1.0
+    )
+    per_slice = scales.reshape((-1,) + (1,) * (x.ndim - 1))
+    q = np.clip(np.rint(x / per_slice), qmin, qmax).astype(np.int32)
+    return q, scales
+
+
 def unsigned_quantize(x: np.ndarray, bits: int) -> tuple[np.ndarray, QuantParams]:
     """Quantize non-negative values to unsigned integers (scale-only).
 

@@ -15,8 +15,11 @@ the serving engine's dispatch — behind one pluggable protocol:
   replacing bare ``"A100"`` strings (A100 / V100 / H100 / MI250X
   profiles from Table II).
 
-Built-in backends (fallback order): ``magicube-emulation``,
-``vector-sparse``, ``cusparselt``, ``cublas-fp16``, ``cublas-int8``,
+With no backend named, resolution returns :data:`DEFAULT_BACKEND`
+(``fastpath-vectorized``) wherever it supports the request, else the
+first supporting backend in fallback order: ``magicube-emulation``
+(the bit-level oracle), ``fastpath-vectorized``, ``vector-sparse``,
+``cusparselt``, ``cublas-fp16``, ``cublas-int8``,
 ``cusparse-blocked-ell``, ``sputnik``, ``cusparse-csr``,
 ``magicube-strict``.
 

@@ -1,8 +1,9 @@
-"""Magicube execution backends: emulation (fast) and strict (bit-level).
+"""Magicube execution backends: emulation (oracle) and strict (bit-level).
 
 Both wrap the :mod:`repro.kernels` SpMM/SDDMM implementations behind the
 :class:`~repro.runtime.backend.Backend` protocol. ``magicube-emulation``
-computes strips with vectorized matmuls (the production path);
+computes strip by strip with integer matmuls (the oracle the default
+``fastpath-vectorized`` backend is tested against);
 ``magicube-strict`` routes every tile through the fragment-level
 digit-decomposition algebra (orders of magnitude slower; the ground
 truth the fast path is tested against). Their *cost accounting is
@@ -24,6 +25,7 @@ from repro.formats.bcrs import BCRSMatrix
 from repro.formats.srbcrs import SRBCRSMatrix
 from repro.kernels.emulation import plan_for, supported_pairs
 from repro.kernels.sddmm import MagicubeSDDMM, SDDMMConfig
+from repro.kernels.softmax import SoftmaxResult, sparse_softmax_quantized
 from repro.kernels.spmm import MagicubeSpMM, SpMMConfig
 from repro.runtime.backend import (
     Backend,
@@ -55,11 +57,12 @@ def _pair_labels() -> tuple[str, ...]:
 class MagicubeEmulationBackend(Backend):
     """The Magicube kernels with vectorized (emulated) strip execution.
 
-    ``spmm_kernel`` / ``sddmm_kernel`` are class attributes so subclasses
-    (``magicube-strict``, the :mod:`repro.fastpath` backends) swap the
-    arithmetic implementation while inheriting the whole protocol
-    surface — capabilities, device admission, cost accounting and the
-    planning hook stay identical by construction.
+    ``spmm_kernel`` / ``sddmm_kernel`` are class attributes (and
+    :meth:`softmax` a method) so subclasses (``magicube-strict``, the
+    :mod:`repro.fastpath` backend) swap the arithmetic implementation
+    while inheriting the whole protocol surface — capabilities, device
+    admission, cost accounting and the planning hook stay identical by
+    construction.
     """
 
     name = "magicube-emulation"
@@ -90,6 +93,11 @@ class MagicubeEmulationBackend(Backend):
         return False
 
     # -- execution ------------------------------------------------------
+    def softmax(self, scores, scale, out_bits: int = 8) -> SoftmaxResult:
+        """The fused quantized softmax between this backend's SDDMM and
+        SpMM in the Fig. 16 attention pipeline (grouped scores too)."""
+        return sparse_softmax_quantized(scores, scale, out_bits)
+
     def prepare(
         self, operand: object, op: str = "spmm", config: object | None = None
     ) -> object:

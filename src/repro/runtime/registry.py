@@ -4,16 +4,16 @@ Backends register under a unique name either as instances, as classes /
 factories, or as lazy ``"module.path:Attribute"`` entry-point strings
 (resolved on first use, so registering is free and cycle-proof). Lookup
 is deterministic: :meth:`BackendRegistry.backends` orders by
-``(priority, name)`` and :meth:`BackendRegistry.resolve` walks that
-order, returning the first backend that supports the requested
-(op, device, precision) — the fallback chain the serving engine and the
+``(priority, name)``. :meth:`BackendRegistry.resolve` returns
+:data:`DEFAULT_BACKEND` when it supports the requested
+(op, device, precision) and otherwise walks that order, returning the
+first backend that does — the fallback chain the serving engine and the
 ``core.api`` shims rely on.
 """
 
 from __future__ import annotations
 
 import importlib
-import importlib.util
 import threading
 from typing import Callable, Iterable
 
@@ -21,8 +21,9 @@ from repro.errors import ConfigError
 from repro.runtime.backend import Backend
 from repro.runtime.device import Device
 
-#: the backend every shim / migration falls back to
-DEFAULT_BACKEND = "magicube-emulation"
+#: the backend resolution picks when none is named (and it supports the
+#: request); ``magicube-emulation`` stays registered as the pinned oracle
+DEFAULT_BACKEND = "fastpath-vectorized"
 
 
 class BackendRegistry:
@@ -138,15 +139,21 @@ class BackendRegistry:
     ) -> Backend:
         """The backend to run (op, precision) on ``device``.
 
-        With ``name`` the choice is pinned (and verified); otherwise the
-        priority-ordered fallback chain is walked and the first
-        supporting backend wins. No match raises :class:`ConfigError`.
+        With ``name`` the choice is pinned (and verified). Otherwise
+        :data:`DEFAULT_BACKEND` wins when it is registered and supports
+        the request; failing that the priority-ordered fallback chain is
+        walked and the first supporting backend wins. No match raises
+        :class:`ConfigError`.
         """
         dev = Device.resolve(device)
         if name is not None:
             backend = self.get(name)
             backend.require_support(dev, precision=precision, op=op)
             return backend
+        if DEFAULT_BACKEND in self:
+            backend = self.get(DEFAULT_BACKEND)
+            if backend.supports(dev, precision=precision, op=op):
+                return backend
         for backend in self.backends():
             if backend.supports(dev, precision=precision, op=op):
                 return backend
@@ -175,11 +182,6 @@ _BUILTINS: tuple[tuple[str, str], ...] = (
 
 for _name, _entry in _BUILTINS:
     REGISTRY.register(_name, _entry)
-
-# the compiled fastpath tier exists only where its dependency does: no
-# numba, no entry — capability discovery stays truthful
-if importlib.util.find_spec("numba") is not None:  # pragma: no cover
-    REGISTRY.register("fastpath-jit", "repro.fastpath.jit:FastpathJitBackend")
 
 
 def register_backend(

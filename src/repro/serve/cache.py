@@ -10,10 +10,10 @@ The JSON file is shared *across processes*: :meth:`save` writes through
 a temporary sibling and an atomic ``os.replace`` so a reader never
 observes a torn file, and the payload carries a schema version.
 Version 2 added the ``backend@device`` runtime segment to plan keys;
-v1 files still load — their keys are migrated onto the default
-``magicube-emulation`` backend (the only runtime v1 plans could have
-meant), and entries that cannot be migrated are dropped rather than
-served under a stale key.
+v1 files still load — v1 plans could only have meant the Magicube
+kernels, so their keys are migrated onto the default backend (whose
+modelled costs are the Magicube kernels'), and entries that cannot be
+migrated are dropped rather than served under a stale key.
 """
 
 from __future__ import annotations

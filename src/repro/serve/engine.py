@@ -63,7 +63,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.names import declare_standard
 from repro.obs.profile import NULL_PROFILER, ProfileConfig, Profiler
 from repro.obs.trace import NULL_TRACE, Tracer
-from repro.runtime import Device, resolve_backend
+from repro.runtime import DEFAULT_BACKEND, Device, resolve_backend
 from repro.serve.batcher import BatchItem, BatchPolicy, MicroBatcher, RequestHandle
 from repro.serve.cache import PlanCache
 from repro.serve.planner import ExecutionPlanner, Objective, Plan
@@ -271,7 +271,7 @@ class AttentionSession:
         num_layers: int = 4,
         d_head: int = 64,
         num_gpus: int = 1,
-        backend: str = "magicube-emulation",
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.engine = engine
         self.name = name
@@ -372,7 +372,7 @@ class TransformerSession:
         scheme: tuple[int, int] = (16, 8),
         seed: int = 0,
         vector_length: int = 8,
-        backend: str = "magicube-emulation",
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
         # imported lazily: the transformer stack reaches
         # repro.serve.topology via the inference latency model
@@ -653,8 +653,8 @@ class Engine:
         The attention path models the paper's quantized Magicube
         pipeline, so its plans must come from a Magicube-family
         backend; the default inherits the engine's backend when that is
-        one, else ``magicube-emulation``. Validation runs through the
-        shared resolution pipeline.
+        one, else :data:`~repro.runtime.DEFAULT_BACKEND`. Validation
+        runs through the shared resolution pipeline.
         """
         self._check_name(name)
         probe = resolve_request(
@@ -1162,7 +1162,7 @@ class Engine:
         batch_id = next(self._batch_ids)
         plan_key = r.plan.key if r.plan is not None else None
         launches = (
-            session.prepared.launches_per_forward(total)
+            session.prepared.launches_per_forward()
             if session.mode == "lra-classify"
             else 1
         )

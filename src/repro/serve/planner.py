@@ -18,10 +18,11 @@ winner is memoized in a :class:`~repro.serve.cache.PlanCache` under a
 :class:`PlanKey` that carries the searched ``(backend, device)``
 tokens, so repeated requests skip the search entirely.
 
-By default the planner pins the registry's fallback backend for its
-device (``magicube-emulation`` wherever integer Tensor cores exist), so
-single-backend planning behaves exactly as before; pass ``backends=``
-(or per-call ``backend=``) and ``devices=`` to open the search.
+By default the planner pins the backend resolution picks for its
+device (:data:`~repro.runtime.DEFAULT_BACKEND` wherever integer Tensor
+cores exist, else the head of the fallback chain), so plans land under
+the keys a default engine looks up; pass ``backends=`` (or per-call
+``backend=``) and ``devices=`` to open the search.
 """
 
 from __future__ import annotations
@@ -417,14 +418,18 @@ class ExecutionPlanner:
         elif self.backends is not None:
             names = self.backends
         else:
-            # default: pin the registry's fallback backend for the
-            # primary device, preserving single-backend behaviour
+            # default: pin the backend resolution would pick for the
+            # primary device (DEFAULT_BACKEND wherever it is admissible,
+            # else the head of the fallback chain)
             chain = plannable_backends(op, self._device)
             if not chain:
                 raise ConfigError(
                     f"no plannable backend supports {op} on {self.device}"
                 )
-            names = (chain[0].name,)
+            pinned = next(
+                (b for b in chain if b.name == DEFAULT_BACKEND), chain[0]
+            )
+            names = (pinned.name,)
         found = plannable_backends(op, self._device, names)
         # a multi-device search keeps backends admissible on *any*
         # searched device (the per-device filter happens per candidate)

@@ -10,44 +10,49 @@ Three execution paths over the same weights:
   integer SpMM with fused dequantize. Runs either as dense fake-quant
   math (fast; used for the Table V accuracy study) or through the real
   Magicube kernels (``use_kernels=True``; exercised by integration
-  tests — identical results up to fp16 rounding).
+  tests — identical results up to fp16 rounding). The kernel path makes
+  one grouped launch per op over every (batch, head) slice: the slices
+  share the mask, so its indices and SR-BCRS layout are derived once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import ShapeError
 from repro.formats.bcrs import BCRSMatrix
 from repro.formats.convert import bcrs_to_srbcrs
-from repro.gpu.mma import mma_shape_for
-from repro.kernels.emulation import plan_for
 from repro.kernels.sddmm import MagicubeSDDMM, SDDMMConfig
 from repro.kernels.softmax import sparse_softmax_quantized
 from repro.kernels.spmm import MagicubeSpMM, SpMMConfig
-from repro.lowp.quantize import int_range, symmetric_quantize
+from repro.lowp.quantize import int_range, symmetric_quantize_slices
 from repro.transformer.layers import Layer, Linear, softmax, softmax_backward
 
 
 @dataclass(frozen=True)
 class KernelPipeline:
-    """Injected kernel classes + configs for the Fig. 16 launches.
+    """Injected kernels + configs for the Fig. 16 launches.
 
     The serving layer resolves a backend (whose ``sddmm_kernel`` /
-    ``spmm_kernel`` class attributes may be fastpath variants) and a
-    plan (whose tile knobs ride in the configs); injecting them here
-    makes the model's attention launches use exactly that stack. Tile
-    knobs never change the integer numerics — the bit-critical fields
-    are re-pinned per launch — so a planned forward stays bit-identical
-    to the default pipeline.
+    ``spmm_kernel`` classes and ``softmax`` may be fastpath variants)
+    and a plan (whose tile knobs ride in the configs); injecting them
+    here makes the model's attention launches use exactly that stack.
+    Tile knobs never change the integer numerics — the bit-critical
+    fields are re-pinned per launch — so a planned forward stays
+    bit-identical to the default pipeline. ``softmax`` of ``None`` is
+    the emulation softmax; ``strict`` routes the SDDMM and SpMM through
+    the digit-decomposition algebra (the ``magicube-strict`` oracle).
     """
 
     sddmm_cls: type[MagicubeSDDMM] = MagicubeSDDMM
     spmm_cls: type[MagicubeSpMM] = MagicubeSpMM
     sddmm_config: SDDMMConfig | None = None
     spmm_config: SpMMConfig | None = None
+    softmax: Callable | None = None
+    strict: bool = False
 
 
 class MultiHeadAttention(Layer):
@@ -126,26 +131,21 @@ class MultiHeadAttention(Layer):
         """
         if kernels is not None:
             use_kernels = True
-        b, l, _ = x.shape
+        l = x.shape[1]
         if mask.shape != (l, l):
             raise ShapeError(f"mask {mask.shape} does not match sequence {l}")
         q = self._split_heads(self.wq.forward(x))
         k = self._split_heads(self.wk.forward(x))
         v = self._split_heads(self.wv.forward(x))
         scale = 1.0 / np.sqrt(self.d_head)
-        dense_keep = mask.to_dense() != 0
-        if not use_kernels:
-            ctx = self._attend_batched_fake_quant(
-                q, k, v, dense_keep, scale, softmax_bits, qkv_bits
+        if use_kernels:
+            ctx = self._attend_kernels(
+                q, k, v, mask, scale, softmax_bits, qkv_bits, kernels
             )
-            return self.wo.forward(self._merge_heads(ctx))
-        ctx = np.empty_like(q)
-        for bi in range(b):
-            for h in range(self.num_heads):
-                ctx[bi, h] = self._attend_one_quantized(
-                    q[bi, h], k[bi, h], v[bi, h], mask, dense_keep, scale,
-                    softmax_bits, qkv_bits, use_kernels, kernels,
-                )
+        else:
+            ctx = self._attend_batched_fake_quant(
+                q, k, v, mask.to_dense() != 0, scale, softmax_bits, qkv_bits
+            )
         return self.wo.forward(self._merge_heads(ctx))
 
     def _attend_batched_fake_quant(
@@ -158,11 +158,10 @@ class MultiHeadAttention(Layer):
         softmax_bits: int,
         qkv_bits: int,
     ) -> np.ndarray:
-        """Vectorized Fig. 16 pipeline over all (batch, head) pairs.
-
-        Per-(batch, head) symmetric scales, as the kernels use —
-        numerically identical to the per-head loop (tests assert so),
-        just computed with batched einsums.
+        """Vectorized Fig. 16 pipeline over all (batch, head) pairs as
+        dense fake-quant math, with per-(batch, head) symmetric scales
+        as the kernels use — numerically identical to the kernel path
+        up to the fp16 softmax rounding.
         """
         qmin, qmax = int_range(qkv_bits, signed=True)
 
@@ -186,65 +185,39 @@ class MultiHeadAttention(Layer):
         ctx = np.einsum("bhij,bhjd->bhid", probs_q, vq)
         return (ctx * (vs / pmax)).astype(np.float32)
 
-    def _attend_one_quantized(
+    def _attend_kernels(
         self,
         q: np.ndarray,
         k: np.ndarray,
         v: np.ndarray,
         mask: BCRSMatrix,
-        dense_keep: np.ndarray,
         scale: float,
         softmax_bits: int,
         qkv_bits: int,
-        use_kernels: bool,
         kernels: KernelPipeline | None = None,
     ) -> np.ndarray:
-        # quantize Q, K, V (Fig. 16 top row)
-        qq, qp = symmetric_quantize(q, qkv_bits)
-        kq, kp = symmetric_quantize(k, qkv_bits)
-        vq, vp = symmetric_quantize(v, qkv_bits)
-        score_scale = qp.scale * kp.scale * scale
+        """The real kernel pipeline: SDDMM -> softmax -> SpMM, each one
+        grouped launch over the G = batch x heads slices.
 
-        if use_kernels:
-            return self._attend_kernels(
-                qq, kq, vq, mask, score_scale, vp.scale, softmax_bits,
-                qkv_bits, kernels,
-            )
-
-        # fake-quant dense math — numerically identical to the kernels'
-        # integer path up to the fp16 softmax rounding
-        scores_int = qq.astype(np.int64) @ kq.astype(np.int64).T
-        logits = np.where(
-            dense_keep, (scores_int * score_scale).astype(np.float32), -np.inf
-        )
-        probs = softmax(logits.astype(np.float32), axis=-1)
-        probs = probs.astype(np.float16).astype(np.float32) * dense_keep
-        _, pmax = int_range(softmax_bits, signed=False)
-        probs_q = np.clip(np.rint(probs * pmax), 0, pmax).astype(np.int64)
-        ctx_int = probs_q @ vq.astype(np.int64)
-        return (ctx_int * (vp.scale / pmax)).astype(np.float32)
-
-    def _attend_kernels(
-        self,
-        qq: np.ndarray,
-        kq: np.ndarray,
-        vq: np.ndarray,
-        mask: BCRSMatrix,
-        score_scale: float,
-        v_scale: float,
-        softmax_bits: int,
-        qkv_bits: int,
-        kernels: KernelPipeline | None = None,
-    ) -> np.ndarray:
-        """The real kernel pipeline: SDDMM -> softmax -> SpMM."""
+        Every slice keeps its own symmetric Q/K/V scales, so slice g is
+        bit-identical to running the pipeline on (batch, head) g alone.
+        """
         pipe = kernels or KernelPipeline()
+        b, h, l, d = q.shape
+        # quantize Q, K, V per slice (Fig. 16 top row)
+        qq, q_scale = symmetric_quantize_slices(q.reshape(-1, l, d), qkv_bits)
+        kq, k_scale = symmetric_quantize_slices(k.reshape(-1, l, d), qkv_bits)
+        vq, v_scale = symmetric_quantize_slices(v.reshape(-1, l, d), qkv_bits)
+
         sddmm_cfg = pipe.sddmm_config or SDDMMConfig()
         # tile knobs ride along; the bit-critical fields are re-pinned
         # so an injected plan config can never change the numerics
         sddmm_cfg = replace(sddmm_cfg, l_bits=qkv_bits, r_bits=qkv_bits)
         sddmm = pipe.sddmm_cls(sddmm_cfg)
-        scores = sddmm(qq, kq.T, mask).output  # BCRS of integer scores
-        sm = sparse_softmax_quantized(scores, scale=score_scale, out_bits=softmax_bits)
+        # BCRS of integer scores, one slice per (batch, head)
+        scores = sddmm(qq, kq.transpose(0, 2, 1), mask, strict=pipe.strict).output
+        softmax_fn = pipe.softmax or sparse_softmax_quantized
+        sm = softmax_fn(scores, q_scale * k_scale * scale, softmax_bits)
         spmm_cfg = pipe.spmm_config or SpMMConfig()
         spmm_cfg = replace(
             spmm_cfg,
@@ -254,7 +227,8 @@ class MultiHeadAttention(Layer):
             fuse_dequant=True,
         )
         spmm = pipe.spmm_cls(spmm_cfg)
-        stride = mma_shape_for(plan_for(softmax_bits, qkv_bits).native_bits).k
-        probs_sr = bcrs_to_srbcrs(sm.output, stride=stride)
-        res = spmm(probs_sr, vq, scale=sm.params.scale * v_scale)
-        return res.dequantized
+        probs_sr = bcrs_to_srbcrs(sm.output, stride=spmm.required_stride)
+        res = spmm(
+            probs_sr, vq, scale=sm.params.scale * v_scale, strict=pipe.strict
+        )
+        return res.dequantized.reshape(b, h, l, d).astype(q.dtype, copy=False)

@@ -300,7 +300,7 @@ def estimate_latency(
     attention kernels through cached serving plans — the
     :class:`repro.serve.engine.Engine` path; ``plan_backend`` pins
     which Magicube runtime backend those plans are searched on
-    (default ``magicube-emulation``).
+    (default :data:`~repro.runtime.DEFAULT_BACKEND`).
     """
     components: dict = {}
     proj = _dense_projection_time(cfg)

@@ -3,9 +3,10 @@
 :class:`PreparedTransformer` memoizes the seeded LRA classifier and its
 zoo attention mask for one request topology, and runs ``lra-classify``
 forwards through the real quantized kernel pipeline — one model forward
-is a sequence of SDDMM -> quantized-softmax -> SpMM launches whose
-kernel classes come from the resolved runtime backend and whose tile
-configs come from the execution planner's cached plans. Every layer
+is, per layer, one grouped SDDMM -> quantized-softmax -> SpMM launch
+sequence over every (batch, head) slice, whose kernels come from the
+resolved runtime backend (``fastpath-vectorized`` by default) and whose
+tile configs come from the execution planner's cached plans. Every layer
 shares one (sddmm, spmm) plan pair, so a layer-N launch is a plan-cache
 hit for layer-0's key; the plan keys carry the mask variant's
 *realized* sparsity, which is what makes mask patterns distinct,
@@ -109,9 +110,10 @@ class PreparedTransformer:
         """The mask's actual sparsity (what plans are priced at)."""
         return self.mask.sparsity
 
-    def launches_per_forward(self, batch_rows: int) -> int:
-        """Kernel launches one forward dispatches (SDDMM + SpMM pairs)."""
-        return 2 * self.spec.num_layers * self.spec.num_heads * batch_rows
+    def launches_per_forward(self) -> int:
+        """Kernel launches one forward dispatches: one grouped SDDMM and
+        one grouped SpMM per layer, whatever the batch and head count."""
+        return 2 * self.spec.num_layers
 
     def kernel_pipeline(
         self,
@@ -155,6 +157,8 @@ class PreparedTransformer:
             spmm_cls=resolved.spmm_kernel,
             sddmm_config=sddmm_cfg,
             spmm_config=spmm_cfg,
+            softmax=resolved.softmax,
+            strict=resolved.strict,
         )
         return pipeline, plans
 

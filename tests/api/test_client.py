@@ -6,6 +6,7 @@ import pytest
 import repro
 from repro import api
 from repro.errors import AdmissionError, ConfigError, EngineClosedError
+from repro.runtime import DEFAULT_BACKEND
 from repro.serve.batcher import BatchPolicy
 from repro.serve.cache import PlanCache
 from repro.serve.planner import ExecutionPlanner
@@ -161,7 +162,7 @@ class TestSessions:
             )
             client.flush()
             r_fast, r_strict = fast.result(10), strict.result(10)
-        assert r_fast.backend == "magicube-emulation"
+        assert r_fast.backend == DEFAULT_BACKEND
         assert r_strict.backend == "magicube-strict"
         # two resolutions, two launches — never one contaminated batch
         assert r_fast.batch_size == 1 and r_strict.batch_size == 1
@@ -208,7 +209,7 @@ class TestConstructorThreading:
     def test_device_and_backend(self):
         with repro.open_engine(device="H100") as client:
             assert client.device == "H100"
-            assert client.backend == "magicube-emulation"
+            assert client.backend == DEFAULT_BACKEND
 
 
 class TestClose:

@@ -7,6 +7,7 @@ from repro import api
 from repro.errors import ConfigError, DeviceError, ShapeError
 from repro.kernels.sddmm import SDDMMConfig
 from repro.kernels.spmm import SpMMConfig
+from repro.runtime import DEFAULT_BACKEND
 from repro.serve.planner import ExecutionPlanner, Objective
 from tests.conftest import make_structured_sparse
 
@@ -58,7 +59,7 @@ class TestOneShotResolve:
         res = api.resolve(api.SpmmRequest(lhs=matrix, rhs=np.zeros((64, 8))))
         assert res.op == "spmm"
         assert res.device.name == "A100"
-        assert res.backend == "magicube-emulation"
+        assert res.backend == DEFAULT_BACKEND
         assert res.precision == "L8-R8"
         assert res.plan is None
         assert isinstance(res.config, SpMMConfig)
@@ -109,11 +110,11 @@ class TestOneShotResolve:
 
     def test_attention_default_backend(self):
         res = api.resolve(api.AttentionRequest(seq_len=128))
-        assert res.backend == "magicube-emulation"
+        assert res.backend == DEFAULT_BACKEND
         assert res.precision == "L8-R8"
         # a non-magicube engine default falls back rather than erroring
         res = api.resolve(api.AttentionRequest(seq_len=128), backend="sputnik")
-        assert res.backend == "magicube-emulation"
+        assert res.backend == DEFAULT_BACKEND
 
 
 class TestPlannerResolve:
@@ -186,7 +187,7 @@ class TestRun:
         r = api.run(api.SpmmRequest(lhs=a, rhs=rhs, precision="L8-R8"))
         np.testing.assert_array_equal(r.output, d.astype(np.int64) @ rhs)
         assert r.time_s > 0 and r.tops > 0
-        assert r.backend == "magicube-emulation"
+        assert r.backend == DEFAULT_BACKEND
         assert r.device == "A100"
         assert r.request_time_s == r.time_s  # one-shot: no amortization
 

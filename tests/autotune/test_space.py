@@ -4,6 +4,7 @@ import pytest
 
 from repro.autotune.space import DEFAULT_SHAPES, SweepConfig, SweepPoint, enumerate_space
 from repro.errors import SweepError
+from repro.runtime import DEFAULT_BACKEND
 from repro.serve.planner import ExecutionPlanner, Objective
 
 
@@ -50,7 +51,11 @@ class TestConfig:
 
 
 class TestEnumeration:
-    CONFIG = SweepConfig(devices=("A100",), min_bits=((8, 8),))
+    CONFIG = SweepConfig(devices=("A100",), min_bits=((8, 8),), backends=None)
+
+    def test_default_sweeps_the_default_backend(self):
+        points = enumerate_space(SweepConfig(devices=("A100",)))
+        assert {p.backend for p in points} == {DEFAULT_BACKEND}
 
     def test_same_registry_same_ordered_grid(self):
         first = enumerate_space(self.CONFIG)

@@ -36,7 +36,6 @@ def artifact(tmp_path_factory, weights):
         vector_lengths=(8,),
         sparsities=(weights.sparsity,),
         devices=("A100",),
-        backends=("magicube-emulation",),
         min_bits=((weight_bits, 8),),
     )
     report = run_sweep(config, warmup=0, repeats=1, prune_ratio=None)

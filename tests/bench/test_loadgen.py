@@ -17,6 +17,7 @@ from repro.bench.loadgen import (
     run_replay,
 )
 from repro.errors import ConfigError
+from repro.runtime import DEFAULT_BACKEND
 
 
 class TestArrivalSchedules:
@@ -112,6 +113,22 @@ class TestRunReplay:
         assert r["throughput"]["saturation_rps"] > 0
         assert 0.0 <= r["plan_cache"]["hit_rate"] <= 1.0
         assert r["batching"]["batches"] >= 1
+
+    def test_report_records_the_backend(self, replay_artifacts):
+        _, report = replay_artifacts
+        assert report["config"]["backend"] == DEFAULT_BACKEND
+
+    def test_bench_cli_backend_flag(self, tmp_path, monkeypatch):
+        from repro.bench.cli import main as bench_main
+
+        monkeypatch.chdir(tmp_path)  # side artifacts land in the cwd
+        assert bench_main([
+            "serve", "--replay", "--requests", "6", "--arrival", "uniform",
+            "--rate", "2000", "--mix", "spmm=1", "--backend",
+            "magicube-emulation", "--out", "b.json",
+        ]) == 0
+        report = json.loads((tmp_path / "b.json").read_text())
+        assert report["config"]["backend"] == "magicube-emulation"
 
     def test_artifacts_written_and_loadable(self, replay_artifacts):
         tmp, report = replay_artifacts

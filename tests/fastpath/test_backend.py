@@ -1,13 +1,10 @@
-"""Fastpath backends on the runtime registry: priority, protocol, jit gate."""
-
-import importlib.util
+"""The fastpath backend on the runtime registry: default, priority, protocol."""
 
 import numpy as np
 import pytest
 
 from repro.dlmc.generator import MatrixSpec, generate_matrix
 from repro.core.matrix import SparseMatrix
-from repro.errors import ConfigError
 from repro.kernels.spmm import SpMMConfig
 from repro.runtime import (
     DEFAULT_BACKEND,
@@ -16,8 +13,6 @@ from repro.runtime import (
     get_backend,
     resolve_backend,
 )
-
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 @pytest.fixture(scope="module")
@@ -35,28 +30,19 @@ class TestRegistration:
         assert be.name == "fastpath-vectorized"
         assert be.priority == 15
 
-    def test_default_backend_unchanged(self):
-        # the fastpath rides *above* the emulation priority: opting in
-        # is explicit (pinned backend / plan), never a silent swap
-        assert DEFAULT_BACKEND == "magicube-emulation"
-        assert resolve_backend(None, op="spmm").name == "magicube-emulation"
+    def test_default_backend_is_fastpath(self):
+        # the default is named, not chosen by priority: resolving with
+        # no backend serves on the fastpath
+        assert DEFAULT_BACKEND == "fastpath-vectorized"
+        assert resolve_backend(None, op="spmm").name == "fastpath-vectorized"
+        assert resolve_backend(None, op="sddmm").name == "fastpath-vectorized"
 
     def test_priority_order(self):
+        # the emulation oracle still leads the fallback chain
         names = [b.name for b in REGISTRY.backends()]
         assert names.index("magicube-emulation") < names.index(
             "fastpath-vectorized"
         )
-
-    def test_jit_registered_only_with_numba(self):
-        names = {b.name for b in REGISTRY.backends()}
-        assert ("fastpath-jit" in names) == HAVE_NUMBA
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba present: gate untestable")
-    def test_jit_backend_raises_without_numba(self):
-        from repro.fastpath.jit import FastpathJitBackend
-
-        with pytest.raises(ConfigError):
-            FastpathJitBackend()
 
 
 class TestProtocolSurface:
@@ -95,23 +81,3 @@ class TestProtocolSurface:
         be = get_backend("fastpath-vectorized")
         assert be.cost("A100") is be.cost("A100")
         assert be.cost("A100") is not be.cost("H100")
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestJit:
-    def test_jit_execute_matches_emulation(self, spmm_operands):
-        lhs, rhs = spmm_operands
-        cfg = SpMMConfig(l_bits=8, r_bits=8)
-        emu = get_backend("magicube-emulation").execute(
-            "spmm", "A100", config=cfg, lhs=lhs, rhs=rhs
-        )
-        jit = get_backend("fastpath-jit").execute(
-            "spmm", "A100", config=cfg, lhs=lhs, rhs=rhs
-        )
-        np.testing.assert_array_equal(emu.output, jit.output)
-
-    def test_jit_priority_below_vectorized(self):
-        assert (
-            get_backend("fastpath-jit").priority
-            > get_backend("fastpath-vectorized").priority
-        )

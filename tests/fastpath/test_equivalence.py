@@ -3,7 +3,8 @@
 The whole contract of :mod:`repro.fastpath` is "identical bits,
 different wall-clock": every cell of this grid compares the vectorized
 kernels against the strip-loop emulation across Table-IV pairs,
-topologies, tile knobs and epilogue settings — exact array equality,
+topologies, tile knobs, epilogue settings, edge layouts (empty and
+all-padding strips) and grouped launches — exact array equality,
 never allclose.
 """
 
@@ -17,8 +18,9 @@ from repro.fastpath import (
     FastpathSpMM,
     sparse_softmax_quantized_fast,
 )
+from repro.errors import ShapeError
 from repro.formats.convert import dense_to_bcrs
-from repro.formats.srbcrs import SRBCRSMatrix
+from repro.formats.srbcrs import PAD_INDEX, SRBCRSMatrix
 from repro.kernels.sddmm import MagicubeSDDMM, SDDMMConfig
 from repro.kernels.softmax import sparse_softmax_quantized
 from repro.kernels.spmm import MagicubeSpMM, SpMMConfig
@@ -200,3 +202,103 @@ class TestBackendCrossCheck:
         ]
         np.testing.assert_array_equal(outs[0], outs[1])
         np.testing.assert_array_equal(outs[1], outs[2])
+
+
+def _manual_srbcrs(v=4, stride=16, k=40, seed=0):
+    """Four strips by hand: regular, empty, all padding (every slot
+    PAD_INDEX over nonzero garbage values), and regular again with
+    garbage in its padding slots — which both kernels must ignore."""
+    rng = np.random.default_rng(seed)
+    counts = [5, 0, 16, 20]  # valid vectors per strip
+    row_starts = np.array([0, 16, 16, 32])
+    cols = np.full(64, PAD_INDEX, dtype=np.int32)
+    cols[0:5] = rng.choice(k, 5, replace=False)
+    cols[32:52] = rng.choice(k, 20, replace=False)
+    values = rng.integers(1, 100, size=64 * v)  # garbage in padding too
+    return SRBCRSMatrix(
+        shape=(4 * v, k), vector_length=v, stride=stride,
+        row_starts=row_starts, row_ends=row_starts + np.array(counts),
+        col_indices=cols, values=values,
+    )
+
+
+class TestSpmmEdgeLayouts:
+    def test_empty_and_all_padding_strips(self):
+        lhs = _manual_srbcrs()
+        rhs = np.random.default_rng(1).integers(-128, 128, size=(40, 24))
+        cfg = SpMMConfig(l_bits=8, r_bits=8)
+        slow = MagicubeSpMM(cfg)(lhs, rhs, scale=0.5)
+        fast = FastpathSpMM(cfg)(lhs, rhs, scale=0.5)
+        np.testing.assert_array_equal(slow.output, fast.output)
+        np.testing.assert_array_equal(slow.dequantized, fast.dequantized)
+        assert not fast.output[4:12].any()  # empty + all-padding strips
+
+    def test_matrix_without_vectors(self):
+        lhs = SRBCRSMatrix.from_dense(np.zeros((16, 32), dtype=np.int64), 8, 16)
+        rhs = np.ones((32, 8), dtype=np.int64)
+        out = FastpathSpMM(l_bits=8, r_bits=8)(lhs, rhs).output
+        np.testing.assert_array_equal(out, np.zeros((16, 8), dtype=np.int64))
+
+    def test_grouped_float64_path(self):
+        # L16-R16 exceeds the float32 mantissa bound -> float64, grouped
+        lhs, _ = _spmm_operands(16, 16, 64, 64, 4, 0.5)
+        rng = np.random.default_rng(8)
+        values = rng.integers(-(2**15), 2**15, size=(3,) + lhs.values.shape)
+        grouped = lhs.with_values(values)
+        rhs = rng.integers(-(2**15), 2**15, size=(3, 64, 16))
+        kern = FastpathSpMM(l_bits=16, r_bits=16)
+        assert kern._accum_dtype(lhs.shape[1]) == np.float64
+        scales = np.array([0.5, 1e-3, 2.0])
+        fast = kern(grouped, rhs, scale=scales)
+        slow = MagicubeSpMM(l_bits=16, r_bits=16)(grouped, rhs, scale=scales)
+        np.testing.assert_array_equal(slow.output, fast.output)
+        np.testing.assert_array_equal(slow.dequantized, fast.dequantized)
+        for g in range(3):
+            one = MagicubeSpMM(l_bits=16, r_bits=16)(
+                grouped.slice(g), rhs[g], scale=scales[g]
+            )
+            np.testing.assert_array_equal(one.output, fast.output[g])
+            np.testing.assert_array_equal(one.dequantized, fast.dequantized[g])
+
+
+class TestGroupedLaunches:
+    def _mask(self, v=4, seed=6):
+        spec = MatrixSpec("transformer", 64, 64, sparsity=0.7, seed=seed)
+        return dense_to_bcrs(generate_matrix(spec, vector_length=v, bits=8), v)
+
+    def test_sddmm_grouped_equals_slices(self):
+        mask = self._mask()
+        rng = np.random.default_rng(6)
+        a = rng.integers(-128, 128, size=(5, 64, 32))
+        b = rng.integers(-128, 128, size=(5, 32, 64))
+        cfg = SDDMMConfig(l_bits=8, r_bits=8)
+        fast = FastpathSDDMM(cfg)(a, b, mask)
+        slow = MagicubeSDDMM(cfg)(a, b, mask)
+        assert fast.output.slices == 5
+        np.testing.assert_array_equal(fast.output.values, slow.output.values)
+        for g in range(5):
+            one = MagicubeSDDMM(cfg)(a[g], b[g], mask).output.values
+            np.testing.assert_array_equal(fast.output.slice(g).values, one)
+        single = MagicubeSDDMM(cfg)(a[0], b[0], mask).stats
+        assert fast.stats.useful_ops == 5 * single.useful_ops
+        assert fast.stats.grid.blocks == 5 * single.grid.blocks
+
+    def test_softmax_grouped_equals_slices(self):
+        mask = self._mask(v=8)
+        rng = np.random.default_rng(7)
+        scores = mask.with_values(
+            rng.integers(-127, 128, size=(4, mask.num_vectors, 8))
+        )
+        scales = np.array([0.05, 0.01, 0.2, 0.0])
+        fast = sparse_softmax_quantized_fast(scores, scales, out_bits=16)
+        slow = sparse_softmax_quantized(scores, scales, out_bits=16)
+        np.testing.assert_array_equal(fast.output.values, slow.output.values)
+        for g in range(4):
+            one = sparse_softmax_quantized(scores.slice(g), scales[g], 16)
+            np.testing.assert_array_equal(fast.output.values[g], one.output.values)
+        assert fast.stats.useful_ops == 4 * one.stats.useful_ops
+
+    def test_grouped_spmm_requires_matching_slices(self):
+        lhs, rhs = _spmm_operands(8, 8, 64, 64, 4, 0.8)
+        with pytest.raises(ShapeError):
+            FastpathSpMM(l_bits=8, r_bits=8)(lhs, np.stack([rhs, rhs]))

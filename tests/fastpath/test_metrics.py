@@ -6,6 +6,7 @@ from repro import api
 from repro.dlmc.generator import MatrixSpec, generate_matrix
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.names import KERNEL_WALL, STANDARD_METRICS
+from repro.runtime import DEFAULT_BACKEND
 
 
 def test_kernel_wall_is_a_standard_metric():
@@ -23,7 +24,7 @@ def test_engine_records_kernel_wall_per_backend():
         session.run(rng.integers(-128, 128, size=(128, 64)))
         session.run(rng.integers(-128, 128, size=(128, 64)))
     hist = metrics.histogram(
-        KERNEL_WALL, labels={"op": "spmm", "backend": "magicube-emulation"}
+        KERNEL_WALL, labels={"op": "spmm", "backend": DEFAULT_BACKEND}
     )
     assert hist.count >= 1  # batching may coalesce the two requests
     assert hist.sum > 0

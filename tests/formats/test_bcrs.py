@@ -79,3 +79,23 @@ def test_bcrs_round_trip_property(seed, v, sparsity):
     rng = np.random.default_rng(seed)
     d = make_structured_sparse(rng, 16, 24, v, sparsity)
     np.testing.assert_array_equal(dense_to_bcrs(d, v).to_dense(), d)
+
+
+class TestGroupedValues:
+    def test_with_values_shares_topology_and_memo(self, rng):
+        m = dense_to_bcrs(make_structured_sparse(rng, 16, 32, 4, 0.6), 4)
+        stacked = np.stack([m.values, 2 * m.values, -m.values])
+        g = m.with_values(stacked)
+        assert g.slices == 3 and m.slices is None
+        assert g.col_indices is m.col_indices and g.row_ptrs is m.row_ptrs
+        assert g.layout_memo is m.layout_memo
+        assert g.nnz == m.nnz  # one slice's count
+        np.testing.assert_array_equal(g.slice(1).to_dense(), 2 * m.to_dense())
+        np.testing.assert_array_equal(g.to_dense()[2], -m.to_dense())
+
+    def test_with_values_rejects_other_layouts(self, rng):
+        m = dense_to_bcrs(make_structured_sparse(rng, 16, 32, 4, 0.6), 4)
+        with pytest.raises(FormatError):
+            m.with_values(np.zeros((m.num_vectors + 1, 4)))
+        with pytest.raises(FormatError):
+            m.with_values(np.zeros((1, 1, m.num_vectors, 4)))

@@ -53,3 +53,28 @@ class TestBlockedEllEquivalent:
         kept_scalars = ell.nnz
         true_nnz_vectors = int(d.reshape(8, 8, 64).any(axis=1).sum()) * 8
         assert kept_scalars >= true_nnz_vectors
+
+
+class TestGroupedConversion:
+    def test_grouped_equals_per_slice(self, rng):
+        bcrs = dense_to_bcrs(make_structured_sparse(rng, 32, 96, 8, 0.7), 8)
+        values = rng.integers(0, 1000, size=(3,) + bcrs.values.shape)
+        sr = bcrs_to_srbcrs(bcrs.with_values(values), stride=16)
+        assert sr.slices == 3
+        for g in range(3):
+            one = bcrs_to_srbcrs(bcrs.with_values(values[g]), stride=16)
+            np.testing.assert_array_equal(sr.slice(g).values, one.values)
+            np.testing.assert_array_equal(
+                sr.slice(g).to_dense(), bcrs.with_values(values[g]).to_dense()
+            )
+
+    def test_layout_derived_once_per_topology(self, rng):
+        bcrs = dense_to_bcrs(make_structured_sparse(rng, 32, 96, 4, 0.7), 4)
+        first = bcrs_to_srbcrs(bcrs, stride=16)
+        again = bcrs_to_srbcrs(bcrs.with_values(bcrs.values * 3), stride=16)
+        assert again.col_indices is first.col_indices
+        assert again.layout_memo is first.layout_memo
+        np.testing.assert_array_equal(again.values, first.values * 3)
+        other = bcrs_to_srbcrs(bcrs, stride=32)  # a different layout
+        assert other.layout_memo is not first.layout_memo
+        np.testing.assert_array_equal(other.to_dense(), first.to_dense())

@@ -88,3 +88,28 @@ class TestStats:
         s.add_mma("int8", count=5, ops_per_mma=2048)
         assert s.mma_ops["int8"] == 15 * 2048
         assert s.total_mma_ops == 15 * 2048
+
+
+class TestRepeated:
+    def test_counts_scale_and_launch_overhead_is_paid_once(self):
+        s = make_stats(ops_int8=10**9, dram=10**7, access=10**8,
+                       smem_cycles=5000, blocks=40)
+        s.epilogue_cycles = 300
+        s.notes["variant"] = "x"
+        g = s.repeated(4)
+        assert g.mma_ops == {"int8": 4 * 10**9}
+        assert g.useful_ops == 4 * s.useful_ops
+        assert g.traffic.total_dram_bytes == 4 * s.traffic.total_dram_bytes
+        assert g.traffic.by_stream["x"] == [4 * v for v in s.traffic.by_stream["x"]]
+        assert (g.smem_transaction_cycles, g.epilogue_cycles) == (20000, 1200)
+        assert g.grid.blocks == 160 and g.notes == s.notes
+        cm = CostModel(A100)
+        # one grouped launch beats four separate ones by the overheads
+        assert cm.time(g) < 4 * cm.time(s)
+
+    def test_repeated_once_is_an_independent_copy(self):
+        s = make_stats(ops_int8=100, dram=10, access=20)
+        c = s.repeated(1)
+        c.notes["poked"] = True
+        c.traffic.read("y", 5)
+        assert "poked" not in s.notes and "y" not in s.traffic.by_stream

@@ -12,6 +12,7 @@ from repro.lowp import (
     int_range,
     quantize_with,
     symmetric_quantize,
+    symmetric_quantize_slices,
     unsigned_quantize,
 )
 
@@ -104,3 +105,19 @@ def test_quantize_round_trip_property(vals, bits):
     assert q.min() >= p.qmin and q.max() <= p.qmax
     # dequantized values within half a step of the original
     assert np.all(np.abs(dequantize(q, p) - x) <= p.scale * 0.5 + 1e-6)
+
+
+class TestSymmetricQuantizeSlices:
+    def test_each_slice_matches_symmetric_quantize(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(5, 6, 7)) * np.array([1, 0, 1e-310, 1e3, 1e-300])[
+            :, None, None
+        ]
+        q, scales = symmetric_quantize_slices(x, 8)
+        assert q.dtype == np.int32 and scales.shape == (5,)
+        for i in range(5):
+            qi, pi = symmetric_quantize(x[i], 8)
+            np.testing.assert_array_equal(q[i], qi)
+            assert scales[i] == pi.scale
+        assert scales[1] == 1.0  # all-zero slice
+        assert scales[2] == np.finfo(np.float64).tiny  # subnormal amax floor

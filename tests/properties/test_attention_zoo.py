@@ -77,7 +77,8 @@ def test_fastpath_bit_exact_vs_emulation(seed, seq_len, variant, scheme):
     for name in ("magicube-emulation", "fastpath-vectorized"):
         be = get_backend(name)
         pipe = KernelPipeline(
-            sddmm_cls=be.sddmm_kernel, spmm_cls=be.spmm_kernel
+            sddmm_cls=be.sddmm_kernel, spmm_cls=be.spmm_kernel,
+            softmax=be.softmax,
         )
         outs[name] = attn.forward_quantized(
             x, mask, softmax_bits=sm_bits, qkv_bits=qkv_bits, kernels=pipe

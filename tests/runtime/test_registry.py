@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.runtime import (
+    DEFAULT_BACKEND,
     REGISTRY,
     Backend,
     BackendCapabilities,
@@ -13,6 +14,8 @@ from repro.runtime import (
     list_backends,
     resolve_backend,
 )
+from repro.runtime.baselines import VectorSparseBackend
+from repro.runtime.magicube import MagicubeEmulationBackend
 
 
 class FakeBackend(Backend):
@@ -113,7 +116,22 @@ class TestGlobalRegistry:
 
 class TestResolution:
     def test_default_resolution_prefers_magicube(self):
-        assert resolve_backend(op="spmm", device="A100").name == "magicube-emulation"
+        # the vectorized Magicube kernels are the default
+        assert resolve_backend(op="spmm", device="A100").name == DEFAULT_BACKEND
+        assert DEFAULT_BACKEND == "fastpath-vectorized"
+
+    def test_default_backend_wins_over_priority_order(self):
+        """The default is named, not the first in priority order: the
+        emulation oracle still leads the fallback chain."""
+        assert REGISTRY.backends()[0].name == "magicube-emulation"
+        assert resolve_backend(op="spmm", device="A100").name == DEFAULT_BACKEND
+
+    def test_chain_walks_priority_order_without_default(self):
+        reg = BackendRegistry()
+        reg.register("magicube-emulation", MagicubeEmulationBackend)
+        reg.register("vector-sparse", VectorSparseBackend)
+        assert reg.resolve(op="spmm", device="A100").name == "magicube-emulation"
+        assert reg.resolve(op="spmm", device="V100").name == "vector-sparse"
 
     def test_fallback_when_backend_rejects_precision(self):
         """V100 has no integer Tensor cores: every Magicube pair is
@@ -126,7 +144,7 @@ class TestResolution:
 
     def test_pair_precision_routes_to_magicube(self):
         be = resolve_backend(op="spmm", device="A100", precision="L16-R4")
-        assert be.name == "magicube-emulation"
+        assert be.name == DEFAULT_BACKEND
 
     def test_unsupported_combination_raises(self):
         with pytest.raises(ConfigError):
@@ -139,7 +157,7 @@ class TestResolution:
 
     def test_sddmm_chain(self):
         # only magicube and vectorSparse implement SDDMM
-        assert resolve_backend(op="sddmm", device="A100").name == "magicube-emulation"
+        assert resolve_backend(op="sddmm", device="A100").name == DEFAULT_BACKEND
         assert resolve_backend(op="sddmm", device="V100").name == "vector-sparse"
 
     def test_admissible_ordering(self):

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.runtime import DEFAULT_BACKEND
 from repro.serve.cache import PlanCache
 from repro.serve.planner import Plan
 
@@ -124,7 +125,7 @@ class TestPersistence:
 
 _V1_KEY = "spmm|256x512|n=64|v=8|s=0.900|A100|latency[L4-16,R4-16]"
 _V2_KEY = (
-    "spmm|256x512|n=64|v=8|s=0.900|magicube-emulation@A100|latency[L4-16,R4-16]"
+    f"spmm|256x512|n=64|v=8|s=0.900|{DEFAULT_BACKEND}@A100|latency[L4-16,R4-16]"
 )
 
 
@@ -144,7 +145,7 @@ class TestV1Migration:
         assert cache.load(path) == 1
         plan = cache.peek(_V2_KEY)
         assert plan is not None
-        assert plan.backend == "magicube-emulation"
+        assert plan.backend == DEFAULT_BACKEND
         assert plan.device == "A100"
         assert plan.key == _V2_KEY
         assert cache.peek(_V1_KEY) is None  # old key no longer served

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.api import SparseMatrix, spmm as direct_spmm
 from repro.errors import ConfigError, ShapeError
+from repro.runtime import DEFAULT_BACKEND
 from repro.serve.batcher import BatchPolicy
 from repro.serve.cache import PlanCache
 from repro.serve.engine import Engine, bits_required
@@ -194,7 +195,7 @@ class TestEngineBookkeeping:
 
 class TestBackendPinning:
     def test_engine_resolves_default_backend(self, engine):
-        assert engine.backend == "magicube-emulation"
+        assert engine.backend == DEFAULT_BACKEND
         assert engine.device == "A100"
 
     def test_invalid_device_raises_typed_error(self):
@@ -205,12 +206,12 @@ class TestBackendPinning:
 
     def test_session_pins_backend_into_plans(self, engine, weights, rng):
         session = engine.spmm_session("w", weights, vector_length=8)
-        assert session.backend == "magicube-emulation"
+        assert session.backend == DEFAULT_BACKEND
         future = session.submit(rng.integers(-128, 128, size=(128, 16)))
         engine.flush()
         res = future.result(timeout=30)
-        assert res.plan.backend == "magicube-emulation"
-        assert "magicube-emulation@A100" in res.plan.key
+        assert res.plan.backend == DEFAULT_BACKEND
+        assert f"{DEFAULT_BACKEND}@A100" in res.plan.key
 
     def test_strict_backend_session_serves_identical_outputs(self, weights, rng):
         with Engine(policy=BatchPolicy(1, 0.0)) as e:
@@ -260,7 +261,7 @@ class TestBackendPinning:
     def test_attention_session_requires_magicube_backend(self):
         with Engine(device="V100") as e:  # engine backend: vector-sparse
             session = e.attention_session("attn", seq_len=512)
-            assert session.backend == "magicube-emulation"
+            assert session.backend == DEFAULT_BACKEND
         with Engine(device="A100") as e:
             with pytest.raises(ConfigError):
                 e.attention_session("attn", seq_len=512, backend="sputnik")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.runtime import DEFAULT_BACKEND
 from repro.serve.cache import PlanCache
 from repro.serve.planner import (
     BSN_CANDIDATES,
@@ -196,9 +197,9 @@ class TestCrossDeviceSearch:
     def test_plan_key_carries_backend_and_device(self, planner):
         plan = planner.plan_spmm(256, 512, 128, 8, 0.9)
         key = PlanKey.parse(plan.key)
-        assert key.backend == "magicube-emulation"
+        assert key.backend == DEFAULT_BACKEND
         assert key.device == "A100"
-        assert plan.backend == "magicube-emulation"
+        assert plan.backend == DEFAULT_BACKEND
         assert plan.device == "A100"
 
     def test_same_workload_differs_between_a100_and_h100(self):
