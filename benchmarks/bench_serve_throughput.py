@@ -1,10 +1,11 @@
 """Serving-engine throughput: planner + cache + micro-batcher end-to-end.
 
 Runs the ``repro.serve`` demo workload (two prepared SpMM sessions and
-one sparse-attention session, a shuffled 120-request stream) and checks
-the serving layer's contract: everything is served, requests coalesce
-into batches, and the plan cache converts repeated request classes into
-hits (> 50%, in practice > 90%).
+one sparse-attention session, a shuffled 120-request stream, then one
+``lra-classify`` forward) and checks the serving layer's contract:
+everything is served, requests coalesce into batches, and the plan
+cache converts repeated request classes into hits (> 50%, in practice
+> 90%).
 """
 
 from conftest import run_once
@@ -17,7 +18,11 @@ def test_serve_throughput(benchmark):
     summary = run_once(benchmark, demo, num_requests=120, quiet=True)
 
     total = summary["total"]
-    assert total["requests"] == 120
+    sessions = summary["sessions"]
+    stream = ("ffn-int8", "conv-int4", "attention-8b8b")
+    assert sum(sessions[name]["requests"] for name in stream) == 120
+    assert sessions["lra-classify"]["requests"] == 1
+    assert total["requests"] == 121
     assert total["batches"] < total["requests"]  # the batcher coalesced
     assert total["mean_batch_size"] > 1.0
     assert total["p50_ms"] <= total["p95_ms"] <= total["p99_ms"]

@@ -17,6 +17,7 @@ from repro.formats.convert import (
     dense_to_blocked_ell,
     dense_to_srbcrs,
 )
+from repro.gpu.timing import KernelStats
 from repro.kernels.sddmm import MagicubeSDDMM, SDDMMConfig
 from repro.kernels.spmm import MagicubeSpMM, SpMMConfig
 
@@ -72,23 +73,30 @@ def build_spmm_workload(spec: MatrixSpec, v: int, n: int) -> SpmmWorkload:
 # per-library timed runs (seconds on the modelled A100)
 
 
-def time_magicube_spmm(
-    w: SpmmWorkload, l_bits: int, r_bits: int, device: str = "A100", **cfg
-) -> float:
+def magicube_spmm_stats(
+    w: SpmmWorkload, l_bits: int, r_bits: int, **cfg
+) -> KernelStats:
+    """The Magicube SpMM's accounting on ``w``, priced without running
+    the product (the stats depend only on the operands' shapes and
+    layout, which are validated as a launch would)."""
     kern = MagicubeSpMM(SpMMConfig(l_bits=l_bits, r_bits=r_bits, **cfg))
     lhs = w.srbcrs16 if kern.required_stride == 16 else w.srbcrs32
     rhs = w.rhs8 if r_bits >= 8 else w.rhs4
-    stats = kern(lhs, rhs).stats
+    kern._validate(lhs, rhs)
+    return kern._stats(lhs, rhs.shape[1])
+
+
+def time_magicube_spmm(
+    w: SpmmWorkload, l_bits: int, r_bits: int, device: str = "A100", **cfg
+) -> float:
+    stats = magicube_spmm_stats(w, l_bits, r_bits, **cfg)
     return cost_model_for("magicube", device).time(stats)
 
 
 def tops_magicube_spmm(
     w: SpmmWorkload, l_bits: int, r_bits: int, device: str = "A100", **cfg
 ) -> float:
-    kern = MagicubeSpMM(SpMMConfig(l_bits=l_bits, r_bits=r_bits, **cfg))
-    lhs = w.srbcrs16 if kern.required_stride == 16 else w.srbcrs32
-    rhs = w.rhs8 if r_bits >= 8 else w.rhs4
-    stats = kern(lhs, rhs).stats
+    stats = magicube_spmm_stats(w, l_bits, r_bits, **cfg)
     return cost_model_for("magicube", device).tops(stats)
 
 
@@ -156,21 +164,28 @@ def build_sddmm_workload(spec: MatrixSpec, v: int, k: int) -> SddmmWorkload:
     )
 
 
+def magicube_sddmm_stats(
+    w: SddmmWorkload, l_bits: int, r_bits: int, **cfg
+) -> KernelStats:
+    """The Magicube SDDMM's accounting on ``w``, priced without running
+    the sampled product (validated as a launch would)."""
+    kern = MagicubeSDDMM(SDDMMConfig(l_bits=l_bits, r_bits=r_bits, **cfg))
+    a, b = {16: (w.a16, w.b16), 8: (w.a8, w.b8), 4: (w.a4, w.b4)}[l_bits]
+    kern._validate(a, b, w.mask)
+    return kern._stats(a.shape, b.shape, w.mask)
+
+
 def time_magicube_sddmm(
     w: SddmmWorkload, l_bits: int, r_bits: int, device: str = "A100", **cfg
 ) -> float:
-    kern = MagicubeSDDMM(SDDMMConfig(l_bits=l_bits, r_bits=r_bits, **cfg))
-    a, b = {16: (w.a16, w.b16), 8: (w.a8, w.b8), 4: (w.a4, w.b4)}[l_bits]
-    stats = kern(a, b, w.mask).stats
+    stats = magicube_sddmm_stats(w, l_bits, r_bits, **cfg)
     return cost_model_for("magicube", device).time(stats)
 
 
 def tops_magicube_sddmm(
     w: SddmmWorkload, l_bits: int, r_bits: int, device: str = "A100", **cfg
 ) -> float:
-    kern = MagicubeSDDMM(SDDMMConfig(l_bits=l_bits, r_bits=r_bits, **cfg))
-    a, b = {16: (w.a16, w.b16), 8: (w.a8, w.b8), 4: (w.a4, w.b4)}[l_bits]
-    stats = kern(a, b, w.mask).stats
+    stats = magicube_sddmm_stats(w, l_bits, r_bits, **cfg)
     return cost_model_for("magicube", device).tops(stats)
 
 

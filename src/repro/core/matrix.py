@@ -19,17 +19,25 @@ from repro.gpu.mma import mma_shape_for
 class SparseMatrix:
     """A 1-D-block sparse matrix prepared for Magicube kernels.
 
-    Owns both the BCRS view (for SDDMM masks / interchange) and the
-    SR-BCRS layout at the stride the requested precision needs. Build it
-    once per operand, reuse across calls.
+    Owns the BCRS view (for SDDMM masks / interchange) and SR-BCRS
+    layouts derived from it. Layouts convert lazily, once per stride:
+    :attr:`srbcrs` is the layout at the stride the requested precision
+    needs, :meth:`srbcrs_for` any other. Build it once per operand,
+    reuse across calls.
     """
 
     def __init__(self, bcrs: BCRSMatrix, stride: int) -> None:
         self.bcrs = bcrs
-        self.srbcrs: SRBCRSMatrix = bcrs_to_srbcrs(bcrs, stride=stride)
+        #: SR-BCRS stride of :attr:`srbcrs` (the precision's MMA k dim)
+        self.stride = stride
         #: stride -> SR-BCRS layout; conversions happen once per stride
         #: (a serving engine reuses the operand across precisions)
-        self._srbcrs_by_stride: dict[int, SRBCRSMatrix] = {stride: self.srbcrs}
+        self._srbcrs_by_stride: dict[int, SRBCRSMatrix] = {}
+
+    @property
+    def srbcrs(self) -> SRBCRSMatrix:
+        """The SR-BCRS layout at :attr:`stride` (converted on first use)."""
+        return self.srbcrs_for(self.stride)
 
     def srbcrs_for(self, stride: int) -> SRBCRSMatrix:
         """The SR-BCRS layout at ``stride``, converting (and caching) on

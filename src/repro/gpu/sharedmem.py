@@ -29,12 +29,8 @@ def conflict_degree(word_addresses: np.ndarray) -> int:
     addrs = np.asarray(word_addresses).reshape(-1)
     if addrs.size == 0 or addrs.size > 32:
         raise ConfigError(f"a warp access has 1..32 lanes, got {addrs.size}")
-    banks = addrs % NUM_BANKS
-    worst = 1
-    for bank in np.unique(banks):
-        distinct = np.unique(addrs[banks == bank]).size
-        worst = max(worst, int(distinct))
-    return worst
+    # distinct words per bank; the busiest bank sets the serialization
+    return int(np.bincount(np.unique(addrs) % NUM_BANKS).max())
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ tile through the bit-accurate fragment-level MMA path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +38,17 @@ from repro.kernels.emulation import (
 )
 from repro.kernels.transpose import transpose_bitop_cost
 from repro.lowp.quantize import int_range
+
+
+@lru_cache(maxsize=None)
+def rhs_load_conflict_degree(bsn_bytes: int, pad_words: int) -> int:
+    """Worst bank-conflict degree of the Fig. 4/5 RHS register loads.
+
+    Depends only on the staged row width and the padding, so every
+    ``_account`` call shares one evaluation per ``(bsn_bytes, pad_words)``.
+    """
+    pattern = spmm_rhs_load_pattern(bsk=16, bsn_bytes=bsn_bytes, pad_words=pad_words)
+    return max(conflict_degree(p) for p in pattern)
 
 
 @dataclass(frozen=True)
@@ -263,8 +275,7 @@ class MagicubeSpMM:
         staged_words = stride * bsn_bytes // 4
         store_tx = ceil_div(staged_words, 32)  # row-major stores, conflict-free
         pad_words = 8 if cfg.conflict_free else 0
-        pattern = spmm_rhs_load_pattern(bsk=16, bsn_bytes=bsn_bytes, pad_words=pad_words)
-        degree = max(conflict_degree(p) for p in pattern)
+        degree = rhs_load_conflict_degree(bsn_bytes, pad_words)
         load_tx = ceil_div(staged_words, 32)
         lhs_words = v * stride * cfg.l_bits // 8 // 4
         lhs_tx = ceil_div(max(lhs_words, 1), 32)

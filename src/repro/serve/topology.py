@@ -5,7 +5,10 @@ of a sparse operand — strip counts, padded vectors, nnz — without
 materializing values. These classes duck-type exactly the attributes the
 kernels' ``_account`` methods read, with the mask's nonzero vectors
 spread uniformly over strips, so a candidate kernel configuration can be
-costed in microseconds for any (shape, sparsity, vector length).
+costed in microseconds for any (shape, sparsity, vector length): one
+SpMM ``_account`` takes ~11 us and a fresh SpMM class's 84 candidates
+(7 pairs x 4 ``BSn`` x 3 TP widths) price in ~2.6 ms on a 2-vCPU x86
+VM (CPython 3.11, numpy 2.4).
 """
 
 from __future__ import annotations

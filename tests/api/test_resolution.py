@@ -54,6 +54,46 @@ class TestNormalize:
         assert req.rhs is None
 
 
+class TestLayoutConversion:
+    """SR-BCRS layouts convert lazily, only at the stride a plan uses."""
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        import repro.core.matrix as matrix_mod
+
+        strides = []
+        real = matrix_mod.bcrs_to_srbcrs
+
+        def counting(bcrs, stride):
+            strides.append(stride)
+            return real(bcrs, stride=stride)
+
+        monkeypatch.setattr(matrix_mod, "bcrs_to_srbcrs", counting)
+        return strides
+
+    def test_sddmm_request_converts_nothing(self, rng, conversions):
+        from repro.core.matrix import SparseMatrix
+
+        keep = make_structured_sparse(rng, 32, 64, 8, 0.7) != 0
+        mask = SparseMatrix.from_dense(keep.astype(np.int8), vector_length=8)
+        a = rng.integers(-8, 8, size=(32, 32))
+        b = rng.integers(-8, 8, size=(32, 64))
+        r = api.run(api.SddmmRequest(mask=mask, a=a, b=b))
+        np.testing.assert_array_equal(
+            r.output.to_dense(), np.where(keep, a @ b, 0)
+        )
+        assert conversions == []
+
+    def test_spmm_converts_once_at_planned_stride(self, rng, conversions):
+        d = make_structured_sparse(rng, 32, 64, 8, 0.7, bits=4)
+        rhs = rng.integers(-8, 8, size=(64, 16))
+        planner = ExecutionPlanner(device="A100")
+        r = api.run(api.SpmmRequest(lhs=d, rhs=rhs), planner=planner)
+        assert r.precision == "L4-R4"  # int4 operands plan the int4 path
+        np.testing.assert_array_equal(r.output, d @ rhs)
+        assert conversions == [32]
+
+
 class TestOneShotResolve:
     def test_default_resolution(self, matrix):
         res = api.resolve(api.SpmmRequest(lhs=matrix, rhs=np.zeros((64, 8))))

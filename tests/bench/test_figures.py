@@ -13,11 +13,15 @@ from repro.bench.runner import (
     build_sddmm_workload,
     build_spmm_workload,
     geomean,
+    magicube_sddmm_stats,
+    magicube_spmm_stats,
     time_cublas,
     time_magicube_spmm,
     tops_magicube_spmm,
 )
 from repro.dlmc.generator import MatrixSpec
+from repro.kernels.sddmm import MagicubeSDDMM, SDDMMConfig
+from repro.kernels.spmm import MagicubeSpMM, SpMMConfig
 
 
 class TestRunner:
@@ -51,6 +55,30 @@ class TestRunner:
         assert time_magicube_spmm(w, 8, 8) > 0
         assert time_cublas(w, "fp16") > 0
         assert tops_magicube_spmm(w, 8, 8) > 0
+
+    @pytest.mark.parametrize("l,r,cfg", [
+        (8, 8, {}),
+        (4, 4, {"bsn": 128}),
+        (16, 8, {"conflict_free": False}),
+        (8, 4, {"prefetch": False, "index_shuffle": False}),
+    ])
+    def test_priced_spmm_stats_match_launch(self, l, r, cfg):
+        w = build_spmm_workload(MatrixSpec("rn50", 64, 128, 0.8, 4), 8, 64)
+        kern = MagicubeSpMM(SpMMConfig(l_bits=l, r_bits=r, **cfg))
+        lhs = w.srbcrs16 if kern.required_stride == 16 else w.srbcrs32
+        launched = kern(lhs, w.rhs8 if r >= 8 else w.rhs4).stats
+        assert magicube_spmm_stats(w, l, r, **cfg) == launched
+
+    @pytest.mark.parametrize("l,r,cfg", [
+        (8, 8, {}),
+        (4, 4, {"prefetch_lhs": True}),
+        (16, 16, {"warps": 2}),
+    ])
+    def test_priced_sddmm_stats_match_launch(self, l, r, cfg):
+        w = build_sddmm_workload(MatrixSpec("rn50", 64, 128, 0.7, 5), 8, 64)
+        kern = MagicubeSDDMM(SDDMMConfig(l_bits=l, r_bits=r, **cfg))
+        a, b = {16: (w.a16, w.b16), 8: (w.a8, w.b8), 4: (w.a4, w.b4)}[l]
+        assert magicube_sddmm_stats(w, l, r, **cfg) == kern(a, b, w.mask).stats
 
 
 class TestReport:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
+from repro.gpu.device import NUM_BANKS
 from repro.gpu.sharedmem import (
     PaddedRowBuffer,
     access_cycles,
@@ -29,6 +32,16 @@ class TestConflictDegree:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             conflict_degree(np.array([], dtype=np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 4095), min_size=1, max_size=32))
+    def test_matches_per_bank_reference(self, lanes):
+        addrs = np.array(lanes, dtype=np.int64)
+        banks = addrs % NUM_BANKS
+        reference = max(
+            np.unique(addrs[banks == bank]).size for bank in np.unique(banks)
+        )
+        assert conflict_degree(addrs) == reference
 
 
 class TestPaddedRowBuffer:

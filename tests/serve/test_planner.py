@@ -152,6 +152,26 @@ class TestMemoization:
         b.plan_spmm(256, 512, 64, 8, 0.9)
         assert cache.hits == 1 and cache.misses == 1
 
+    def test_fresh_class_reuses_conflict_model(self, planner, monkeypatch):
+        """The Fig. 4 conflict degree depends only on the staged row
+        width and padding, so a second fresh SpMM class is priced from
+        integer arithmetic alone."""
+        import repro.kernels.spmm as spmm_mod
+
+        planner.plan_spmm(256, 512, 128, 8, 0.9, Objective.latency())
+        calls = []
+        real = spmm_mod.conflict_degree
+
+        def counting(addrs):
+            calls.append(addrs)
+            return real(addrs)
+
+        monkeypatch.setattr(spmm_mod, "conflict_degree", counting)
+        plan = planner.plan_spmm(128, 256, 64, 8, 0.731, Objective.latency())
+        assert planner.cache.misses == 2
+        assert plan.predicted_time_s > 0
+        assert calls == []
+
 
 class TestPlanObject:
     def test_dict_round_trip(self, planner):
