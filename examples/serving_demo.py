@@ -26,7 +26,7 @@ with repro.open_engine(
     session = client.prepare(
         api.SpmmRequest(lhs=matrix, session="ffn", objective=Objective.latency())
     )
-    print(f"session ffn: {session.matrix!r}, weights need "
+    print(f"session ffn: {session.operand!r}, weights need "
           f"{session.weight_bits}-bit LHS")
 
     # --- 2. what did the planner decide for a (512, 128) RHS? ----------

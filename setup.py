@@ -41,12 +41,8 @@ setup(
     extras_require={"test": ["pytest", "pytest-benchmark"]},
     entry_points={
         "console_scripts": [
-            # the single v1 entry point: serve / autotune / bench
+            # the single entry point: serve / autotune / bench / obs / fleet
             "repro=repro.cli:main",
-            # pre-v1 per-subsystem scripts (deprecation shims)
-            "repro-bench=repro.cli:bench_main",
-            "repro-serve=repro.cli:serve_main",
-            "repro-autotune=repro.cli:autotune_main",
         ]
     },
 )

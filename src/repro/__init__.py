@@ -28,9 +28,6 @@ Serving::
     with repro.open_engine(device="A100") as client:
         future = client.submit(api.SpmmRequest(lhs=A, rhs=activations))
         future.result().output
-
-The pre-v1 ``spmm`` / ``sddmm`` kwarg calls still work as deprecation
-shims over the same pipeline.
 """
 
 from repro import api
@@ -42,7 +39,6 @@ from repro.api import (
     SpmmRequest,
     open_engine,
 )
-from repro.core.api import OpResult, sddmm, spmm
 from repro.core.matrix import SparseMatrix
 from repro.core.precision import Precision, parse_precision, supported_precisions
 from repro.errors import (
@@ -72,7 +68,6 @@ __all__ = [
     "FormatError",
     "LayoutError",
     "MagicubeError",
-    "OpResult",
     "PlanCacheError",
     "Precision",
     "PrecisionError",
@@ -87,8 +82,6 @@ __all__ = [
     "api",
     "open_engine",
     "parse_precision",
-    "sddmm",
-    "spmm",
     "supported_precisions",
     "__version__",
 ]

@@ -24,11 +24,6 @@ Serving::
     with repro.open_engine(warm_start="plans.json") as client:
         fut = client.submit(api.SpmmRequest(lhs=A, rhs=x, session="ffn"))
         fut.result().output
-
-The pre-v1 surfaces (``repro.core.api.spmm/sddmm`` kwargs,
-``Engine.spmm_session`` / ``attention_session``, the ``repro-serve`` /
-``repro-autotune`` / ``repro-bench`` entry points) are deprecation
-shims over this module — see ``docs/api.md`` for the migration table.
 """
 
 from repro.api.client import Client, open_engine

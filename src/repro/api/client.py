@@ -26,16 +26,7 @@ from concurrent.futures import Future
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from repro.api.requests import (
-    AttentionRequest,
-    Request,
-    Response,
-    SddmmRequest,
-    SpmmRequest,
-    TransformerRequest,
-)
-from repro.api.resolution import normalize
-from repro.errors import ConfigError
+from repro.api.requests import Request, Response, check_operand, class_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
@@ -49,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import Tracer
     from repro.serve.batcher import BatchPolicy, RequestHandle
     from repro.serve.cache import PlanCache
-    from repro.serve.engine import Engine
+    from repro.serve.engine import Engine, Session
     from repro.serve.planner import ExecutionPlanner
     from repro.serve.telemetry import Telemetry
 
@@ -155,131 +146,50 @@ class Client:
         # to keep id()-based keys valid — are never evicted. Name your
         # classes with `session=` and reuse operands; a client is not a
         # cache for unbounded ad-hoc operands.
-        self._sessions: dict[object, object] = {}
+        self._sessions: dict[tuple, Session] = {}
         #: operands keyed by id() must stay alive for the key to hold
-        self._retained: dict[object, object] = {}
+        self._retained: dict[tuple, object] = {}
         self._counter = 0
 
     # -- request routing ------------------------------------------------
-    def _next_name(self, kind: str) -> str:
-        self._counter += 1
-        return f"{kind}#{self._counter}"
-
-    def _key_for(self, request: Request) -> object:
-        if request.session is not None:
-            return ("named", request.session)
-        if isinstance(request, SpmmRequest):
-            return ("spmm", id(request.lhs), request.backend)
-        if isinstance(request, SddmmRequest):
-            return ("sddmm", id(request.mask), request.backend)
-        if isinstance(request, TransformerRequest):
-            return ("transformer", request.topology)
-        return ("attention", request.topology)
-
-    def prepare(self, request: Request):
-        """The prepared session serving this request's class, building
-        it on first use. Advanced handle — exposes ``plan_for`` and the
-        prepared operand; :meth:`run` / :meth:`submit` call this
+    def prepare(self, request: Request) -> "Session":
+        """The prepared :class:`~repro.serve.engine.Session` serving this
+        request's class, building it on first use. Advanced handle —
+        exposes the prepared ``operand`` and, for SpMM, ``plan_for`` /
+        ``weight_bits``; :meth:`run` / :meth:`submit` call this
         implicitly."""
-        key = self._key_for(request)
+        key = class_key(request)
         session = self._sessions.get(key)
-        if session is not None:
-            return session
-        name = request.session or self._next_name(request.op)
-        if isinstance(request, SpmmRequest):
-            req = normalize(request)
-            session = self._engine._make_spmm_session(
-                name, req.lhs,
-                objective=request.objective,
-                backend=request.backend,
-            )
-            self._retained[key] = request.lhs
-        elif isinstance(request, SddmmRequest):
-            mask = request.mask
-            session = self._engine._make_sddmm_session(
-                name, mask,
-                objective=request.objective,
-                backend=request.backend,
-            )
-            self._retained[key] = mask
-        elif isinstance(request, TransformerRequest):
-            session = self._engine._make_transformer_session(
-                name,
-                mode=request.mode,
-                seq_len=request.seq_len,
-                d_model=request.d_model,
-                num_heads=request.num_heads,
-                num_layers=request.num_layers,
-                d_ff=request.d_ff,
-                vocab=request.vocab,
-                num_classes=request.num_classes,
-                mask_variant=request.mask_variant,
-                sparsity=request.sparsity,
-                scheme=request.scheme,
-                seed=request.seed,
-                vector_length=request.vector_length,
-                **(
-                    {"backend": request.backend}
-                    if request.backend is not None
-                    else {}
-                ),
-            )
-        elif isinstance(request, AttentionRequest):
-            session = self._engine._make_attention_session(
-                name,
-                request.seq_len,
-                num_heads=request.num_heads,
-                sparsity=request.sparsity,
-                scheme=request.scheme,
-                vector_length=request.vector_length,
-                num_layers=request.num_layers,
-                d_head=request.d_head,
-                num_gpus=request.num_gpus,
-                **(
-                    {"backend": request.backend}
-                    if request.backend is not None
-                    else {}
-                ),
-            )
-        else:
-            raise ConfigError(f"unknown request type {type(request).__name__}")
-        self._sessions[key] = session
+        if session is None:
+            name = request.session
+            if name is None:
+                self._counter += 1
+                name = f"{request.op}#{self._counter}"
+            session = self._engine._open_session(name, request)
+            self._sessions[key] = session
+            if request.operand_field is not None:
+                self._retained[key] = getattr(request, request.operand_field)
         return session
 
-    def _check_operand(self, key, session, operand, prepared, what: str) -> None:
-        """A named session serves exactly the operand it was prepared
-        with — substituting silently would compute over the wrong
-        matrix."""
-        if operand is prepared or operand is self._retained.get(key):
-            return
-        raise ConfigError(
-            f"session {session.name!r} was prepared with a different "
-            f"{what}; pass the prepared operand (or omit `session=` to "
-            f"key by operand identity)"
-        )
-
-    def _route(self, request: Request):
-        key = self._key_for(request)
+    def _route(self, request: Request) -> tuple["Session", Request]:
+        """The request's session, and the request carrying the session's
+        prepared operand (its memoized layouts)."""
+        key = class_key(request)
         session = self.prepare(request)
-        if isinstance(request, SpmmRequest):
-            self._check_operand(key, session, request.lhs, session.matrix, "lhs")
-            # reuse the session's prepared operand (memoized layouts)
-            request = normalize(replace(request, lhs=session.matrix))
-        elif isinstance(request, SddmmRequest):
-            self._check_operand(
-                key, session, request.mask, session.topology, "mask"
-            )
-            request = normalize(replace(request, mask=session.topology))
-        else:
-            request = normalize(request)
-        return session, request
+        field = request.operand_field
+        if field is None or request.op != session.op:
+            return session, request  # a different kind: the session refuses it
+        check_operand(
+            request, session.name, session.operand, self._retained.get(key)
+        )
+        return session, replace(request, **{field: session.operand})
 
     # -- the three verbs ------------------------------------------------
     def submit(self, request: Request) -> Future:
         """Enqueue one request; the future resolves to its
         :class:`~repro.api.requests.Response`."""
         session, req = self._route(request)
-        return session.submit_request(req)
+        return session.submit(req)
 
     def submit_async(self, request: Request) -> "RequestHandle":
         """Like :meth:`submit`, returning an awaitable ticketed handle."""

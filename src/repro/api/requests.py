@@ -2,13 +2,22 @@
 
 Every way of asking the library for work — a one-shot kernel call, a
 batched serving request, a modelled attention forward pass — is one of
-three request types, and every answer is one :class:`Response`. The
+four request types, and every answer is one :class:`Response`. The
 request carries *what* to compute plus any pinning (precision, backend,
 injected config); the :mod:`repro.api.resolution` pipeline turns it
 into an executable :class:`~repro.api.resolution.Resolution`.
 
+Each request class also states its serving shape once: the field
+holding its prepared operand (``operand_field``: ``lhs``, ``mask`` or
+none), the per-call payload fields a prepare strips
+(``payload_fields``), and — through :func:`class_key` — the request
+class a serving front door keys one prepared session by
+(:func:`check_operand` guards a named one). The client, the fleet
+gateway and its workers read these instead of switching on the request
+type.
+
 This module is deliberately dependency-light (dataclasses + numpy +
-the prepared operand type) so shims and engines can import it without
+the prepared operand type) so clients and engines can import it without
 dragging in the planner or the runtime registry.
 """
 
@@ -18,6 +27,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
+
+from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.matrix import SparseMatrix
@@ -34,6 +45,8 @@ __all__ = [
     "SddmmRequest",
     "SpmmRequest",
     "TransformerRequest",
+    "check_operand",
+    "class_key",
 ]
 
 
@@ -64,6 +77,9 @@ class SpmmRequest:
     """
 
     op: ClassVar[str] = "spmm"
+    #: serving shape: the prepared operand and the per-call payload
+    operand_field: ClassVar[str | None] = "lhs"
+    payload_fields: ClassVar[tuple[str, ...]] = ("rhs",)
 
     lhs: "SparseMatrix | np.ndarray"
     #: the dense activations; may be ``None`` for a prepare-only
@@ -106,6 +122,8 @@ class SddmmRequest:
     """
 
     op: ClassVar[str] = "sddmm"
+    operand_field: ClassVar[str | None] = "mask"
+    payload_fields: ClassVar[tuple[str, ...]] = ("a", "b")
 
     mask: "SparseMatrix | BCRSMatrix"
     #: the dense factors; may be ``None`` for a prepare-only request
@@ -149,6 +167,8 @@ class AttentionRequest:
     """
 
     op: ClassVar[str] = "attention"
+    operand_field: ClassVar[str | None] = None
+    payload_fields: ClassVar[tuple[str, ...]] = ()
 
     seq_len: int
     num_heads: int = 4
@@ -208,6 +228,8 @@ class TransformerRequest:
     """
 
     op: ClassVar[str] = "transformer"
+    operand_field: ClassVar[str | None] = None
+    payload_fields: ClassVar[tuple[str, ...]] = ("ids",)
 
     mode: str = "lra-classify"
     #: token ids (B, seq_len) for ``lra-classify``; may be ``None`` for
@@ -247,6 +269,37 @@ class TransformerRequest:
 Request = SpmmRequest | SddmmRequest | AttentionRequest | TransformerRequest
 
 
+def class_key(request: Request) -> tuple:
+    """The request class a serving front door prepares one session for.
+
+    A ``session=`` name wins; otherwise the prepared operand's identity
+    plus the pinned backend (SpMM, SDDMM), or the topology (attention,
+    transformer).
+    """
+    if request.session is not None:
+        return ("named", request.session)
+    if request.operand_field is not None:
+        operand = getattr(request, request.operand_field)
+        return (request.op, id(operand), request.backend)
+    return (request.op, request.topology)
+
+
+def check_operand(request: Request, session: str, *prepared: object) -> None:
+    """Refuse a request whose operand is none of ``prepared``: a named
+    session serves exactly the operand it was prepared with —
+    substituting silently would compute over the wrong matrix."""
+    field = request.operand_field
+    if field is None:
+        return
+    operand = getattr(request, field)
+    if not any(operand is p for p in prepared):
+        raise ConfigError(
+            f"session {session!r} was prepared with a different {field}; "
+            f"pass the prepared operand (or omit `session=` to key by "
+            f"operand identity)"
+        )
+
+
 @dataclass(eq=False)
 class Response:
     """What any v1 call resolves to — one-shot or served.
@@ -260,10 +313,6 @@ class Response:
     (whose ``output`` is ``None``). ``plan`` is the serving plan that
     routed the request, when one did.
 
-    This class supersedes the pre-v1 ``OpResult`` / ``ServeResult``
-    split; both old names alias it, and their attribute spellings
-    (``modelled_time_s``, ``detail``) are kept as properties.
-
     Example::
 
         import numpy as np
@@ -272,7 +321,6 @@ class Response:
         r = api.run(api.SpmmRequest(lhs=np.eye(8, dtype=np.int8),
                                     rhs=np.ones((8, 4)), vector_length=8))
         assert r.request_time_s == r.time_s      # one-shot: no batch
-        assert r.modelled_time_s == r.time_s     # pre-v1 spelling
     """
 
     output: object | None
@@ -295,14 +343,3 @@ class Response:
     def __post_init__(self) -> None:
         if self.request_time_s is None:
             self.request_time_s = self.time_s
-
-    # -- pre-v1 attribute spellings ------------------------------------
-    @property
-    def modelled_time_s(self) -> float:
-        """Alias of ``time_s`` (the pre-v1 ``ServeResult`` spelling)."""
-        return self.time_s
-
-    @property
-    def detail(self) -> object | None:
-        """Alias of ``stats`` (the pre-v1 ``ServeResult`` spelling)."""
-        return self.stats

@@ -6,9 +6,7 @@ four stages, in order:
 1. **precision parse / config merge** — either parse the request's
    Table-IV ``precision`` label into a kernel config (rejecting the
    ambiguous combination of an injected ``config`` with named
-   precision parameters — the clash check that used to live twice, in
-   ``core/api.py`` and per-session in ``serve/engine.py``), or take
-   the injected config verbatim;
+   precision parameters), or take the injected config verbatim;
 2. **device resolve** — :meth:`repro.runtime.Device.resolve` turns the
    name into a validated Table-II handle (raising
    :class:`~repro.errors.DeviceError`);
@@ -21,10 +19,9 @@ four stages, in order:
 
 :func:`resolve` runs the pipeline and returns a :class:`Resolution`;
 :func:`execute` runs a resolution against its operands; :func:`run` is
-the one-shot composition of the two. Both :mod:`repro.core.api` (the
-legacy kwarg shims) and :mod:`repro.serve.engine` (session intake and
-batched dispatch) delegate here, so this module is the only place
-precision / device / backend / plan resolution happens.
+the one-shot composition of the two. :mod:`repro.serve.engine` (session
+intake and batched dispatch) delegates here too, so this module is the
+only place precision / device / backend / plan resolution happens.
 """
 
 from __future__ import annotations
@@ -233,9 +230,7 @@ def resolve(
         return _resolve_spmm(request, dev, planner, backend)
     if isinstance(request, SddmmRequest):
         return _resolve_sddmm(request, dev, planner, backend)
-    if isinstance(request, TransformerRequest):
-        return _resolve_transformer(request, dev, backend)
-    return _resolve_attention(request, dev, backend)
+    return _resolve_modelled(request, dev, backend)
 
 
 def _resolve_spmm(
@@ -351,9 +346,11 @@ def _resolve_sddmm(
     return Resolution("sddmm", dev, plan.backend, cfg, plan, plan.precision)
 
 
-def _resolve_attention(
-    req: AttentionRequest, dev: Device, default_backend
+def _resolve_modelled(
+    req: "AttentionRequest | TransformerRequest", dev: Device, default_backend
 ) -> Resolution:
+    """Attention and transformer requests price (and run) the Magicube
+    attention pipeline, so only a Magicube-family backend resolves."""
     name = req.backend
     if name is None:
         name = (
@@ -364,31 +361,11 @@ def _resolve_attention(
         )
     if not name.startswith(("magicube", "fastpath")):
         raise ConfigError(
-            f"attention sessions model the Magicube pipeline; backend "
-            f"{name!r} cannot plan it"
+            f"{req.op} requests run the Magicube attention pipeline; "
+            f"backend {name!r} cannot plan it, so it cannot serve it"
         )
     precision = f"L{req.scheme[0]}-R{req.scheme[1]}"
-    return Resolution("attention", dev, name, None, None, precision)
-
-
-def _resolve_transformer(
-    req: TransformerRequest, dev: Device, default_backend
-) -> Resolution:
-    name = req.backend
-    if name is None:
-        name = (
-            default_backend
-            if default_backend is not None
-            and default_backend.startswith(("magicube", "fastpath"))
-            else DEFAULT_BACKEND
-        )
-    if not name.startswith(("magicube", "fastpath")):
-        raise ConfigError(
-            f"transformer requests run the Magicube attention pipeline; "
-            f"backend {name!r} cannot serve it"
-        )
-    precision = f"L{req.scheme[0]}-R{req.scheme[1]}"
-    return Resolution("transformer", dev, name, None, None, precision)
+    return Resolution(req.op, dev, name, None, None, precision)
 
 
 # -- execution ---------------------------------------------------------
@@ -558,20 +535,7 @@ def _execute_transformer(
         prepare_transformer,
     )
 
-    spec = TransformerSpec(
-        seq_len=req.seq_len,
-        d_model=req.d_model,
-        num_heads=req.num_heads,
-        num_layers=req.num_layers,
-        d_ff=req.d_ff,
-        vocab=req.vocab,
-        num_classes=req.num_classes,
-        mask_variant=req.mask_variant,
-        sparsity=req.sparsity,
-        vector_length=req.vector_length,
-        seed=req.seed,
-    )
-    prepared = prepare_transformer(spec)
+    prepared = prepare_transformer(TransformerSpec.of(req))
     scheme = (int(req.scheme[0]), int(req.scheme[1]))
     if req.mode in ("prefill", "decode"):
         b = batch if batch is not None else req.batch
@@ -621,10 +585,8 @@ def run(
     planner: "ExecutionPlanner | None" = None,
     backend: str | None = None,
 ) -> Response:
-    """One-shot: resolve a request and execute it immediately.
-
-    The direct replacement for the legacy ``repro.core.api.spmm`` /
-    ``sddmm`` kwarg calls — no engine, no batching, same pipeline::
+    """One-shot: resolve a request and execute it immediately — no
+    engine, no batching, same pipeline::
 
         from repro import api
 

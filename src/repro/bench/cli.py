@@ -231,14 +231,17 @@ def _print_autotune(count: int) -> None:
         stats = dict(cache.stats())
         # then actually serve one request per class through the batcher
         for n in widths:
-            session.run(rng.integers(-128, 128, size=(512, n)))
+            client.run(api.SpmmRequest(
+                lhs=weights, rhs=rng.integers(-128, 128, size=(512, n)),
+                session="ffn",
+            ))
         return {"planner_ms": planner_s * 1e3, **stats}
 
     # offline: sweep exactly the request classes the engine will see
     with api.open_engine(device="A100") as probe:
         probe_session = probe.prepare(api.SpmmRequest(lhs=weights, session="probe"))
         weight_bits = probe_session.weight_bits
-        weights = probe_session.matrix  # converted once, reused below
+        weights = probe_session.operand  # converted once, reused below
     config = SweepConfig(
         ops=("spmm",),
         shapes=tuple((512, 512, n) for n in widths),
@@ -319,13 +322,15 @@ def _print_retune(count: int) -> None:
     # prepare once: share the converted operand, read the weight width
     with api.open_engine(device="A100") as probe:
         ps = probe.prepare(api.SpmmRequest(lhs=weights, session="probe"))
-        weight_bits, weights = ps.weight_bits, ps.matrix
+        weight_bits, weights = ps.weight_bits, ps.operand
 
     def serve(client: api.Client, widths, requests_per: int = 3) -> None:
-        session = client.prepare(api.SpmmRequest(lhs=weights, session="ffn"))
         for n in widths:
             for _ in range(requests_per):
-                session.run(rng.integers(-128, 128, size=(512, n)))
+                client.run(api.SpmmRequest(
+                    lhs=weights, rhs=rng.integers(-128, 128, size=(512, n)),
+                    session="ffn",
+                ))
 
     def first_contact(client: api.Client) -> dict:
         """Plan every request class of both phases once, cold counters."""

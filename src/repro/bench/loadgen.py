@@ -60,13 +60,16 @@ __all__ = [
 #: schema version stamped into ``BENCH_serve.json``
 BENCH_SCHEMA = 1
 
-#: default artifact paths (repo root when run from it)
+#: default report path (repo root when run from it)
 DEFAULT_OUT = "BENCH_serve.json"
-DEFAULT_METRICS_OUT = "BENCH_serve.metrics.json"
-DEFAULT_TRACE_OUT = "BENCH_serve.trace.jsonl"
-DEFAULT_HEALTH_OUT = "BENCH_serve.health.json"
-DEFAULT_PROFILE_OUT = "BENCH_serve.profile.json"
-DEFAULT_FOLDED_OUT = "BENCH_serve.folded.txt"
+
+
+def _side_path(out: str | Path, artifact: str) -> Path:
+    """Where a side artifact of the report ``out`` goes: next to it,
+    named after it — ``X.json`` -> ``X.metrics.json`` for
+    ``artifact="metrics.json"`` (likewise ``trace.jsonl``,
+    ``health.json``, ``profile.json``, ``folded.txt``)."""
+    return Path(out).with_suffix(f".{artifact}")
 
 
 @dataclass(frozen=True)
@@ -269,28 +272,21 @@ def _counter_total(registry: "MetricsRegistry", name: str) -> float:
 
 
 def run_replay(
-    config: ReplayConfig | None = None,
-    *,
-    out: str | Path | None = DEFAULT_OUT,
-    metrics_out: str | Path | None = DEFAULT_METRICS_OUT,
-    trace_out: str | Path | None = DEFAULT_TRACE_OUT,
-    health_out: str | Path | None = DEFAULT_HEALTH_OUT,
-    profile_out: str | Path | None = DEFAULT_PROFILE_OUT,
-    folded_out: str | Path | None = DEFAULT_FOLDED_OUT,
+    config: ReplayConfig | None = None, *, out: str | Path | None = DEFAULT_OUT
 ) -> dict:
     """Replay one arrival schedule against a live engine; return (and
-    optionally write) the ``BENCH_serve.json`` report dict.
+    optionally write to ``out``) the ``BENCH_serve.json`` report dict.
 
     Beyond the report itself, a run leaves the full observability triad
-    behind: the metrics snapshot (``metrics_out``), the span-tree trace
-    log (``trace_out``), an SLO health report graded over the default
-    objectives (``health_out``), and the sampling profiler's speedscope
-    + folded-stack flamegraph exports (``profile_out`` /
-    ``folded_out``). Pass ``out=None`` (etc.) to skip writing one.
+    next to ``out``, named after it (``X.json`` -> ``X.metrics.json``):
+    the metrics snapshot (``.metrics.json``), the span-tree trace log
+    (``.trace.jsonl``), an SLO health report graded over the default
+    objectives (``.health.json``), and the sampling profiler's
+    speedscope + folded-stack flamegraph exports (``.profile.json`` /
+    ``.folded.txt``). ``out=None`` writes nothing.
     """
     from repro import api
     from repro.obs import names
-    from repro.obs.export import write_snapshot
     from repro.obs.health import DEFAULT_SLOS, evaluate_registry
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.profile import ProfileConfig, render_folded
@@ -299,11 +295,7 @@ def run_replay(
 
     config = config if config is not None else ReplayConfig()
     if config.gateway_workers is not None:
-        return _run_replay_gateway(
-            config, out=out, metrics_out=metrics_out, trace_out=trace_out,
-            health_out=health_out, profile_out=profile_out,
-            folded_out=folded_out,
-        )
+        return _run_replay_gateway(config, out=out)
     offsets = arrival_offsets(config)
     workload = _build_workload(config)
     rng = np.random.default_rng(config.seed + 2)
@@ -397,31 +389,28 @@ def run_replay(
         },
     }
     if out is not None:
+        _write_artifacts(out, report, registry, tracer, health)
+        profile_report.save(_side_path(out, "profile.json"))
         atomic_write_text(
-            Path(out), json.dumps(report, indent=2, sort_keys=True) + "\n"
+            _side_path(out, "folded.txt"), render_folded(profile_report)
         )
-    if metrics_out is not None:
-        write_snapshot(registry, Path(metrics_out))
-    if trace_out is not None:
-        tracer.export_jsonl(Path(trace_out))
-    if health_out is not None:
-        health.save(Path(health_out))
-    if profile_out is not None:
-        profile_report.save(Path(profile_out))
-    if folded_out is not None:
-        atomic_write_text(Path(folded_out), render_folded(profile_report))
     return report
 
 
+def _write_artifacts(out, report: dict, registry, tracer, health) -> None:
+    """The report plus the side artifacts both replay modes leave."""
+    from repro.obs.export import write_snapshot
+
+    atomic_write_text(
+        Path(out), json.dumps(report, indent=2, sort_keys=True) + "\n"
+    )
+    write_snapshot(registry, _side_path(out, "metrics.json"))
+    tracer.export_jsonl(_side_path(out, "trace.jsonl"))
+    health.save(_side_path(out, "health.json"))
+
+
 def _run_replay_gateway(
-    config: ReplayConfig,
-    *,
-    out: str | Path | None,
-    metrics_out: str | Path | None,
-    trace_out: str | Path | None,
-    health_out: str | Path | None,
-    profile_out: str | Path | None,
-    folded_out: str | Path | None,
+    config: ReplayConfig, *, out: str | Path | None
 ) -> dict:
     """Replay the same schedule through a :class:`repro.fleet.Gateway`.
 
@@ -432,12 +421,12 @@ def _run_replay_gateway(
     the fleet topology and shed/retry counters. Latency stats come from
     the gateway's merged metrics snapshot, which aggregates every
     worker's histograms. The in-process sampling profiler and tracer
-    live inside the workers, so ``profile_out`` / ``folded_out`` are
-    not written in this mode and ``trace_out`` is an empty log.
+    live inside the workers, so the ``.profile.json`` / ``.folded.txt``
+    side artifacts are not written in this mode and ``.trace.jsonl`` is
+    an empty log.
     """
     from repro.fleet.gateway import FleetConfig, open_fleet
     from repro.obs import names
-    from repro.obs.export import write_snapshot
     from repro.obs.trace import Tracer
     from repro.serve.batcher import BatchPolicy
 
@@ -550,15 +539,7 @@ def _run_replay_gateway(
         },
     }
     if out is not None:
-        atomic_write_text(
-            Path(out), json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-    if metrics_out is not None:
-        write_snapshot(registry, Path(metrics_out))
-    if trace_out is not None:
-        Tracer(enabled=False).export_jsonl(Path(trace_out))
-    if health_out is not None:
-        health.save(Path(health_out))
+        _write_artifacts(out, report, registry, Tracer(enabled=False), health)
     return report
 
 

@@ -11,11 +11,9 @@ Usage::
 
 Each subcommand delegates to the matching subsystem CLI
 (:mod:`repro.serve.cli`, :mod:`repro.autotune.cli`,
-:mod:`repro.bench.cli`) with the remaining arguments untouched, so
-``repro serve --demo`` and the old ``repro-serve --demo`` accept the
-same flags. The pre-v1 per-subsystem entry points (``repro-serve``,
-``repro-autotune``, ``repro-bench``) are deprecation shims over these
-subcommands.
+:mod:`repro.bench.cli`, ...) with the remaining arguments untouched, so
+``repro serve --demo`` and ``python -m repro.serve --demo`` accept the
+same flags.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-import warnings
 
 from repro.version import __version__
 
@@ -96,33 +93,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     module = importlib.import_module(_COMMANDS[command][0])
     return module.main(rest)
-
-
-def _legacy_main(old: str, command: str, argv: list[str] | None) -> int:
-    """Run a pre-v1 console script, warning about the replacement."""
-    warnings.warn(
-        f"the `{old}` entry point is deprecated; use `repro {command}` "
-        f"instead (see docs/api.md for the migration table)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    argv = list(sys.argv[1:] if argv is None else argv)
-    return main([command, *argv])
-
-
-def serve_main(argv: list[str] | None = None) -> int:
-    """The deprecated ``repro-serve`` entry point."""
-    return _legacy_main("repro-serve", "serve", argv)
-
-
-def autotune_main(argv: list[str] | None = None) -> int:
-    """The deprecated ``repro-autotune`` entry point."""
-    return _legacy_main("repro-autotune", "autotune", argv)
-
-
-def bench_main(argv: list[str] | None = None) -> int:
-    """The deprecated ``repro-bench`` entry point."""
-    return _legacy_main("repro-bench", "bench", argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

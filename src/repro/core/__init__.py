@@ -3,20 +3,15 @@
 - :class:`repro.core.matrix.SparseMatrix` — construct once from dense /
   BCRS data, reuse across kernels (it owns the SR-BCRS layouts).
 - :mod:`repro.core.precision` — the Table IV precision registry.
-- :mod:`repro.core.api` — the pre-v1 ``spmm`` / ``sddmm`` kwarg calls,
-  now deprecation shims over :mod:`repro.api` (the typed v1 surface).
+
+Kernel calls go through the typed :mod:`repro.api` surface.
 """
 
-# matrix must load before the api shims: the shims pull in the
-# repro.api pipeline, which itself needs the prepared-operand type
 from repro.core.matrix import SparseMatrix
-from repro.core.api import spmm, sddmm
 from repro.core.precision import Precision, parse_precision, supported_precisions
 
 __all__ = [
     "SparseMatrix",
-    "spmm",
-    "sddmm",
     "Precision",
     "parse_precision",
     "supported_precisions",

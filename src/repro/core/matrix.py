@@ -1,8 +1,8 @@
 """The prepared sparse operand shared by every API surface.
 
 :class:`SparseMatrix` lives in its own module so the v1 request layer
-(:mod:`repro.api`) and the legacy :mod:`repro.core.api` shims can both
-import it without cycling through each other.
+(:mod:`repro.api`) and the kernel layers can both import it without
+cycling through each other.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 :class:`Gateway` exposes the same verb surface as
 :class:`repro.api.Client` — ``run`` / ``submit`` / ``submit_async`` +
-``result`` for all three typed request kinds — but executes nothing
+``result`` for every typed request kind — but executes nothing
 itself: every request class is *placed* on one worker of a
 :class:`~repro.fleet.pool.WorkerPool` by the consistent-hash
 :class:`~repro.fleet.placement.PlacementRing` and shipped over that
@@ -50,14 +50,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import repro.errors as _errors
-from repro.api.requests import (
-    AttentionRequest,
-    Request,
-    Response,
-    SddmmRequest,
-    SpmmRequest,
-    TransformerRequest,
-)
+from repro.api.requests import Request, Response, check_operand, class_key
 from repro.errors import (
     AdmissionError,
     ConfigError,
@@ -530,21 +523,8 @@ class Gateway:
             return self._call(worker, kind, message, timeout, _retried=True)
 
     # -- request routing -------------------------------------------------
-    def _key_for(self, request: Request) -> object:
-        if request.session is not None:
-            return ("named", request.session)
-        if isinstance(request, SpmmRequest):
-            return ("spmm", id(request.lhs), request.backend)
-        if isinstance(request, SddmmRequest):
-            return ("sddmm", id(request.mask), request.backend)
-        if isinstance(request, AttentionRequest):
-            return ("attention", request.topology)
-        if isinstance(request, TransformerRequest):
-            return ("transformer", request.topology)
-        raise ConfigError(f"unknown request type {type(request).__name__}")
-
     def _session_name(self, request: Request) -> str:
-        key = self._key_for(request)
+        key = class_key(request)
         with self._lock:
             name = self._sessions.get(key)
             if name is not None:
@@ -556,40 +536,16 @@ class Gateway:
                 name = f"{request.op}#{self._session_counter}"
             self._sessions[key] = name
             # the prepare message ships the operand once per worker;
-            # dense payloads (rhs / a / b) stay out of it
-            if isinstance(request, SpmmRequest):
-                prep = replace(request, session=name, rhs=None)
-                self._retained[name] = request.lhs
-            elif isinstance(request, SddmmRequest):
-                prep = replace(request, session=name, a=None, b=None)
-                self._retained[name] = request.mask
-            elif isinstance(request, TransformerRequest):
-                # ids are the dense payload — they travel per run
-                # message, not in the prepare
-                prep = replace(request, session=name, ids=None)
-                self._retained[name] = None
-            else:
-                prep = replace(request, session=name)
-                self._retained[name] = None
+            # dense payloads (rhs / a / b / ids) travel per run message
+            prep = replace(
+                request, session=name, **dict.fromkeys(request.payload_fields)
+            )
+            field = request.operand_field
+            self._retained[name] = (
+                getattr(request, field) if field is not None else None
+            )
             self._prepare_requests[name] = prep
             return name
-
-    def _check_operand(self, name: str, request: Request) -> None:
-        """Same contract as the in-process client: a named session
-        serves exactly the operand it was prepared with."""
-        retained = self._retained.get(name)
-        if isinstance(request, SpmmRequest):
-            operand, what = request.lhs, "lhs"
-        elif isinstance(request, SddmmRequest):
-            operand, what = request.mask, "mask"
-        else:
-            return
-        if operand is not retained:
-            raise ConfigError(
-                f"fleet session {name!r} was prepared with a different "
-                f"{what}; pass the prepared operand (or omit `session=` "
-                f"to key by operand identity)"
-            )
 
     def _ensure_prepared(self, worker: str, name: str) -> None:
         with self._lock:
@@ -609,11 +565,9 @@ class Gateway:
     def _strip(self, request: Request, name: str) -> Request:
         """The run-message form: session pinned, operand stripped (the
         worker re-attaches its retained copy)."""
-        if isinstance(request, SpmmRequest):
-            return replace(request, session=name, lhs=None)
-        if isinstance(request, SddmmRequest):
-            return replace(request, session=name, mask=None)
-        return replace(request, session=name)
+        field = request.operand_field
+        stripped = {field: None} if field is not None else {}
+        return replace(request, session=name, **stripped)
 
     # -- the Client verbs ------------------------------------------------
     def submit(self, request: Request) -> Future:
@@ -623,7 +577,7 @@ class Gateway:
         if self._closed:
             raise EngineClosedError("fleet gateway is closed; submit refused")
         name = self._session_name(request)
-        self._check_operand(name, request)
+        check_operand(request, name, self._retained.get(name))
         worker = self.ring.lookup(name, exclude=self._dead)
         self._ensure_prepared(worker, name)
         future: Future = Future()

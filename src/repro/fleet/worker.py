@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from repro.api.requests import Request, SddmmRequest, SpmmRequest
+from repro.api.requests import Request
 from repro.errors import FleetError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,7 +91,7 @@ class _WorkerServer:
             metrics=MetricsRegistry(),
         )
         #: gateway-assigned session name -> retained operand (or None
-        #: for attention, whose request class is pure topology)
+        #: for attention / transformer, whose class is pure topology)
         self._operands: dict[str, object] = {}
         self._send_lock = threading.Lock()
         self._inflight_lock = threading.Lock()
@@ -139,12 +139,10 @@ class _WorkerServer:
             raise FleetError("prepare message carries no session name")
         if name not in self._operands:
             self.client.prepare(request)
-            if isinstance(request, SpmmRequest):
-                self._operands[name] = request.lhs
-            elif isinstance(request, SddmmRequest):
-                self._operands[name] = request.mask
-            else:
-                self._operands[name] = None
+            field = request.operand_field
+            self._operands[name] = (
+                getattr(request, field) if field is not None else None
+            )
         return {"session": name, "sessions": len(self._operands)}
 
     def _rebuild(self, request: Request) -> Request:
@@ -155,12 +153,10 @@ class _WorkerServer:
                 f"run for unprepared session {name!r} "
                 f"(known: {sorted(self._operands)})"
             )
-        operand = self._operands[name]
-        if isinstance(request, SpmmRequest):
-            return replace(request, lhs=operand)
-        if isinstance(request, SddmmRequest):
-            return replace(request, mask=operand)
-        return request
+        field = request.operand_field
+        if field is None:
+            return request
+        return replace(request, **{field: self._operands[name]})
 
     def _handle_run(self, msg: dict) -> None:
         msg_id = msg["id"]

@@ -7,8 +7,8 @@ is deterministic: :meth:`BackendRegistry.backends` orders by
 ``(priority, name)``. :meth:`BackendRegistry.resolve` returns
 :data:`DEFAULT_BACKEND` when it supports the requested
 (op, device, precision) and otherwise walks that order, returning the
-first backend that does — the fallback chain the serving engine and the
-``core.api`` shims rely on.
+first backend that does — the fallback chain the serving engine and
+one-shot :func:`repro.api.run` calls rely on.
 """
 
 from __future__ import annotations

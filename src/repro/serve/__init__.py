@@ -8,9 +8,10 @@ engine:
   calibrated cost model and memoizes the winner per (op, shape,
   sparsity, objective) key in a JSON-persistable
   :class:`~repro.serve.cache.PlanCache`.
-- :class:`~repro.serve.engine.Engine` owns prepared-model sessions that
-  convert weights to SR-BCRS once and dispatch spmm / attention-block
-  requests through cached plans.
+- :class:`~repro.serve.engine.Engine` owns prepared
+  :class:`~repro.serve.engine.Session` objects — one class for every
+  request kind — that convert operands to SR-BCRS once and dispatch SpMM,
+  SDDMM, attention and transformer requests through cached plans.
 - :class:`~repro.serve.batcher.MicroBatcher` coalesces same-shape
   requests into one batched kernel launch under a max-batch-size /
   max-wait policy (plus optional queue-depth / latency-budget
@@ -44,18 +45,11 @@ self-contained serving demo.
 
 from repro.serve.batcher import BatchPolicy, MicroBatcher, RequestHandle
 from repro.serve.cache import PlanCache
-from repro.serve.engine import (
-    AttentionSession,
-    Engine,
-    SddmmSession,
-    ServeResult,
-    SpmmSession,
-)
+from repro.serve.engine import Engine, Session
 from repro.serve.planner import ExecutionPlanner, Objective, Plan, PlanKey
 from repro.serve.telemetry import Telemetry, TelemetrySnapshot
 
 __all__ = [
-    "AttentionSession",
     "BatchPolicy",
     "Engine",
     "ExecutionPlanner",
@@ -65,9 +59,7 @@ __all__ = [
     "PlanCache",
     "PlanKey",
     "RequestHandle",
-    "SddmmSession",
-    "ServeResult",
-    "SpmmSession",
+    "Session",
     "Telemetry",
     "TelemetrySnapshot",
 ]

@@ -98,11 +98,11 @@ class RequestHandle:
     """Ticket for one in-flight request.
 
     Wraps the request's :class:`~concurrent.futures.Future` behind a
-    stable integer ``id`` (the cross-process-style ticket the engine's
-    ``submit()``/``result()`` client API hands out) and is directly
+    stable integer ``id`` (the cross-process-style ticket the client's
+    ``submit_async()``/``result()`` API hands out) and is directly
     awaitable from asyncio code::
 
-        handle = session.submit_async(rhs)
+        handle = client.submit_async(api.SpmmRequest(lhs=w, rhs=x))
         result = await handle          # or handle.result(timeout=...)
     """
 

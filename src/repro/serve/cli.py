@@ -89,7 +89,8 @@ def demo(
         attn = client.prepare(attn_req)
         say(f"sessions: ffn-int8 {ffn_matrix!r}")
         say(f"          conv-int4 {conv_matrix!r}")
-        say(f"          {attn.name} seq={attn.seq_len} heads={attn.num_heads}")
+        say(f"          {attn.name} seq={attn.template.seq_len} "
+            f"heads={attn.template.num_heads}")
 
         # -- a shuffled stream of mixed requests over a few shapes -----
         # payloads are generated up front so the submit loop is tight

@@ -14,25 +14,25 @@ session pins one resolved :mod:`repro.runtime` backend. All request
 intake runs the :mod:`repro.api.resolution` pipeline — the same
 precision → device → backend → plan stages a one-shot
 :func:`repro.api.run` call walks — so served outputs are bit-identical
-to the direct path; batching concatenates RHS columns, which the
-integer kernels process independently.
+to the direct path.
 
 The typed front door is :func:`repro.open_engine` /
-:class:`repro.api.Client`: submit :class:`~repro.api.SpmmRequest` /
-:class:`~repro.api.SddmmRequest` / :class:`~repro.api.AttentionRequest`
-and get uniform :class:`~repro.api.Response` objects back. Sessions
-remain the prepared-request-class handles underneath (an
-:class:`SpmmSession` wraps a SparseMatrix converted **once**), and the
-pre-v1 factories :meth:`Engine.spmm_session` /
-:meth:`Engine.attention_session` are deprecation shims over them.
+:class:`repro.api.Client`: submit any typed request and get uniform
+:class:`~repro.api.Response` objects back. Underneath, one
+:class:`Session` class serves every request kind; a per-kind table
+(:data:`_KINDS`, keyed by ``request.op``) says how a kind prepares its
+session, which riders may share a launch (the group key), how they
+coalesce — concatenated RHS columns (SpMM), concatenated ``ids`` rows
+(``lra-classify``), summed ``batch`` (attention, ``prefill`` /
+``decode``), or item by item (SDDMM) — and how the result splits back.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import time
-import warnings
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import replace
@@ -41,13 +41,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.api.requests import (
-    AttentionRequest,
-    Response,
-    SddmmRequest,
-    SpmmRequest,
-    TransformerRequest,
-)
+from repro.api.requests import Request, Response, SpmmRequest
 from repro.api.resolution import (
     Resolution,
     bits_required,
@@ -57,13 +51,12 @@ from repro.api.resolution import (
 )
 from repro.core.matrix import SparseMatrix
 from repro.errors import AdmissionError, ConfigError, EngineClosedError, RetuneError
-from repro.formats.bcrs import BCRSMatrix
 from repro.obs import names as metric_names
 from repro.obs.metrics import get_registry
 from repro.obs.names import declare_standard
 from repro.obs.profile import NULL_PROFILER, ProfileConfig, Profiler
-from repro.obs.trace import NULL_TRACE, Tracer
-from repro.runtime import DEFAULT_BACKEND, Device, resolve_backend
+from repro.obs.trace import Tracer
+from repro.runtime import Device, resolve_backend
 from repro.serve.batcher import BatchItem, BatchPolicy, MicroBatcher, RequestHandle
 from repro.serve.cache import PlanCache
 from repro.serve.planner import ExecutionPlanner, Objective, Plan
@@ -73,51 +66,60 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.autotune.policy import RetunePolicy
     from repro.autotune.scheduler import RetuneStatus
 
-__all__ = [
-    "AttentionSession",
-    "Engine",
-    "SddmmSession",
-    "ServeResult",
-    "SpmmSession",
-    "TransformerSession",
-    "bits_required",
-]
-
-#: pre-v1 name of the unified response type (superseded by
-#: :class:`repro.api.Response`)
-ServeResult = Response
+__all__ = ["Engine", "Session", "bits_required"]
 
 
-class SpmmSession:
-    """A prepared sparse operand serving SpMM requests on one backend."""
+class Session:
+    """One prepared request class served through the engine's batcher.
+
+    ``template`` is the request the session was prepared from, in
+    canonical form with its per-call payload stripped: an SpMM
+    session's ``lhs`` is converted to SR-BCRS **once** here, an SDDMM
+    session's ``mask`` likewise, and attention / transformer sessions
+    carry their topology (the transformer model + zoo mask are built at
+    preparation). ``backend`` is the resolved runtime backend requests
+    default to. :meth:`submit` takes a typed request of the session's
+    kind; riders of one session coalesce as its kind prescribes.
+    """
 
     def __init__(
-        self,
-        engine: "Engine",
-        name: str,
-        matrix: SparseMatrix,
-        objective: Objective,
-        backend: str,
+        self, engine: "Engine", name: str, template: Request, backend: str
     ) -> None:
         self.engine = engine
         self.name = name
-        self.matrix = matrix
-        self.objective = objective
+        self.template = template
         self.backend = backend
-        self.weight_bits = bits_required(matrix.bcrs.values, signed=True)
+        self.kind = _KINDS[template.op]
+
+    @property
+    def op(self) -> str:
+        """The request kind this session serves."""
+        return self.template.op
+
+    @property
+    def operand(self):
+        """The prepared operand (SpMM ``lhs``, SDDMM ``mask``), or
+        ``None`` for topology-keyed kinds."""
+        field = self.template.operand_field
+        return getattr(self.template, field) if field is not None else None
+
+    @functools.cached_property
+    def weight_bits(self) -> int:
+        """The Table-IV width an SpMM session's weights classify into."""
+        return bits_required(self.template.lhs.bcrs.values, signed=True)
 
     def plan_for(self, n: int, r_bits: int) -> Plan:
-        """The (cached) plan serving requests with an (K, n) RHS."""
+        """The (cached) plan serving SpMM requests with an (K, n) RHS."""
         probe = SpmmRequest(
-            lhs=self.matrix,
-            rhs=np.empty((self.matrix.shape[1], n), dtype=np.int8),
+            lhs=self.operand,
+            rhs=np.empty((self.operand.shape[1], n), dtype=np.int8),
             l_bits=self.weight_bits,
             r_bits=r_bits,
-            objective=self.objective,
+            objective=self.template.objective,
         )
         return self._resolve(probe).plan
 
-    def _resolve(self, req: SpmmRequest) -> Resolution:
+    def _resolve(self, req: Request) -> Resolution:
         return resolve_request(
             req,
             device=self.engine._device,
@@ -125,16 +127,15 @@ class SpmmSession:
             backend=self.backend,
         )
 
-    def submit_request(self, req: SpmmRequest) -> Future:
+    def submit(self, request: Request) -> Future:
         """Enqueue one typed request; resolves to a :class:`Response`."""
-        request_id, trace = self.engine._begin_request(self.name, "spmm")
-        req = normalize(
-            replace(
-                req,
-                objective=req.objective if req.objective is not None else self.objective,
-                l_bits=req.l_bits if req.l_bits is not None else self.weight_bits,
+        if request.op != self.op:
+            raise ConfigError(
+                f"session {self.name!r} serves {self.op} requests, not "
+                f"{request.op}; use a different session name"
             )
-        )
+        req = self.kind.intake(self, normalize(request))
+        request_id, trace = self.engine._begin_request(self.name, self.op)
         with trace.span("plan-resolution") as span:
             res = self._resolve(req)
         if trace:
@@ -143,344 +144,233 @@ class SpmmSession:
                 backend=res.backend,
                 device=res.device_label,
             )
-        # the group key carries everything that must match for requests
-        # to share one kernel launch — a batch executes under a single
-        # resolution, so riders with a different backend/device/config
-        # must never coalesce
-        key = (
-            "spmm", self.name, req.rhs.shape[1], res.precision,
-            res.backend, res.device_label, req.scale, req.l_signed,
-            tuple(sorted(req.knobs.items())), repr(res.config),
-        )
         return self.engine._enqueue(
-            self.name, key, {"request": req, "resolution": res},
-            request_id=request_id, trace=trace,
+            self.name, (self.name, *self.kind.group(req, res)),
+            {"request": req, "resolution": res}, request_id, trace,
         )
 
-    def submit(self, rhs: np.ndarray, r_bits: int | None = None) -> Future:
-        """Enqueue one SpMM request; resolves to a :class:`Response`."""
-        return self.submit_request(
-            SpmmRequest(lhs=self.matrix, rhs=rhs, r_bits=r_bits)
-        )
-
-    def submit_async(
-        self, rhs: np.ndarray, r_bits: int | None = None
-    ) -> RequestHandle:
+    def submit_async(self, request: Request) -> RequestHandle:
         """Like :meth:`submit`, returning an awaitable ticketed handle."""
-        return self.engine._track(self.submit(rhs, r_bits=r_bits))
+        return self.engine._track(self.submit(request))
 
-    def run(self, rhs: np.ndarray, r_bits: int | None = None) -> Response:
+    def run(self, request: Request) -> Response:
         """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(rhs, r_bits=r_bits).result()
+        return self.submit(request).result()
 
 
-class SddmmSession:
-    """A prepared sparse topology serving SDDMM requests.
+# -- the per-kind table ---------------------------------------------------
+#
+# Each entry says how one request kind is served: ``prepare`` builds a
+# session's template and backend, ``intake`` fills the session defaults
+# into a rider and validates it, ``group`` names what must match for
+# riders to share one launch (a batch executes under one resolution),
+# and ``launch`` coalesces a batch, executes it and splits the result
+# into one Response per rider. ``launch`` returns ``(parts, resolution,
+# modelled_s, launches)``.
 
-    Same-class requests share the batcher's dispatch (and telemetry
-    group) but execute item-by-item — sampled products carry their own
-    dense operands, so there is no column concatenation to exploit.
-    """
 
-    def __init__(
-        self,
-        engine: "Engine",
-        name: str,
-        mask: "SparseMatrix | BCRSMatrix",
-        objective: Objective,
-        backend: str,
-    ) -> None:
-        self.engine = engine
-        self.name = name
-        self.topology = mask
-        self.objective = objective
-        self.backend = backend
+def _execute(session: Session, res: Resolution, req: Request, **operands) -> Response:
+    engine = session.engine
+    return execute_resolution(
+        res, req, planner=engine.planner, metrics=engine.metrics,
+        profiler=engine.profiler, **operands,
+    )
 
-    def _resolve(self, req: SddmmRequest) -> Resolution:
-        return resolve_request(
+
+def _split_rows(r: Response, rows: list[int]) -> list[Response]:
+    """One part per rider: its rows of the output and its share of the
+    launch's modelled time, in proportion to its rows."""
+    total = sum(rows)
+    offsets = np.cumsum([0, *rows])
+    return [
+        replace(
+            r,
+            output=r.output[a:b] if r.output is not None else None,
+            request_time_s=r.time_s * n / total,
+        )
+        for n, a, b in zip(rows, offsets, offsets[1:])
+    ]
+
+
+class _OperandKind:
+    """SpMM / SDDMM: a prepared sparse operand, planned per request."""
+
+    def prepare(self, engine: "Engine", request: Request) -> tuple[Request, str]:
+        backend = resolve_backend(
+            request.backend if request.backend is not None else engine.backend,
+            op=request.op,
+            device=engine._device,
+        ).name
+        objective = (
+            request.objective if request.objective is not None
+            else Objective.latency()
+        )
+        return normalize(replace(request, objective=objective)), backend
+
+
+class _SpmmKind(_OperandKind):
+    """Riders concatenate RHS columns into one launch, re-planned at the
+    coalesced width; each gets its column slice and an equal share."""
+
+    def intake(self, session: Session, req: Request) -> Request:
+        return replace(
             req,
-            device=self.engine._device,
-            planner=self.engine.planner,
-            backend=self.backend,
+            objective=(
+                req.objective if req.objective is not None
+                else session.template.objective
+            ),
+            l_bits=req.l_bits if req.l_bits is not None else session.weight_bits,
         )
 
-    def submit_request(self, req: SddmmRequest) -> Future:
-        """Enqueue one typed request; resolves to a :class:`Response`."""
-        request_id, trace = self.engine._begin_request(self.name, "sddmm")
-        req = normalize(
-            replace(
+    def group(self, req: Request, res: Resolution) -> tuple:
+        return (
+            req.rhs.shape[1], res.precision, res.backend, res.device_label,
+            req.scale, req.l_signed, tuple(sorted(req.knobs.items())),
+            repr(res.config),
+        )
+
+    def launch(self, session: Session, items: Sequence[BatchItem]):
+        req, res = items[0].payload["request"], items[0].payload["resolution"]
+        widths = [item.payload["request"].rhs.shape[1] for item in items]
+        rhs = np.concatenate(
+            [item.payload["request"].rhs for item in items], axis=1
+        )
+        if len(items) > 1 and res.plan is not None:
+            # the request-level plan fixed the precision; re-tune the
+            # tile knobs for the width the coalesced launch actually has
+            # (also memoized, keyed by the realized batch width)
+            res = session._resolve(replace(
                 req,
-                objective=req.objective if req.objective is not None else self.objective,
+                rhs=rhs,
+                precision=None,
+                objective=Objective.fixed(res.plan.l_bits, res.plan.r_bits),
+                l_bits=res.plan.l_bits,
+                r_bits=res.plan.r_bits,
+            ))
+        r = _execute(session, res, req, rhs=rhs)
+        offsets = np.cumsum([0, *widths])
+        share = r.time_s / len(items)
+        parts = [
+            replace(r, output=r.output[:, a:b], request_time_s=share)
+            for a, b in zip(offsets, offsets[1:])
+        ]
+        return parts, res, r.time_s, 1
+
+
+class _SddmmKind(_OperandKind):
+    """Sampled products carry their own dense operands, so riders share
+    a dispatch (and telemetry group) but execute item by item."""
+
+    def prepare(self, engine: "Engine", request: Request) -> tuple[Request, str]:
+        if isinstance(request.mask, np.ndarray):
+            request = replace(
+                request, mask=SparseMatrix.from_dense(request.mask, vector_length=8)
             )
+        return super().prepare(engine, request)
+
+    def intake(self, session: Session, req: Request) -> Request:
+        if req.objective is not None:
+            return req
+        return replace(req, objective=session.template.objective)
+
+    def group(self, req: Request, res: Resolution) -> tuple:
+        return (
+            req.a.shape[1], res.precision, res.backend, res.device_label,
+            req.output_format or "bcrs", tuple(sorted(req.knobs.items())),
+            repr(res.config),
         )
-        with trace.span("plan-resolution") as span:
-            res = self._resolve(req)
-        if trace:
-            span.set(
-                plan_key=res.plan.key if res.plan is not None else None,
-                backend=res.backend,
-                device=res.device_label,
+
+    def launch(self, session: Session, items: Sequence[BatchItem]):
+        parts = [
+            _execute(
+                session, item.payload["resolution"], item.payload["request"]
             )
-        key = (
-            "sddmm", self.name, req.a.shape[1], res.precision,
-            res.backend, res.device_label, req.output_format or "bcrs",
-            tuple(sorted(req.knobs.items())), repr(res.config),
-        )
-        return self.engine._enqueue(
-            self.name, key, {"request": req, "resolution": res},
-            request_id=request_id, trace=trace,
-        )
-
-    def submit(
-        self, a: np.ndarray, b: np.ndarray, precision: str | None = None
-    ) -> Future:
-        """Enqueue one SDDMM request; resolves to a :class:`Response`."""
-        return self.submit_request(
-            SddmmRequest(a=a, b=b, mask=self.topology, precision=precision)
-        )
-
-    def submit_async(
-        self, a: np.ndarray, b: np.ndarray, precision: str | None = None
-    ) -> RequestHandle:
-        """Like :meth:`submit`, returning an awaitable ticketed handle."""
-        return self.engine._track(self.submit(a, b, precision=precision))
-
-    def run(
-        self, a: np.ndarray, b: np.ndarray, precision: str | None = None
-    ) -> Response:
-        return self.submit(a, b, precision=precision).result()
+            for item in items
+        ]
+        res = items[0].payload["resolution"]
+        return parts, res, sum(p.time_s for p in parts), len(items)
 
 
-class AttentionSession:
-    """A sparse-Transformer attention block served via planner routing.
+class _ModelledKind:
+    """Attention: a modelled forward pass over one topology (the paper's
+    Fig. 17 latency pipeline). Riders must match the session's topology
+    — the coalesced launch runs one — and coalesce by summing ``batch``."""
 
-    Requests are modelled forward passes (the paper's Fig. 17 latency
-    pipeline); same-(seq, heads) requests coalesce by summing their
-    batch dimensions into one launch.
-    """
+    def prepare(self, engine: "Engine", request: Request) -> tuple[Request, str]:
+        # the Magicube-family backend check lives in the shared pipeline
+        backend = resolve_request(
+            request, device=engine._device, backend=engine.backend
+        ).backend
+        return normalize(replace(request, backend=backend)), backend
 
-    def __init__(
-        self,
-        engine: "Engine",
-        name: str,
-        seq_len: int,
-        num_heads: int = 4,
-        sparsity: float = 0.9,
-        scheme: tuple[int, int] = (8, 8),
-        vector_length: int = 8,
-        num_layers: int = 4,
-        d_head: int = 64,
-        num_gpus: int = 1,
-        backend: str = DEFAULT_BACKEND,
-    ) -> None:
-        self.engine = engine
-        self.name = name
-        self.seq_len = seq_len
-        self.num_heads = num_heads
-        self.sparsity = sparsity
-        self.scheme = scheme
-        self.vector_length = vector_length
-        self.num_layers = num_layers
-        self.d_head = d_head
-        self.num_gpus = num_gpus
-        self.backend = backend
-
-    def request(self, batch: int = 1) -> AttentionRequest:
-        """This session's topology as a typed request."""
-        return AttentionRequest(
-            seq_len=self.seq_len,
-            num_heads=self.num_heads,
-            sparsity=self.sparsity,
-            scheme=self.scheme,
-            vector_length=self.vector_length,
-            num_layers=self.num_layers,
-            d_head=self.d_head,
-            num_gpus=self.num_gpus,
-            batch=batch,
-            backend=self.backend,
-        )
-
-    def submit_request(self, req: AttentionRequest) -> Future:
-        """Enqueue one typed request; resolves to a :class:`Response`.
-
-        The request's topology must match this prepared session — the
-        coalesced launch executes one topology, so serving a mismatch
-        would price the wrong forward pass.
-        """
-        request_id, trace = self.engine._begin_request(self.name, "attention")
-        # attention resolves at execute time (the coalesced launch owns
-        # one topology); the validation below is this op's plan stage
-        with trace.span("plan-resolution") as span:
-            req = normalize(req)
-            mine = self.request().topology
-            theirs = replace(
-                req, backend=req.backend if req.backend is not None else self.backend
-            ).topology
-        if trace:
-            span.set(backend=self.backend, device=self.engine.device)
+    def intake(self, session: Session, req: Request) -> Request:
+        mine = session.template.topology
+        theirs = replace(
+            req, backend=req.backend if req.backend is not None else session.backend
+        ).topology
         if theirs != mine:
             raise ConfigError(
-                f"session {self.name!r} serves topology {mine}, not "
+                f"session {session.name!r} serves topology {mine}, not "
                 f"{theirs}; use a different session name (or let the "
                 f"client key by topology)"
             )
-        key = ("attention", self.name)
-        return self.engine._enqueue(
-            self.name, key, {"batch": req.batch},
-            request_id=request_id, trace=trace,
-        )
+        return req
 
-    def submit(self, batch: int = 1) -> Future:
-        """Enqueue one forward-pass request of ``batch`` sequences."""
-        return self.submit_request(self.request(batch))
+    def group(self, req: Request, res: Resolution) -> tuple:
+        return ()
 
-    def submit_async(self, batch: int = 1) -> RequestHandle:
-        """Like :meth:`submit`, returning an awaitable ticketed handle."""
-        return self.engine._track(self.submit(batch=batch))
-
-    def run(self, batch: int = 1) -> Response:
-        return self.submit(batch=batch).result()
+    def launch(self, session: Session, items: Sequence[BatchItem]):
+        req, res = items[0].payload["request"], items[0].payload["resolution"]
+        rows = [item.payload["request"].batch for item in items]
+        r = _execute(session, res, req, batch=sum(rows))
+        return _split_rows(r, rows), res, r.time_s, 1
 
 
-class TransformerSession:
-    """A whole-model transformer request class served via planner routing.
+class _TransformerKind(_ModelledKind):
+    """Whole-model transformer: ``lra-classify`` riders concatenate their
+    ``ids`` rows into one planned forward (each gets its logits rows);
+    ``prefill`` / ``decode`` riders sum ``batch`` like attention."""
 
-    The prepared state is the seeded model + zoo mask (built once at
-    session creation, shared through the
-    :mod:`repro.transformer.serving` memo). ``lra-classify`` requests
-    coalesce by concatenating their ``ids`` rows into one planned
-    forward — every layer's SDDMM/SpMM launch is a plan-cache hit on
-    the session's (variant-priced) plan pair — and the ``prefill`` /
-    ``decode`` latency modes coalesce by summing batch dimensions,
-    like attention.
-    """
-
-    def __init__(
-        self,
-        engine: "Engine",
-        name: str,
-        mode: str = "lra-classify",
-        seq_len: int = 128,
-        d_model: int = 64,
-        num_heads: int = 2,
-        num_layers: int = 2,
-        d_ff: int = 128,
-        vocab: int = 16,
-        num_classes: int = 2,
-        mask_variant: str = "strided",
-        sparsity: float = 0.9,
-        scheme: tuple[int, int] = (16, 8),
-        seed: int = 0,
-        vector_length: int = 8,
-        backend: str = DEFAULT_BACKEND,
-    ) -> None:
+    def prepare(self, engine: "Engine", request: Request) -> tuple[Request, str]:
         # imported lazily: the transformer stack reaches
         # repro.serve.topology via the inference latency model
         from repro.transformer.serving import TransformerSpec, prepare_transformer
 
-        self.engine = engine
-        self.name = name
-        self.mode = mode
-        self.seq_len = seq_len
-        self.d_model = d_model
-        self.num_heads = num_heads
-        self.num_layers = num_layers
-        self.d_ff = d_ff
-        self.vocab = vocab
-        self.num_classes = num_classes
-        self.mask_variant = mask_variant
-        self.sparsity = sparsity
-        self.scheme = scheme
-        self.seed = seed
-        self.vector_length = vector_length
-        self.backend = backend
-        self.prepared = prepare_transformer(TransformerSpec(
-            seq_len=seq_len,
-            d_model=d_model,
-            num_heads=num_heads,
-            num_layers=num_layers,
-            d_ff=d_ff,
-            vocab=vocab,
-            num_classes=num_classes,
-            mask_variant=mask_variant,
-            sparsity=sparsity,
-            vector_length=vector_length,
-            seed=seed,
-        ))
+        template, backend = super().prepare(engine, request)
+        prepare_transformer(TransformerSpec.of(template))  # build it once
+        return template, backend
 
-    def request(
-        self, ids: np.ndarray | None = None, batch: int = 1
-    ) -> TransformerRequest:
-        """This session's topology as a typed request."""
-        return TransformerRequest(
-            mode=self.mode,
-            ids=ids,
-            seq_len=self.seq_len,
-            d_model=self.d_model,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            d_ff=self.d_ff,
-            vocab=self.vocab,
-            num_classes=self.num_classes,
-            mask_variant=self.mask_variant,
-            sparsity=self.sparsity,
-            scheme=self.scheme,
-            seed=self.seed,
-            vector_length=self.vector_length,
-            batch=batch,
-            backend=self.backend,
-        )
-
-    def submit_request(self, req: TransformerRequest) -> Future:
-        """Enqueue one typed request; resolves to a :class:`Response`.
-
-        The request's topology (mode, shape, mask variant, scheme,
-        seed) must match this prepared session — the coalesced forward
-        runs one model, so serving a mismatch would return the wrong
-        logits.
-        """
-        request_id, trace = self.engine._begin_request(self.name, "transformer")
-        with trace.span("plan-resolution") as span:
-            req = normalize(req)
-            mine = self.request().topology
-            theirs = replace(
-                req, backend=req.backend if req.backend is not None else self.backend
-            ).topology
-        if trace:
-            span.set(backend=self.backend, device=self.engine.device)
-        if theirs != mine:
-            raise ConfigError(
-                f"session {self.name!r} serves topology {mine}, not "
-                f"{theirs}; use a different session name (or let the "
-                f"client key by topology)"
-            )
-        if self.mode == "lra-classify" and req.ids is None:
+    def intake(self, session: Session, req: Request) -> Request:
+        req = super().intake(session, req)
+        if req.mode == "lra-classify" and req.ids is None:
             raise ConfigError(
                 "TransformerRequest.ids is required for an lra-classify "
                 "session"
             )
-        key = ("transformer", self.name)
-        return self.engine._enqueue(
-            self.name, key, {"ids": req.ids, "batch": req.batch},
-            request_id=request_id, trace=trace,
-        )
+        return req
 
-    def submit(
-        self, ids: np.ndarray | None = None, batch: int = 1
-    ) -> Future:
-        """Enqueue one forward (``ids``) or latency-model request."""
-        return self.submit_request(self.request(ids=ids, batch=batch))
+    def launch(self, session: Session, items: Sequence[BatchItem]):
+        from repro.transformer.serving import TransformerSpec, prepare_transformer
 
-    def submit_async(
-        self, ids: np.ndarray | None = None, batch: int = 1
-    ) -> RequestHandle:
-        """Like :meth:`submit`, returning an awaitable ticketed handle."""
-        return self.engine._track(self.submit(ids=ids, batch=batch))
+        req, res = items[0].payload["request"], items[0].payload["resolution"]
+        if req.mode != "lra-classify":
+            return super().launch(session, items)
+        ids_list = [item.payload["request"].ids for item in items]
+        r = _execute(session, res, req, ids=np.concatenate(ids_list, axis=0))
+        launches = prepare_transformer(
+            TransformerSpec.of(req)
+        ).launches_per_forward()
+        rows = [ids.shape[0] for ids in ids_list]
+        return _split_rows(r, rows), res, r.time_s, launches
 
-    def run(
-        self, ids: np.ndarray | None = None, batch: int = 1
-    ) -> Response:
-        return self.submit(ids=ids, batch=batch).result()
+
+#: how each request kind is served, keyed by ``request.op``
+_KINDS = {
+    "spmm": _SpmmKind(),
+    "sddmm": _SddmmKind(),
+    "attention": _ModelledKind(),
+    "transformer": _TransformerKind(),
+}
 
 
 class Engine:
@@ -553,13 +443,10 @@ class Engine:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.telemetry.bind_metrics(self.metrics)
         self.planner.cache.bind_metrics(self.metrics)
-        #: monotonic request ids (also the ticket ids `submit` hands out)
+        #: monotonic request ids (also the ticket ids `submit_async` hands out)
         self._request_ids = itertools.count(1)
         self._batch_ids = itertools.count(1)
-        self._sessions: dict[
-            str,
-            SpmmSession | SddmmSession | AttentionSession | TransformerSession,
-        ] = {}
+        self._sessions: dict[str, Session] = {}
         self._batcher = MicroBatcher(
             self._execute_batch, policy=policy, max_workers=max_workers,
             profiler=self.profiler,
@@ -593,170 +480,20 @@ class Engine:
         return self._closed
 
     # -- session management --------------------------------------------
-    def _make_spmm_session(
-        self,
-        name: str,
-        weights: "np.ndarray | SparseMatrix",
-        vector_length: int = 8,
-        objective: Objective | None = None,
-        backend: str | None = None,
-    ) -> SpmmSession:
-        """Prepare a sparse operand once and serve SpMM against it."""
-        self._check_name(name)
-        resolved = resolve_backend(
-            backend if backend is not None else self.backend,
-            op="spmm",
-            device=self._device,
-        ).name
-        if not isinstance(weights, SparseMatrix):
-            weights = SparseMatrix.from_dense(
-                np.asarray(weights), vector_length=vector_length
-            )
-        session = SpmmSession(
-            self, name, weights,
-            objective if objective is not None else Objective.latency(),
-            backend=resolved,
-        )
-        self._sessions[name] = session
-        return session
-
-    def _make_sddmm_session(
-        self,
-        name: str,
-        mask: "np.ndarray | SparseMatrix | BCRSMatrix",
-        vector_length: int = 8,
-        objective: Objective | None = None,
-        backend: str | None = None,
-    ) -> SddmmSession:
-        """Prepare a sparse topology once and serve SDDMM against it."""
-        self._check_name(name)
-        resolved = resolve_backend(
-            backend if backend is not None else self.backend,
-            op="sddmm",
-            device=self._device,
-        ).name
-        if isinstance(mask, np.ndarray):
-            mask = SparseMatrix.from_dense(mask, vector_length=vector_length)
-        session = SddmmSession(
-            self, name, mask,
-            objective if objective is not None else Objective.latency(),
-            backend=resolved,
-        )
-        self._sessions[name] = session
-        return session
-
-    def _make_attention_session(
-        self, name: str, seq_len: int, **kwargs
-    ) -> AttentionSession:
-        """Prepare an attention-block latency session.
-
-        The attention path models the paper's quantized Magicube
-        pipeline, so its plans must come from a Magicube-family
-        backend; the default inherits the engine's backend when that is
-        one, else :data:`~repro.runtime.DEFAULT_BACKEND`. Validation
-        runs through the shared resolution pipeline.
-        """
-        self._check_name(name)
-        probe = resolve_request(
-            AttentionRequest(
-                seq_len=seq_len,
-                num_heads=kwargs.get("num_heads", 4),
-                num_gpus=kwargs.get("num_gpus", 1),
-                backend=kwargs.get("backend"),
-            ),
-            device=self._device,
-            backend=self.backend,
-        )
-        kwargs["backend"] = probe.backend
-        session = AttentionSession(self, name, seq_len, **kwargs)
-        self._sessions[name] = session
-        return session
-
-    def _make_transformer_session(
-        self, name: str, **kwargs
-    ) -> TransformerSession:
-        """Prepare a whole-model transformer session.
-
-        The model + zoo mask are built once here (and memoized across
-        sessions with the same spec); the backend must be a
-        Magicube-family one — validation runs through the shared
-        resolution pipeline, exactly like attention.
-        """
-        self._check_name(name)
-        probe = resolve_request(
-            TransformerRequest(
-                mode=kwargs.get("mode", "lra-classify"),
-                seq_len=kwargs.get("seq_len", 128),
-                mask_variant=kwargs.get("mask_variant", "strided"),
-                backend=kwargs.get("backend"),
-            ),
-            device=self._device,
-            backend=self.backend,
-        )
-        kwargs["backend"] = probe.backend
-        session = TransformerSession(self, name, **kwargs)
-        self._sessions[name] = session
-        return session
-
-    def spmm_session(
-        self,
-        name: str,
-        weights: "np.ndarray | SparseMatrix",
-        vector_length: int = 8,
-        objective: Objective | None = None,
-        backend: str | None = None,
-    ) -> SpmmSession:
-        """Prepare a sparse operand once and serve SpMM against it.
-
-        .. deprecated:: v1
-            Open a client with ``repro.open_engine(...)`` and submit
-            ``repro.api.SpmmRequest(lhs=..., rhs=..., session=name)``;
-            the client prepares and reuses the session for you.
-        """
-        warnings.warn(
-            "Engine.spmm_session(...) is deprecated; use "
-            "repro.open_engine(...) and submit "
-            "repro.api.SpmmRequest(lhs=..., rhs=..., session=...) instead "
-            "(see docs/api.md for the migration table)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._make_spmm_session(
-            name, weights, vector_length=vector_length,
-            objective=objective, backend=backend,
-        )
-
-    def attention_session(self, name: str, seq_len: int, **kwargs) -> AttentionSession:
-        """Prepare an attention-block latency session.
-
-        .. deprecated:: v1
-            Open a client with ``repro.open_engine(...)`` and submit
-            ``repro.api.AttentionRequest(seq_len=..., session=name)``;
-            the client prepares and reuses the session for you.
-        """
-        warnings.warn(
-            "Engine.attention_session(...) is deprecated; use "
-            "repro.open_engine(...) and submit "
-            "repro.api.AttentionRequest(seq_len=..., session=...) instead "
-            "(see docs/api.md for the migration table)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._make_attention_session(name, seq_len, **kwargs)
-
-    def session(
-        self, name: str
-    ) -> "SpmmSession | SddmmSession | AttentionSession | TransformerSession":
-        return self._sessions[name]
-
-    def _check_name(self, name: str) -> None:
+    def _open_session(self, name: str, request: Request) -> Session:
+        """Prepare ``request``'s class once (operand conversion, backend
+        pinning, model build) and serve it as session ``name``."""
         if name in self._sessions:
             raise ConfigError(f"session {name!r} already exists")
+        request = replace(request, **dict.fromkeys(request.payload_fields))
+        template, backend = _KINDS[request.op].prepare(self, request)
+        session = self._sessions[name] = Session(self, name, template, backend)
+        return session
 
     # -- request intake -------------------------------------------------
     def _begin_request(self, session: str, op: str):
         """Assign the next request id and open its trace (the id is
-        also the ticket id ``submit`` hands out, so a trace, a log line
+        also the ticket id ``submit_async`` hands out, so a trace, a log line
         and a redeemable ticket all name the same request)."""
         request_id = next(self._request_ids)
         return request_id, self.tracer.request(
@@ -764,12 +501,7 @@ class Engine:
         )
 
     def _enqueue(
-        self,
-        session: str,
-        key: tuple,
-        payload: dict,
-        request_id: int | None = None,
-        trace=None,
+        self, session: str, key: tuple, payload: dict, request_id: int, trace
     ) -> Future:
         """Submit to the micro-batcher, accounting admission rejections."""
         if self._closed:
@@ -790,11 +522,9 @@ class Engine:
                 span.set(rejected=True).end()
                 self.tracer.finish(trace)
             self.telemetry.record_rejection(session)
-            if request_id is not None:
-                # name the shed request so rejection logs line up with
-                # traces and the per-session rejection counters
-                raise AdmissionError(f"request #{request_id}: {exc}") from exc
-            raise
+            # name the shed request so rejection logs line up with
+            # traces and the per-session rejection counters
+            raise AdmissionError(f"request #{request_id}: {exc}") from exc
         if span is not None:
             span.end()
         self.metrics.gauge(
@@ -805,12 +535,8 @@ class Engine:
 
     # -- ticketed client API -------------------------------------------
     def _track(self, future: Future) -> RequestHandle:
-        request_id = getattr(future, "_repro_request_id", None)
-        if request_id is not None:
-            # the ticket id IS the engine's request id
-            handle = RequestHandle(request_id, future)
-        else:
-            handle = self._batcher.wrap(future)
+        # the ticket id IS the engine's request id
+        handle = RequestHandle(future._repro_request_id, future)
         with self._inflight_lock:
             self._inflight[handle.id] = handle
         future.add_done_callback(
@@ -828,25 +554,10 @@ class Engine:
                 evicted = self._completed_ids.popleft()
                 self._inflight.pop(evicted, None)
 
-    def submit(self, session: str, *args, **kwargs) -> RequestHandle:
-        """Enqueue one request on a named session; returns its ticket.
-
-        The ticket is an awaitable :class:`RequestHandle`; redeem it
-        with :meth:`result` (also accepted by integer id), ``await`` it
-        from asyncio code, or poll ``handle.done()``. Raises
-        :class:`~repro.errors.EngineClosedError` once :meth:`close`
-        has run.
-        """
-        if self._closed:
-            raise EngineClosedError(
-                f"engine is closed; submit({session!r}, ...) refused"
-            )
-        return self._sessions[session].submit_async(*args, **kwargs)
-
     def result(
         self, request: "RequestHandle | int", timeout: float | None = None
     ) -> Response:
-        """Redeem a ticket from :meth:`submit`; blocks until resolved.
+        """Redeem a ticket from ``submit_async``; blocks until resolved.
 
         Tickets that resolved before :meth:`close` stay redeemable;
         unknown tickets raise
@@ -957,252 +668,37 @@ class Engine:
     def _execute_batch(
         self, key: tuple, items: Sequence[BatchItem]
     ) -> list[Response]:
-        kind, name = key[0], key[1]
-        session = self._sessions[name]
-        if kind == "spmm":
-            return self._execute_spmm(session, items)
-        if kind == "sddmm":
-            return self._execute_sddmm(session, items)
-        if kind == "attention":
-            return self._execute_attention(session, items)
-        if kind == "transformer":
-            return self._execute_transformer(session, items)
-        raise ConfigError(f"unknown request kind {kind!r}")
-
-    def _execute_spmm(
-        self, session: SpmmSession, items: Sequence[BatchItem]
-    ) -> list[Response]:
-        req: SpmmRequest = items[0].payload["request"]
-        res: Resolution = items[0].payload["resolution"]
-        widths = [item.payload["request"].rhs.shape[1] for item in items]
-        rhs = np.concatenate(
-            [item.payload["request"].rhs for item in items], axis=1
-        )
-        if len(items) > 1 and res.plan is not None:
-            # the request-level plan fixed the precision; re-tune the
-            # tile knobs for the width the coalesced launch actually has
-            # (also memoized, keyed by the realized batch width)
-            res = session._resolve(
-                replace(
-                    req,
-                    rhs=rhs,
-                    precision=None,
-                    objective=Objective.fixed(res.plan.l_bits, res.plan.r_bits),
-                    l_bits=res.plan.l_bits,
-                    r_bits=res.plan.r_bits,
-                )
-            )
+        """Run one coalesced batch of a session's riders: the session's
+        kind launches it, then one telemetry record for the batch and
+        one closed-out :class:`Response` per rider."""
+        session = self._sessions[key[0]]
         t0 = time.perf_counter()
-        r = execute_resolution(
-            res, req, rhs=rhs, metrics=self.metrics, profiler=self.profiler
-        )
+        parts, res, modelled_s, launches = session.kind.launch(session, items)
         wall_s = time.perf_counter() - t0
         batch_id = next(self._batch_ids)
+        plan_key = parts[0].plan.key if parts[0].plan is not None else None
         self.telemetry.record_batch(
-            session.name, "spmm", r.time_s, [i.queue_wait_s for i in items],
+            session.name, session.op, modelled_s,
+            [i.queue_wait_s for i in items],
             backend=res.backend, device=res.device_label,
-            plan_key=res.plan.key if res.plan is not None else None,
+            plan_key=plan_key,
             predicted_time_s=(
                 res.plan.predicted_time_s if res.plan is not None else None
             ),
             shards=res.plan.shards if res.plan is not None else 1,
-            wall_time_s=wall_s,
-        )
-        offsets = np.concatenate([[0], np.cumsum(widths)])
-        share = r.time_s / len(items)
-        responses = []
-        for i, item in enumerate(items):
-            request_id, trace = self._finalize_item(
-                item, wall_s=wall_s, modelled_s=r.time_s,
-                batch_id=batch_id, batch_size=len(items),
-                plan_key=res.plan.key if res.plan is not None else None,
-                backend=res.backend, device=res.device_label,
-            )
-            responses.append(Response(
-                output=r.output[:, offsets[i]: offsets[i + 1]],
-                time_s=r.time_s,
-                tops=r.tops,
-                stats=r.stats,
-                plan=res.plan,
-                backend=res.backend,
-                device=res.device_label,
-                precision=res.precision,
-                request_time_s=share,
-                queue_wait_s=item.queue_wait_s,
-                batch_size=len(items),
-                request_id=request_id,
-                trace=trace,
-            ))
-        return responses
-
-    def _execute_sddmm(
-        self, session: SddmmSession, items: Sequence[BatchItem]
-    ) -> list[Response]:
-        # sampled products carry their own dense operands; execute
-        # item-by-item under one dispatch (shared telemetry group)
-        batch_id = next(self._batch_ids)
-        t0 = time.perf_counter()
-        results = []
-        for item in items:
-            req: SddmmRequest = item.payload["request"]
-            res: Resolution = item.payload["resolution"]
-            item_t0 = time.perf_counter()
-            r = execute_resolution(
-                res, req, metrics=self.metrics, profiler=self.profiler
-            )
-            request_id, trace = self._finalize_item(
-                item, wall_s=time.perf_counter() - item_t0,
-                modelled_s=r.time_s, batch_id=batch_id,
-                batch_size=len(items),
-                plan_key=res.plan.key if res.plan is not None else None,
-                backend=res.backend, device=res.device_label,
-            )
-            results.append(
-                Response(
-                    output=r.output,
-                    time_s=r.time_s,
-                    tops=r.tops,
-                    stats=r.stats,
-                    plan=res.plan,
-                    backend=res.backend,
-                    device=res.device_label,
-                    precision=res.precision,
-                    queue_wait_s=item.queue_wait_s,
-                    batch_size=len(items),
-                    request_id=request_id,
-                    trace=trace,
-                )
-            )
-        res0: Resolution = items[0].payload["resolution"]
-        self.telemetry.record_batch(
-            session.name, "sddmm", sum(r.time_s for r in results),
-            [i.queue_wait_s for i in items],
-            backend=res0.backend, device=res0.device_label,
-            plan_key=res0.plan.key if res0.plan is not None else None,
-            predicted_time_s=(
-                res0.plan.predicted_time_s if res0.plan is not None else None
-            ),
-            shards=res0.plan.shards if res0.plan is not None else 1,
-            launches=len(items),  # sampled products execute item-by-item
-            wall_time_s=time.perf_counter() - t0,
-        )
-        return results
-
-    def _execute_attention(
-        self, session: AttentionSession, items: Sequence[BatchItem]
-    ) -> list[Response]:
-        batches = [item.payload["batch"] for item in items]
-        total = sum(batches)
-        req = session.request(batch=total)
-        t0 = time.perf_counter()
-        res = resolve_request(req, device=self._device, backend=session.backend)
-        r = execute_resolution(
-            res, req, batch=total, planner=self.planner, metrics=self.metrics,
-            profiler=self.profiler,
-        )
-        wall_s = time.perf_counter() - t0
-        batch_id = next(self._batch_ids)
-        self.telemetry.record_batch(
-            session.name, "attention", r.time_s,
-            [i.queue_wait_s for i in items],
-            backend=session.backend, device=self.device,
-            wall_time_s=wall_s,
-        )
-        responses = []
-        for b, item in zip(batches, items):
-            request_id, trace = self._finalize_item(
-                item, wall_s=wall_s, modelled_s=r.time_s,
-                batch_id=batch_id, batch_size=len(items),
-                backend=res.backend, device=res.device_label,
-            )
-            responses.append(Response(
-                output=None,
-                time_s=r.time_s,
-                stats=r.stats,
-                backend=res.backend,
-                device=res.device_label,
-                precision=res.precision,
-                request_time_s=r.time_s * b / total,
-                queue_wait_s=item.queue_wait_s,
-                batch_size=len(items),
-                request_id=request_id,
-                trace=trace,
-            ))
-        return responses
-
-    def _execute_transformer(
-        self, session: TransformerSession, items: Sequence[BatchItem]
-    ) -> list[Response]:
-        t0 = time.perf_counter()
-        if session.mode == "lra-classify":
-            ids_list = [item.payload["ids"] for item in items]
-            rows = [a.shape[0] for a in ids_list]
-            ids = np.concatenate(ids_list, axis=0)
-            total = int(ids.shape[0])
-            req = session.request(ids=ids)
-            res = resolve_request(
-                req, device=self._device, backend=session.backend
-            )
-            r = execute_resolution(
-                res, req, ids=ids, planner=self.planner,
-                metrics=self.metrics, profiler=self.profiler,
-            )
-        else:
-            rows = [item.payload["batch"] for item in items]
-            total = sum(rows)
-            req = session.request(batch=total)
-            res = resolve_request(
-                req, device=self._device, backend=session.backend
-            )
-            r = execute_resolution(
-                res, req, batch=total, planner=self.planner,
-                metrics=self.metrics, profiler=self.profiler,
-            )
-        wall_s = time.perf_counter() - t0
-        batch_id = next(self._batch_ids)
-        plan_key = r.plan.key if r.plan is not None else None
-        launches = (
-            session.prepared.launches_per_forward()
-            if session.mode == "lra-classify"
-            else 1
-        )
-        self.telemetry.record_batch(
-            session.name, "transformer", r.time_s,
-            [i.queue_wait_s for i in items],
-            backend=res.backend, device=res.device_label,
-            plan_key=plan_key,
             launches=launches,
             wall_time_s=wall_s,
         )
-        offsets = np.concatenate([[0], np.cumsum(rows)])
-        responses = []
-        for i, item in enumerate(items):
-            request_id, trace = self._finalize_item(
-                item, wall_s=wall_s, modelled_s=r.time_s,
+        for part, item in zip(parts, items):
+            part.request_id, part.trace = self._finalize_item(
+                item, wall_s=wall_s, modelled_s=part.time_s,
                 batch_id=batch_id, batch_size=len(items),
-                plan_key=plan_key,
+                plan_key=part.plan.key if part.plan is not None else None,
                 backend=res.backend, device=res.device_label,
             )
-            output = (
-                r.output[offsets[i]: offsets[i + 1]]
-                if r.output is not None
-                else None
-            )
-            responses.append(Response(
-                output=output,
-                time_s=r.time_s,
-                stats=r.stats,
-                plan=r.plan,
-                backend=res.backend,
-                device=res.device_label,
-                precision=res.precision,
-                request_time_s=r.time_s * rows[i] / total,
-                queue_wait_s=item.queue_wait_s,
-                batch_size=len(items),
-                request_id=request_id,
-                trace=trace,
-            ))
-        return responses
+            part.queue_wait_s = item.queue_wait_s
+            part.batch_size = len(items)
+        return parts
 
     # -- reporting ------------------------------------------------------
     def summary(self) -> dict:

@@ -21,7 +21,7 @@ what the planner priced.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,6 +59,11 @@ class TransformerSpec:
     sparsity: float = 0.9
     vector_length: int = 8
     seed: int = 0
+
+    @classmethod
+    def of(cls, request) -> "TransformerSpec":
+        """The spec a :class:`~repro.api.TransformerRequest` serves."""
+        return cls(**{f.name: getattr(request, f.name) for f in fields(cls)})
 
     def model_config(self) -> TransformerConfig:
         return TransformerConfig(

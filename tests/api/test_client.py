@@ -143,12 +143,6 @@ class TestSessions:
             with pytest.raises(ConfigError, match="different mask"):
                 client.run(api.SddmmRequest(a=a, b=b, mask=other, session="s"))
 
-    def test_named_attention_session_rejects_topology_mismatch(self):
-        with repro.open_engine() as client:
-            client.run(api.AttentionRequest(seq_len=256, session="a"))
-            with pytest.raises(ConfigError, match="serves topology"):
-                client.run(api.AttentionRequest(seq_len=512, session="a"))
-
     def test_mixed_backends_never_coalesce(self, matrix, rhs):
         with repro.open_engine(
             policy=BatchPolicy(max_batch_size=8, max_wait_s=60.0)
@@ -227,10 +221,10 @@ class TestClose:
 
     def test_engine_submit_after_close_is_typed(self, matrix, rhs):
         client = repro.open_engine()
-        client.prepare(api.SpmmRequest(lhs=matrix, session="w"))
+        session = client.prepare(api.SpmmRequest(lhs=matrix, session="w"))
         client.close()
         with pytest.raises(EngineClosedError):
-            client.engine.submit("w", rhs)
+            session.submit_async(api.SpmmRequest(lhs=matrix, rhs=rhs))
 
     def test_unknown_ticket_after_close_is_typed(self):
         client = repro.open_engine()

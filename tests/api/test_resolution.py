@@ -249,28 +249,12 @@ class TestRun:
         assert r.output is None
         assert r.time_s > 0
         assert r.stats is not None and r.stats.total_s == r.time_s
-        assert r.detail is r.stats  # pre-v1 spelling
 
     def test_device_steers_cost(self, rng, matrix):
         rhs = rng.integers(-128, 128, size=(64, 16))
         t_a100 = api.run(api.SpmmRequest(lhs=matrix, rhs=rhs), device="A100").time_s
         t_h100 = api.run(api.SpmmRequest(lhs=matrix, rhs=rhs), device="H100").time_s
         assert t_h100 < t_a100
-
-
-class TestResponseCompat:
-    def test_alias_properties(self):
-        r = api.Response(output=None, time_s=0.5, stats="detail")
-        assert r.modelled_time_s == 0.5
-        assert r.detail == "detail"
-        assert r.request_time_s == 0.5
-
-    def test_supersedes_old_names(self):
-        from repro import OpResult
-        from repro.serve import ServeResult
-
-        assert OpResult is api.Response
-        assert ServeResult is api.Response
 
 
 class TestBitsRequired:

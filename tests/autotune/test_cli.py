@@ -112,9 +112,11 @@ class TestWatch:
         weights = make_structured_sparse(rng, 512, 512, 8, 0.9, bits=8)
         path = tmp_path / "telemetry.json"
         with api.open_engine(device="A100") as client:
-            session = client.prepare(api.SpmmRequest(lhs=weights, session="ffn"))
             for n in widths:
-                session.run(rng.integers(-128, 128, size=(512, n)))
+                client.run(api.SpmmRequest(
+                    lhs=weights, rhs=rng.integers(-128, 128, size=(512, n)),
+                    session="ffn",
+                ))
             client.telemetry.snapshot().save(path)
         return path
 

@@ -41,7 +41,10 @@ def serve_widths(client, weights, widths, per=2):
     rng = np.random.default_rng(1)
     for n in widths:
         for _ in range(per):
-            session.run(rng.integers(-128, 128, size=(512, n)))
+            client.run(api.SpmmRequest(
+                lhs=weights, rhs=rng.integers(-128, 128, size=(512, n)),
+                session="ffn",
+            ))
     return session
 
 

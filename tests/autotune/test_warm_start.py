@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import SparseMatrix, api
 from repro.autotune import ArtifactManifest, SweepConfig, run_sweep, write_artifact
-from repro.core.api import SparseMatrix
-from repro.serve.engine import Engine
-from repro.serve.planner import ExecutionPlanner, Objective
-
-pytestmark = [
-    pytest.mark.legacy,
-    pytest.mark.filterwarnings("ignore::DeprecationWarning"),
-]
+from repro.serve.planner import ExecutionPlanner
 
 WIDTHS = (16, 32)
 
@@ -27,8 +21,8 @@ def weights() -> SparseMatrix:
 @pytest.fixture(scope="module")
 def artifact(tmp_path_factory, weights):
     """Sweep exactly the request classes the engine tests will send."""
-    with Engine(device="A100") as probe:
-        session = probe.spmm_session("probe", weights, vector_length=8)
+    with api.open_engine(device="A100") as probe:
+        session = probe.prepare(api.SpmmRequest(lhs=weights, session="probe"))
         weight_bits = session.weight_bits
     config = SweepConfig(
         ops=("spmm",),
@@ -57,43 +51,43 @@ class TestPlannerWarmStart:
 class TestEngineWarmStart:
     def test_first_contact_hit_rate_at_least_half(self, artifact, weights):
         """The ISSUE acceptance gate: >=50% hits on first contact."""
-        with Engine(device="A100", warm_start=artifact) as engine:
-            session = engine.spmm_session("ffn", weights, vector_length=8)
-            engine.planner.cache.reset_counters()
+        with api.open_engine(device="A100", warm_start=artifact) as client:
+            session = client.prepare(api.SpmmRequest(lhs=weights, session="ffn"))
+            client.planner.cache.reset_counters()
             for n in WIDTHS:
                 session.plan_for(n, 8)
-            stats = engine.planner.cache.stats()
+            stats = client.planner.cache.stats()
         assert stats["hits"] + stats["misses"] == len(WIDTHS)
         assert stats["hit_rate"] >= 0.5
         # in fact every swept class hits
         assert stats["hit_rate"] == 1.0
 
     def test_cold_engine_misses_the_same_classes(self, weights):
-        with Engine(device="A100") as engine:
-            session = engine.spmm_session("ffn", weights, vector_length=8)
-            engine.planner.cache.reset_counters()
+        with api.open_engine(device="A100") as client:
+            session = client.prepare(api.SpmmRequest(lhs=weights, session="ffn"))
+            client.planner.cache.reset_counters()
             for n in WIDTHS:
                 session.plan_for(n, 8)
-            stats = engine.planner.cache.stats()
+            stats = client.planner.cache.stats()
         assert stats["hit_rate"] == 0.0
 
     def test_warm_served_output_matches_direct_path(self, artifact, weights):
         """Warm-start plans serve bit-identical outputs."""
-        from repro.core.api import spmm as direct_spmm
-
         rng = np.random.default_rng(3)
         rhs = rng.integers(-128, 128, size=(64, WIDTHS[0]))
-        with Engine(device="A100", warm_start=artifact) as engine:
-            session = engine.spmm_session("ffn", weights, vector_length=8)
-            served = session.run(rhs, r_bits=8)
-        direct = direct_spmm(
-            weights, rhs, precision=served.plan.precision, device="A100"
+        with api.open_engine(device="A100", warm_start=artifact) as client:
+            served = client.run(
+                api.SpmmRequest(lhs=weights, rhs=rhs, r_bits=8, session="ffn")
+            )
+        direct = api.run(
+            api.SpmmRequest(lhs=weights, rhs=rhs, precision=served.plan.precision),
+            device="A100",
         )
         assert np.array_equal(served.output, direct.output)
 
     def test_unswept_class_still_plans(self, artifact, weights):
         """Warm start never blocks classes outside the sweep grid."""
-        with Engine(device="A100", warm_start=artifact) as engine:
-            session = engine.spmm_session("ffn", weights, vector_length=8)
+        with api.open_engine(device="A100", warm_start=artifact) as client:
+            session = client.prepare(api.SpmmRequest(lhs=weights, session="ffn"))
             plan = session.plan_for(48, 8)  # width not in the sweep
         assert plan.predicted_time_s > 0

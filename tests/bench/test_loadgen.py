@@ -85,15 +85,7 @@ def replay_artifacts(tmp_path_factory):
     """One small end-to-end replay shared by the artifact tests."""
     tmp = tmp_path_factory.mktemp("replay")
     config = ReplayConfig(requests=24, arrival="uniform", rate_rps=2000.0, seed=3)
-    report = run_replay(
-        config,
-        out=tmp / "BENCH_serve.json",
-        metrics_out=tmp / "BENCH_serve.metrics.json",
-        trace_out=tmp / "BENCH_serve.trace.jsonl",
-        health_out=tmp / "BENCH_serve.health.json",
-        profile_out=tmp / "BENCH_serve.profile.json",
-        folded_out=tmp / "BENCH_serve.folded.txt",
-    )
+    report = run_replay(config, out=tmp / "BENCH_serve.json")
     return tmp, report
 
 
@@ -121,7 +113,7 @@ class TestRunReplay:
     def test_bench_cli_backend_flag(self, tmp_path, monkeypatch):
         from repro.bench.cli import main as bench_main
 
-        monkeypatch.chdir(tmp_path)  # side artifacts land in the cwd
+        monkeypatch.chdir(tmp_path)
         assert bench_main([
             "serve", "--replay", "--requests", "6", "--arrival", "uniform",
             "--rate", "2000", "--mix", "spmm=1", "--backend",
@@ -129,6 +121,25 @@ class TestRunReplay:
         ]) == 0
         report = json.loads((tmp_path / "b.json").read_text())
         assert report["config"]["backend"] == "magicube-emulation"
+
+    def test_cli_side_artifacts_follow_out(self, tmp_path, monkeypatch):
+        """``--out <dir>/r.json`` puts all six artifacts under ``<dir>``
+        and none in the working directory."""
+        from repro.bench.cli import main as bench_main
+
+        cwd, target = tmp_path / "cwd", tmp_path / "target"
+        cwd.mkdir()
+        target.mkdir()
+        monkeypatch.chdir(cwd)
+        assert bench_main([
+            "serve", "--replay", "--requests", "6", "--arrival", "uniform",
+            "--rate", "2000", "--mix", "spmm=1", "--out", str(target / "r.json"),
+        ]) == 0
+        assert sorted(p.name for p in target.iterdir()) == [
+            "r.folded.txt", "r.health.json", "r.json", "r.metrics.json",
+            "r.profile.json", "r.trace.jsonl",
+        ]
+        assert list(cwd.iterdir()) == []
 
     def test_artifacts_written_and_loadable(self, replay_artifacts):
         tmp, report = replay_artifacts

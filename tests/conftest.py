@@ -7,12 +7,9 @@ import pytest
 
 
 def pytest_configure(config: pytest.Config) -> None:
-    config.addinivalue_line(
-        "markers",
-        "legacy: exercises deprecated pre-v1 API surfaces (kwarg spmm/sddmm, "
-        "Engine.*_session, old CLI entry points); excluded from the "
-        "-W error::DeprecationWarning CI run",
-    )
+    # no code path may lean on a deprecated surface: every tier-1 run
+    # turns a DeprecationWarning into a test failure
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
 
 
 def make_structured_sparse(

@@ -1,4 +1,5 @@
-"""Tests for the pre-v1 kwarg API facade (now deprecation shims)."""
+"""Core operands and precisions, and one-shot SpMM / SDDMM calls
+through the typed ``repro.api.run`` surface."""
 
 import numpy as np
 import pytest
@@ -8,19 +9,12 @@ from repro import (
     PrecisionError,
     ShapeError,
     SparseMatrix,
+    api,
     parse_precision,
-    sddmm,
-    spmm,
     supported_precisions,
 )
 from repro.formats import dense_to_bcrs
 from tests.conftest import make_structured_sparse
-
-
-pytestmark = [
-    pytest.mark.legacy,
-    pytest.mark.filterwarnings("ignore::DeprecationWarning"),
-]
 
 
 class TestPrecisionParsing:
@@ -84,7 +78,7 @@ class TestSpmmApi:
         d = make_structured_sparse(rng, 32, 64, 8, 0.7)
         a = SparseMatrix.from_dense(d, 8)
         rhs = rng.integers(-128, 128, size=(64, 32))
-        r = spmm(a, rhs, precision="L8-R8")
+        r = api.run(api.SpmmRequest(lhs=a, rhs=rhs, precision="L8-R8"))
         np.testing.assert_array_equal(r.output, d.astype(np.int64) @ rhs)
         assert r.time_s > 0
         assert r.tops > 0
@@ -93,21 +87,24 @@ class TestSpmmApi:
         d = make_structured_sparse(rng, 16, 64, 8, 0.5, bits=4)
         a = SparseMatrix.from_dense(d, 8, precision="L8-R8")  # stride 16
         rhs = rng.integers(-8, 8, size=(64, 16))
-        r = spmm(a, rhs, precision="L4-R4")  # needs stride 32: restrides
+        # L4-R4 needs stride 32: restrides
+        r = api.run(api.SpmmRequest(lhs=a, rhs=rhs, precision="L4-R4"))
         np.testing.assert_array_equal(r.output, d.astype(np.int64) @ rhs)
 
     def test_dequant_scale(self, rng):
         d = make_structured_sparse(rng, 16, 32, 8, 0.5)
         a = SparseMatrix.from_dense(d, 8)
         rhs = rng.integers(-128, 128, size=(32, 16))
-        r = spmm(a, rhs, scale=0.5)
+        r = api.run(api.SpmmRequest(lhs=a, rhs=rhs, scale=0.5))
         np.testing.assert_allclose(r.output, (d.astype(np.int64) @ rhs) * 0.5)
 
     def test_ablation_knobs_accepted(self, rng):
         d = make_structured_sparse(rng, 16, 32, 8, 0.5)
         a = SparseMatrix.from_dense(d, 8)
         rhs = rng.integers(-128, 128, size=(32, 16))
-        r = spmm(a, rhs, conflict_free=False, prefetch=False)
+        r = api.run(api.SpmmRequest(
+            lhs=a, rhs=rhs, knobs={"conflict_free": False, "prefetch": False}
+        ))
         assert r.stats.notes["variant"] == "basic"
 
 
@@ -117,7 +114,7 @@ class TestSddmmApi:
         mask = SparseMatrix.from_dense(mask_d, 8)
         a = rng.integers(-128, 128, size=(16, 64))
         b = rng.integers(-128, 128, size=(64, 32))
-        r = sddmm(a, b, mask, precision="L8-R8")
+        r = api.run(api.SddmmRequest(a=a, b=b, mask=mask, precision="L8-R8"))
         full = a.astype(np.int64) @ b
         got = r.output.to_dense()
         keep = got != 0
@@ -125,19 +122,20 @@ class TestSddmmApi:
 
     def test_mask_type_check(self, rng):
         with pytest.raises(ShapeError):
-            sddmm(
-                np.zeros((8, 16), dtype=np.int64),
-                np.zeros((16, 8), dtype=np.int64),
+            api.run(api.SddmmRequest(
+                a=np.zeros((8, 16), dtype=np.int64),
+                b=np.zeros((16, 8), dtype=np.int64),
                 mask=np.zeros((8, 8)),
-            )
+            ))
 
     def test_device_selection(self, rng):
         mask_d = (make_structured_sparse(rng, 16, 32, 8, 0.5) != 0).astype(np.int32)
         mask = SparseMatrix.from_dense(mask_d, 8)
         a = rng.integers(-128, 128, size=(16, 64))
         b = rng.integers(-128, 128, size=(64, 32))
-        t_a100 = sddmm(a, b, mask, device="A100").time_s
-        t_h100 = sddmm(a, b, mask, device="H100").time_s
+        request = api.SddmmRequest(a=a, b=b, mask=mask)
+        t_a100 = api.run(request, device="A100").time_s
+        t_h100 = api.run(request, device="H100").time_s
         assert t_h100 < t_a100  # H100: more SMs, higher bandwidth
 
 
@@ -156,8 +154,10 @@ class TestPlanInjection:
         d = make_structured_sparse(rng, 32, 64, 8, 0.7)
         a = SparseMatrix.from_dense(d, 8)
         rhs = rng.integers(-128, 128, size=(64, 32))
-        by_name = spmm(a, rhs, precision="L8-R8")
-        by_config = spmm(a, rhs, config=SpMMConfig(l_bits=8, r_bits=8))
+        by_name = api.run(api.SpmmRequest(lhs=a, rhs=rhs, precision="L8-R8"))
+        by_config = api.run(
+            api.SpmmRequest(lhs=a, rhs=rhs, config=SpMMConfig(l_bits=8, r_bits=8))
+        )
         np.testing.assert_array_equal(by_config.output, by_name.output)
         assert by_config.time_s == by_name.time_s
 
@@ -169,11 +169,17 @@ class TestPlanInjection:
         a = SparseMatrix.from_dense(d, 8)
         rhs = rng.integers(-128, 128, size=(32, 16))
         with pytest.raises(ConfigError):
-            spmm(a, rhs, config=SpMMConfig(), bsn=32)
+            api.run(api.SpmmRequest(
+                lhs=a, rhs=rhs, config=SpMMConfig(), knobs={"bsn": 32}
+            ))
         with pytest.raises(ConfigError):
-            spmm(a, rhs, precision="L8-R8", config=SpMMConfig())
+            api.run(api.SpmmRequest(
+                lhs=a, rhs=rhs, precision="L8-R8", config=SpMMConfig()
+            ))
         with pytest.raises(ConfigError):
-            spmm(a, rhs, l_signed=False, config=SpMMConfig())
+            api.run(api.SpmmRequest(
+                lhs=a, rhs=rhs, l_signed=False, config=SpMMConfig()
+            ))
 
     def test_sddmm_config_and_named_params_conflict(self, rng):
         from repro.errors import ConfigError
@@ -184,9 +190,13 @@ class TestPlanInjection:
         a = rng.integers(-128, 128, size=(16, 64))
         b = rng.integers(-128, 128, size=(64, 32))
         with pytest.raises(ConfigError):
-            sddmm(a, b, mask, output_format="srbcrs", config=SDDMMConfig())
+            api.run(api.SddmmRequest(
+                a=a, b=b, mask=mask, output_format="srbcrs", config=SDDMMConfig()
+            ))
         with pytest.raises(ConfigError):
-            sddmm(a, b, mask, precision="L8-R8", config=SDDMMConfig())
+            api.run(api.SddmmRequest(
+                a=a, b=b, mask=mask, precision="L8-R8", config=SDDMMConfig()
+            ))
 
     def test_sddmm_config_injection(self, rng):
         from repro.kernels.sddmm import SDDMMConfig
@@ -195,8 +205,12 @@ class TestPlanInjection:
         mask = SparseMatrix.from_dense(mask_d, 8)
         a = rng.integers(-128, 128, size=(16, 64))
         b = rng.integers(-128, 128, size=(64, 32))
-        by_name = sddmm(a, b, mask, precision="L8-R8")
-        by_config = sddmm(a, b, mask, config=SDDMMConfig(l_bits=8, r_bits=8))
+        by_name = api.run(
+            api.SddmmRequest(a=a, b=b, mask=mask, precision="L8-R8")
+        )
+        by_config = api.run(api.SddmmRequest(
+            a=a, b=b, mask=mask, config=SDDMMConfig(l_bits=8, r_bits=8)
+        ))
         np.testing.assert_array_equal(
             by_config.output.to_dense(), by_name.output.to_dense()
         )

@@ -82,7 +82,7 @@ def test_examples_run(path: Path, tmp_path, monkeypatch):
         code = compile(source, f"{path.name}:{lineno}", "exec")
         with warnings.catch_warnings():
             # missing-artifact warm starts warn by design; deprecations
-            # must still fail — doc examples never show legacy surfaces
+            # must still fail
             warnings.simplefilter("ignore", RuntimeWarning)
             warnings.simplefilter("error", DeprecationWarning)
             try:

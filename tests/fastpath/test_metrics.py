@@ -20,9 +20,11 @@ def test_engine_records_kernel_wall_per_backend():
     rng = np.random.default_rng(0)
     metrics = MetricsRegistry()
     with api.open_engine(device="A100", metrics=metrics) as client:
-        session = client.prepare(api.SpmmRequest(lhs=weights, session="ffn"))
-        session.run(rng.integers(-128, 128, size=(128, 64)))
-        session.run(rng.integers(-128, 128, size=(128, 64)))
+        for _ in range(2):
+            client.run(api.SpmmRequest(
+                lhs=weights, rhs=rng.integers(-128, 128, size=(128, 64)),
+                session="ffn",
+            ))
     hist = metrics.histogram(
         KERNEL_WALL, labels={"op": "spmm", "backend": DEFAULT_BACKEND}
     )

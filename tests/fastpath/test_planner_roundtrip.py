@@ -112,5 +112,8 @@ class TestWarmStartedEngine:
             assert plan.backend == "fastpath-vectorized"
             stats = client.planner.cache.stats()
             assert stats["hits"] == 1 and stats["misses"] == 0
-            resp = session.run(rng.integers(-128, 128, size=(128, 64)))
+            resp = client.run(api.SpmmRequest(
+                lhs=weights, rhs=rng.integers(-128, 128, size=(128, 64)),
+                session="ffn", backend="fastpath-vectorized",
+            ))
             assert resp.backend == "fastpath-vectorized"

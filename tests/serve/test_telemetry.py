@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
+import repro
+from repro import api
 from repro.serve.batcher import BatchPolicy
-from repro.serve.engine import Engine
 from repro.serve.telemetry import Telemetry
-
-
-pytestmark = [
-    pytest.mark.legacy,
-    pytest.mark.filterwarnings("ignore::DeprecationWarning"),
-]
 
 
 class TestPerBackendColumns:
@@ -79,20 +74,20 @@ class TestEngineIntegration:
     def test_summary_breaks_out_backends(self):
         rng = np.random.default_rng(0)
         weights = rng.integers(-8, 8, size=(64, 64))
-        with Engine(device="A100") as engine:
-            session = engine.spmm_session("ffn", weights, vector_length=8)
-            session.run(rng.integers(-8, 8, size=(64, 16)))
-            summary = engine.summary()
+        with repro.open_engine(device="A100") as client:
+            client.run(api.SpmmRequest(
+                lhs=weights, rhs=rng.integers(-8, 8, size=(64, 16)),
+                session="ffn",
+            ))
+            summary = client.summary()
         assert summary["rejected"] == 0
         (pair,) = summary["backends"]
         backend, device = pair.split("@")
         assert device == "A100"
         assert summary["backends"][pair]["requests"] == 1
-        assert "per-backend telemetry" in engine.report()
+        assert "per-backend telemetry" in client.report()
 
     def test_admission_rejections_reach_telemetry(self):
-        import pytest
-
         from repro.errors import AdmissionError
 
         rng = np.random.default_rng(0)
@@ -100,16 +95,18 @@ class TestEngineIntegration:
         policy = BatchPolicy(
             max_batch_size=64, max_wait_s=5.0, max_queue_depth=1
         )
-        with Engine(device="A100", policy=policy) as engine:
-            session = engine.spmm_session("ffn", weights, vector_length=8)
-            rhs = rng.integers(-8, 8, size=(64, 16))
-            first = session.submit(rhs)
+        with repro.open_engine(device="A100", policy=policy) as client:
+            request = api.SpmmRequest(
+                lhs=weights, rhs=rng.integers(-8, 8, size=(64, 16)),
+                session="ffn",
+            )
+            first = client.submit(request)
             with pytest.raises(AdmissionError):
-                session.submit(rhs)
-            engine.flush()
+                client.submit(request)
+            client.flush()
             first.result(timeout=5)
-            assert engine.telemetry.rejections("ffn") == 1
-            assert engine.summary()["rejected"] == 1
+            assert client.telemetry.rejections("ffn") == 1
+            assert client.summary()["rejected"] == 1
 
 
 class TestSnapshot:
@@ -220,12 +217,13 @@ class TestSnapshot:
         estimate attached (the scheduler's regression input)."""
         from tests.conftest import make_structured_sparse
 
-        engine = Engine(device="A100")
         weights = make_structured_sparse(rng, 64, 64, 8, 0.7)
-        session = engine._make_spmm_session("ffn", weights)
-        with engine:
-            session.run(rng.integers(-8, 8, size=(64, 16)))
-        snap = engine.telemetry.snapshot()
+        with repro.open_engine(device="A100") as client:
+            client.run(api.SpmmRequest(
+                lhs=weights, rhs=rng.integers(-8, 8, size=(64, 16)),
+                session="ffn",
+            ))
+        snap = client.telemetry.snapshot()
         assert len(snap.plans) == 1
         (key,), (stats,) = snap.plans.keys(), snap.plans.values()
         assert key.startswith("spmm|64x64|n=16")
