@@ -16,7 +16,7 @@ Request classes are prepared lazily and memoized: the first
 the prepared session — SR-BCRS conversion, operand-width
 classification, backend pinning — and every later request on the same
 operand reuses it. Warm-start artifacts, the batcher's admission
-policy, and telemetry all thread through :func:`open_engine`'s
+policy, and the metrics registry all thread through :func:`open_engine`'s
 constructor, so there is exactly one place to configure a deployment.
 """
 
@@ -55,7 +55,6 @@ def open_engine(
     warm_start: "str | Path | Sequence[str | Path] | None" = None,
     cache: "PlanCache | None" = None,
     planner: "ExecutionPlanner | None" = None,
-    telemetry: "Telemetry | None" = None,
     max_workers: int = 4,
     retune: "RetunePolicy | None" = None,
     metrics: "MetricsRegistry | None" = None,
@@ -68,8 +67,8 @@ def open_engine(
     ``device`` / ``backend`` pin the execution stack (the registry's
     fallback chain resolves the default), ``warm_start`` preloads
     shipped autotune artifacts into the plan cache, ``policy`` sets the
-    micro-batcher's coalescing and admission knobs, and ``telemetry``
-    injects a shared collector. ``cache`` / ``planner`` are mutually
+    micro-batcher's coalescing and admission knobs. ``cache`` /
+    ``planner`` are mutually
     exclusive escape hatches for pre-built planning state. ``retune``
     attaches a background re-tuning scheduler
     (:class:`repro.autotune.RetunePolicy`) that watches the engine's
@@ -77,7 +76,8 @@ def open_engine(
     see :mod:`repro.autotune.scheduler`.
 
     ``metrics`` injects a :class:`repro.obs.MetricsRegistry` for the
-    engine to publish into (default: the process-wide registry).
+    engine to publish into (default: a fresh registry per engine);
+    ``client.telemetry`` is the read-only serving view over it.
     ``trace=True`` enables request tracing — every
     :class:`~repro.api.requests.Response` then carries its span tree
     (``r.trace``) and ``r.request_id`` — and ``tracer`` passes a
@@ -118,7 +118,6 @@ def open_engine(
         max_workers=max_workers,
         backend=backend,
         warm_start=warm_start,
-        telemetry=telemetry,
         retune=retune,
         metrics=metrics,
         tracer=tracer,

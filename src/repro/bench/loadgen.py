@@ -3,8 +3,8 @@
 This is the bench that finally exercises the *whole* runtime path the
 way a deployment does — typed requests arriving on a clock, admission
 control pushing back, the micro-batcher coalescing, the planner
-resolving, telemetry and the :mod:`repro.obs` metrics registry keeping
-score — and writes the numbers down as a schema-versioned
+resolving, and the :mod:`repro.obs` metrics registry keeping score —
+and writes the numbers down as a schema-versioned
 ``BENCH_serve.json`` artifact, with the full observability triad next
 to it: the raw metrics snapshot, the span-tree trace log, an SLO
 health report (``BENCH_serve.health.json``, graded over
@@ -46,7 +46,7 @@ from repro.ioutil import atomic_write_text
 from repro.runtime import DEFAULT_BACKEND
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import Histogram, MetricsRegistry
+    from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -231,29 +231,10 @@ def _make_request(kind: str, w: _Workload):
     return api.AttentionRequest(seq_len=128, num_layers=1, session="replay-attn")
 
 
-def _merged_histogram(registry: "MetricsRegistry", name: str) -> "Histogram | None":
-    """One histogram with every label set's observations folded in."""
-    import threading
+def _latency_stats(doc: dict, name: str) -> dict:
+    from repro.obs.metrics import merge_histograms, select
 
-    from repro.obs.metrics import Histogram
-
-    samples = [h for _, h in registry.samples(name) if h.count]
-    if not samples:
-        return None
-    merged = Histogram(threading.Lock(), samples[0].buckets)
-    for h in samples:
-        if h.buckets != merged.buckets:  # pragma: no cover - defensive
-            raise ConfigError(f"family {name!r} mixes bucket layouts")
-        merged.counts = [a + b for a, b in zip(merged.counts, h.counts)]
-        merged.count += h.count
-        merged.sum += h.sum
-        merged.min = min(merged.min, h.min)
-        merged.max = max(merged.max, h.max)
-    return merged
-
-
-def _latency_stats(registry: "MetricsRegistry", name: str) -> dict:
-    h = _merged_histogram(registry, name)
+    h = merge_histograms(select(doc, name))
     if h is None:
         return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
     return {
@@ -265,10 +246,67 @@ def _latency_stats(registry: "MetricsRegistry", name: str) -> dict:
     }
 
 
-def _counter_total(registry: "MetricsRegistry", name: str) -> float:
-    if name not in registry.names():
-        return 0.0
-    return sum(c.value for _, c in registry.samples(name))
+def _counter_total(doc: dict, name: str) -> float:
+    from repro.obs.metrics import select
+
+    return sum(float(s["value"]) for s in select(doc, name))
+
+
+def _results(
+    config: ReplayConfig, offsets: np.ndarray, registry: "MetricsRegistry",
+    health, *, completed: int, rejected: int, duration_s: float,
+) -> dict:
+    """The ``results`` section both replay modes share, read off one
+    registry dump (the engine's own, or the fleet's merged one)."""
+    from repro.obs import names
+
+    doc = registry.to_dict()
+    modelled_busy_s = _counter_total(doc, names.MODELLED_BUSY)
+    batches = int(_counter_total(doc, names.BATCHES))
+    batched_requests = int(_counter_total(doc, names.REQUESTS))
+    cache_hits = int(_counter_total(doc, names.CACHE_HITS))
+    cache_misses = int(_counter_total(doc, names.CACHE_MISSES))
+    cache_lookups = cache_hits + cache_misses
+    return {
+        "requests": {
+            "submitted": config.requests,
+            "completed": completed,
+            "rejected": rejected,
+            "rejected_metric": _counter_total(doc, names.REJECTIONS),
+        },
+        "latency_s": {
+            "wall": _latency_stats(doc, names.REQUEST_WALL),
+            "modelled": _latency_stats(doc, names.REQUEST_MODELLED),
+            "queue_wait": _latency_stats(doc, names.QUEUE_WAIT),
+        },
+        "throughput": {
+            "offered_rps": (
+                config.requests / offsets[-1] if offsets[-1] > 0
+                else float(config.rate_rps)
+            ),
+            "completed_rps": completed / duration_s if duration_s else 0.0,
+            # what the modelled device could sustain at 100% busy:
+            # completed requests per modelled-busy second
+            "saturation_rps": (
+                completed / modelled_busy_s if modelled_busy_s else 0.0
+            ),
+        },
+        "batching": {
+            "batches": batches,
+            "mean_batch_size": batched_requests / batches if batches else 0.0,
+        },
+        "plan_cache": {
+            "hits": cache_hits,
+            "misses": cache_misses,
+            "hit_rate": cache_hits / cache_lookups if cache_lookups else 0.0,
+        },
+        "health": {
+            "status": health.status,
+            "objectives": len(health.results),
+            "breaches": [r.spec.name for r in health.breaches],
+        },
+        "duration_s": duration_s,
+    }
 
 
 def run_replay(
@@ -286,7 +324,6 @@ def run_replay(
     ``.folded.txt``). ``out=None`` writes nothing.
     """
     from repro import api
-    from repro.obs import names
     from repro.obs.health import DEFAULT_SLOS, evaluate_registry
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.profile import ProfileConfig, render_folded
@@ -328,65 +365,22 @@ def run_replay(
         for f in futures:
             f.result()
         duration_s = time.perf_counter() - t0
-        snapshot = client.telemetry.snapshot()
-        cache_stats = client.planner.cache.stats()
         profile_report = client.profiler.report()
 
     health = evaluate_registry(registry, DEFAULT_SLOS)
-    completed = len(futures)
-    total = snapshot.total
-    modelled_busy_s = float(total.get("modelled_busy_s", 0.0))
-    wall = _latency_stats(registry, names.REQUEST_WALL)
-    modelled = _latency_stats(registry, names.REQUEST_MODELLED)
-    queue_wait = _latency_stats(registry, names.QUEUE_WAIT)
+    results = _results(
+        config, offsets, registry, health, completed=len(futures),
+        rejected=rejected, duration_s=duration_s,
+    )
+    results["profile"] = {
+        "sampled": profile_report.sampled,
+        "phases": profile_report.phase_totals(),
+    }
     report = {
         "schema": BENCH_SCHEMA,
         "bench": "serve-replay",
         "config": config.to_dict(),
-        "results": {
-            "requests": {
-                "submitted": config.requests,
-                "completed": completed,
-                "rejected": rejected,
-                "rejected_metric": _counter_total(registry, names.REJECTIONS),
-            },
-            "latency_s": {
-                "wall": wall,
-                "modelled": modelled,
-                "queue_wait": queue_wait,
-            },
-            "throughput": {
-                "offered_rps": (
-                    config.requests / offsets[-1] if offsets[-1] > 0
-                    else float(config.rate_rps)
-                ),
-                "completed_rps": completed / duration_s if duration_s else 0.0,
-                # what the modelled device could sustain at 100% busy:
-                # completed requests per modelled-busy second
-                "saturation_rps": (
-                    completed / modelled_busy_s if modelled_busy_s else 0.0
-                ),
-            },
-            "batching": {
-                "batches": int(total.get("batches", 0)),
-                "mean_batch_size": float(total.get("mean_batch_size", 0.0)),
-            },
-            "plan_cache": {
-                "hits": cache_stats["hits"],
-                "misses": cache_stats["misses"],
-                "hit_rate": cache_stats["hit_rate"],
-            },
-            "health": {
-                "status": health.status,
-                "objectives": len(health.results),
-                "breaches": [r.spec.name for r in health.breaches],
-            },
-            "profile": {
-                "sampled": profile_report.sampled,
-                "phases": profile_report.phase_totals(),
-            },
-            "duration_s": duration_s,
-        },
+        "results": results,
     }
     if out is not None:
         _write_artifacts(out, report, registry, tracer, health)
@@ -415,12 +409,11 @@ def _run_replay_gateway(
     """Replay the same schedule through a :class:`repro.fleet.Gateway`.
 
     Same ``BENCH_serve.json`` shape as the direct-engine path (so
-    ``repro bench compare`` gates the two against each other), with the
-    per-worker rollups — telemetry totals, plan-cache hits — summed
-    across the fleet and an extra ``results.gateway`` section recording
-    the fleet topology and shed/retry counters. Latency stats come from
-    the gateway's merged metrics snapshot, which aggregates every
-    worker's histograms. The in-process sampling profiler and tracer
+    ``repro bench compare`` gates the two against each other): every
+    number is read off the gateway's merged metrics snapshot, which
+    aggregates every worker's registry, plus an extra
+    ``results.gateway`` section recording the fleet topology and
+    shed/retry counters. The in-process sampling profiler and tracer
     live inside the workers, so the ``.profile.json`` / ``.folded.txt``
     side artifacts are not written in this mode and ``.trace.jsonl`` is
     an empty log.
@@ -464,79 +457,23 @@ def _run_replay_gateway(
         registry = gateway.metrics_snapshot()
         health = gateway.health()
         status = gateway.status()
-        worker_totals = []
-        cache_hits = cache_misses = 0
-        for stats in gateway.worker_stats().values():
-            summary = stats.get("summary", {})
-            worker_totals.append(summary.get("total", {}))
-            cache = summary.get("plan_cache", {})
-            cache_hits += int(cache.get("hits", 0))
-            cache_misses += int(cache.get("misses", 0))
 
-    completed = len(futures)
-    modelled_busy_s = float(
-        sum(t.get("modelled_busy_s", 0.0) for t in worker_totals)
+    results = _results(
+        config, offsets, registry, health, completed=len(futures),
+        rejected=rejected, duration_s=duration_s,
     )
-    batches = int(sum(t.get("batches", 0) for t in worker_totals))
-    batched_requests = int(sum(t.get("requests", 0) for t in worker_totals))
-    cache_lookups = cache_hits + cache_misses
-    wall = _latency_stats(registry, names.REQUEST_WALL)
-    modelled = _latency_stats(registry, names.REQUEST_MODELLED)
-    queue_wait = _latency_stats(registry, names.QUEUE_WAIT)
+    doc = registry.to_dict()
+    results["gateway"] = {
+        "workers": len(status["workers"]),
+        "restarts": sum(w["restarts"] for w in status["workers"].values()),
+        "shed": _counter_total(doc, names.FLEET_SHED),
+        "retries": _counter_total(doc, names.FLEET_RETRIES),
+    }
     report = {
         "schema": BENCH_SCHEMA,
         "bench": "serve-replay",
         "config": config.to_dict(),
-        "results": {
-            "requests": {
-                "submitted": config.requests,
-                "completed": completed,
-                "rejected": rejected,
-                "rejected_metric": _counter_total(registry, names.REJECTIONS),
-            },
-            "latency_s": {
-                "wall": wall,
-                "modelled": modelled,
-                "queue_wait": queue_wait,
-            },
-            "throughput": {
-                "offered_rps": (
-                    config.requests / offsets[-1] if offsets[-1] > 0
-                    else float(config.rate_rps)
-                ),
-                "completed_rps": completed / duration_s if duration_s else 0.0,
-                "saturation_rps": (
-                    completed / modelled_busy_s if modelled_busy_s else 0.0
-                ),
-            },
-            "batching": {
-                "batches": batches,
-                "mean_batch_size": (
-                    batched_requests / batches if batches else 0.0
-                ),
-            },
-            "plan_cache": {
-                "hits": cache_hits,
-                "misses": cache_misses,
-                "hit_rate": (
-                    cache_hits / cache_lookups if cache_lookups else 0.0
-                ),
-            },
-            "health": {
-                "status": health.status,
-                "objectives": len(health.results),
-                "breaches": [r.spec.name for r in health.breaches],
-            },
-            "gateway": {
-                "workers": len(status["workers"]),
-                "restarts": sum(
-                    w["restarts"] for w in status["workers"].values()
-                ),
-                "shed": _counter_total(registry, names.FLEET_SHED),
-                "retries": _counter_total(registry, names.FLEET_RETRIES),
-            },
-            "duration_s": duration_s,
-        },
+        "results": results,
     }
     if out is not None:
         _write_artifacts(out, report, registry, Tracer(enabled=False), health)

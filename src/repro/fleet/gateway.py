@@ -64,7 +64,7 @@ from repro.fleet.pool import WorkerPool
 from repro.fleet.worker import DEFAULT_HEARTBEAT_S, WorkerSpec
 from repro.obs import names
 from repro.obs.health import DEFAULT_SLOS, SloSpec
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, merge_histograms
 from repro.obs.names import STANDARD_METRICS
 from repro.serve.batcher import RequestHandle
 
@@ -122,45 +122,33 @@ def fleet_retune_policy(policy: "RetunePolicy | None" = None) -> "RetunePolicy":
 def merge_metric_docs(docs: "list[dict]") -> dict:
     """Merge registry :meth:`~repro.obs.metrics.MetricsRegistry.to_dict`
     snapshots into one: counters and gauges sum per label set,
-    histogram samples add bucket counts / count / sum and take the
-    min/max envelope. Families keep the first snapshot's kind, help
-    and bucket layout (every worker declares the same standard
-    contract)."""
-    merged: dict = {}
+    histogram samples fold through
+    :func:`~repro.obs.metrics.merge_histograms`. Families keep the
+    first snapshot's kind and help (every worker declares the same
+    standard contract)."""
+    families: dict = {}
     for doc in docs:
         for name, family in doc.items():
-            target = merged.setdefault(name, {
+            target = families.setdefault(name, {
                 "kind": family.get("kind"),
                 "help": family.get("help", ""),
-                "samples": [],
+                "samples": {},
             })
-            by_labels = {
-                tuple(sorted(s.get("labels", {}).items())): s
-                for s in target["samples"]
-            }
             for sample in family.get("samples", ()):
-                key = tuple(sorted(sample.get("labels", {}).items()))
-                have = by_labels.get(key)
-                if have is None:
-                    copy = dict(sample)
-                    if "counts" in copy:
-                        copy["counts"] = list(copy["counts"])
-                        copy["buckets"] = list(copy["buckets"])
-                    target["samples"].append(copy)
-                    by_labels[key] = copy
-                elif "value" in sample:
-                    have["value"] = float(have["value"]) + float(sample["value"])
-                else:
-                    for i, c in enumerate(sample["counts"]):
-                        have["counts"][i] += int(c)
-                    have["count"] = int(have["count"]) + int(sample["count"])
-                    have["sum"] = float(have["sum"]) + float(sample["sum"])
-                    for fn, stat in ((min, "min"), (max, "max")):
-                        a, b = have.get(stat), sample.get(stat)
-                        have[stat] = (
-                            fn(v for v in (a, b) if v is not None)
-                            if (a is not None or b is not None) else None
-                        )
+                labels = sample.get("labels", {})
+                target["samples"].setdefault(
+                    tuple(sorted(labels.items())), []
+                ).append(sample)
+    merged: dict = {}
+    for name, family in families.items():
+        samples = []
+        for key, group in family["samples"].items():
+            if "value" in group[0]:
+                state = {"value": sum(float(s["value"]) for s in group)}
+            else:
+                state = merge_histograms(group).state()
+            samples.append({"labels": dict(key), **state})
+        merged[name] = {**family, "samples": samples}
     return merged
 
 
@@ -657,7 +645,7 @@ class Gateway:
         self.pool.handle(name).kill()
 
     def worker_stats(self) -> dict:
-        """Per-worker ``{name: {summary, telemetry, metrics, ...}}``."""
+        """Per-worker ``{name: {summary, metrics, sessions}}``."""
         return {name: self._call(name, "stats", {"op": "stats"})
                 for name in self._live()}
 

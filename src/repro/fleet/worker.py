@@ -23,8 +23,8 @@ dicts with an ``op``:
     future's done-callback, so the recv loop never blocks on execution
     and same-session requests still coalesce in the worker's batcher.
 ``flush`` / ``stats`` / ``shutdown``
-    Drain the batcher; report ``summary`` + telemetry + metrics
-    snapshots; close the engine and exit.
+    Drain the batcher; report the engine ``summary`` and the metrics
+    snapshot; close the engine and exit.
 
 Replies are ``{"id", "ok": True, "result": ...}`` or ``{"id", "ok":
 False, "error": {"type", "message"}}`` — the gateway rebuilds the
@@ -185,7 +185,6 @@ class _WorkerServer:
         return {
             "name": self.spec.name,
             "summary": engine.summary(),
-            "telemetry": self.client.telemetry.snapshot().to_dict(),
             "metrics": self.client.metrics.to_dict(),
             "sessions": sorted(self._operands),
         }

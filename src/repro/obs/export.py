@@ -21,7 +21,13 @@ from pathlib import Path
 
 from repro.errors import ConfigError
 from repro.ioutil import atomic_write_text
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    merge_histograms,
+)
 
 __all__ = [
     "EXPORT_SCHEMA",
@@ -217,23 +223,33 @@ def summarize(registry: MetricsRegistry) -> str:
     """A human-oriented one-screen rendering (``repro obs summary``)."""
     from repro.bench.report import render_table
 
+    def hist_row(name: str, label_text: str, h: Histogram) -> list:
+        return [
+            name, label_text, h.count, f"{h.mean:.3e}",
+            f"{h.quantile(0.50):.3e}", f"{h.quantile(0.95):.3e}",
+            f"{h.quantile(0.99):.3e}",
+        ]
+
     counter_rows, gauge_rows, hist_rows = [], [], []
-    for name in registry.names():
-        kind = registry.kind(name)
-        for labels, instrument in registry.samples(name):
-            label_text = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+    for name, family in registry.to_dict().items():
+        kind = family["kind"]
+        samples = family["samples"]
+        for sample in samples:
+            label_text = ",".join(
+                f"{k}={v}" for k, v in sorted(sample["labels"].items())
+            )
             if kind == "counter":
-                counter_rows.append([name, label_text, _fmt(instrument.value)])
+                counter_rows.append([name, label_text, _fmt(sample["value"])])
             elif kind == "gauge":
-                gauge_rows.append([name, label_text, _fmt(instrument.value)])
+                gauge_rows.append([name, label_text, _fmt(sample["value"])])
             else:
-                hist_rows.append([
-                    name, label_text, instrument.count,
-                    f"{instrument.mean:.3e}",
-                    f"{instrument.quantile(0.50):.3e}",
-                    f"{instrument.quantile(0.95):.3e}",
-                    f"{instrument.quantile(0.99):.3e}",
-                ])
+                hist_rows.append(
+                    hist_row(name, label_text, merge_histograms([sample]))
+                )
+        if kind == "histogram" and len(samples) > 1:
+            # the family across every label set: the number the serving
+            # telemetry TOTAL row and BENCH_serve.json report
+            hist_rows.append(hist_row(name, "(all)", merge_histograms(samples)))
     blocks = []
     if counter_rows:
         blocks.append(render_table(

@@ -47,7 +47,7 @@ from typing import Iterable, Mapping
 from repro.errors import ConfigError
 from repro.ioutil import atomic_write_text
 from repro.obs import names
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry, merge_histograms, select
 
 __all__ = [
     "DEFAULT_SLOS",
@@ -161,10 +161,6 @@ DEFAULT_SLOS: tuple[SloSpec, ...] = (
 
 # -- reading a registry snapshot ---------------------------------------
 
-def _matches(sample_labels: Mapping[str, str], spec: SloSpec) -> bool:
-    return all(sample_labels.get(k) == v for k, v in spec.labels)
-
-
 class _View:
     """Read-side adapter over a registry's :meth:`to_dict` form.
 
@@ -176,13 +172,7 @@ class _View:
         self._doc = doc
 
     def _samples(self, name: str, spec: SloSpec) -> list[dict]:
-        family = self._doc.get(name)
-        if not family:
-            return []
-        return [
-            s for s in family.get("samples", ())
-            if _matches(s.get("labels", {}), spec)
-        ]
+        return select(self._doc, name, dict(spec.labels))
 
     def counter_total(self, name: str, spec: SloSpec) -> float:
         return sum(float(s.get("value", 0.0)) for s in self._samples(name, spec))
@@ -191,26 +181,11 @@ class _View:
         values = [float(s.get("value", 0.0)) for s in self._samples(name, spec)]
         return max(values) if values else None
 
-    def histogram_merged(self, name: str, spec: SloSpec) -> dict | None:
+    def histogram_merged(self, name: str, spec: SloSpec) -> Histogram | None:
         """Samples of one histogram family merged into a single
-        distribution (they share the family's bucket layout)."""
-        merged: dict | None = None
-        for s in self._samples(name, spec):
-            if merged is None:
-                merged = {
-                    "buckets": list(s["buckets"]),
-                    "counts": list(s["counts"]),
-                    "count": int(s["count"]),
-                    "sum": float(s["sum"]),
-                }
-            else:
-                for i, c in enumerate(s["counts"]):
-                    merged["counts"][i] += int(c)
-                merged["count"] += int(s["count"])
-                merged["sum"] += float(s["sum"])
-        if merged is None or merged["count"] == 0:
-            return None
-        return merged
+        distribution; ``None`` while it holds no observations."""
+        merged = merge_histograms(self._samples(name, spec))
+        return merged if merged is not None and merged.count else None
 
 
 def _delta_doc(current: Mapping[str, dict], base: Mapping[str, dict]) -> dict:
@@ -256,16 +231,16 @@ def _delta_doc(current: Mapping[str, dict], base: Mapping[str, dict]) -> dict:
     return out
 
 
-def _fraction_above(hist: dict, threshold: float) -> float:
+def _fraction_above(hist: Histogram, threshold: float) -> float:
     """Fraction of a merged histogram's observations above ``threshold``.
 
     Buckets fully above the threshold count whole; the straddling
     bucket contributes linearly (same interpolation the quantile
     estimate uses).
     """
-    buckets = hist["buckets"]
-    counts = hist["counts"]
-    total = hist["count"]
+    buckets = hist.buckets
+    counts = hist.counts
+    total = hist.count
     above = 0.0
     lo = 0.0
     for i, n in enumerate(counts):

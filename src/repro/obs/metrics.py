@@ -9,12 +9,19 @@ long-running engine's memory stays constant no matter how many requests
 it serves, and p50/p95/p99 come from linear interpolation inside the
 bucket rather than an unbounded value list.
 
-The serving stack publishes into one registry per engine (defaulting
-to the process-wide :func:`get_registry`), and the exporters in
-:mod:`repro.obs.export` turn any registry into a JSON snapshot or
+Each serving engine publishes into its own registry (a fresh one
+unless ``metrics=`` injects one; one-shot :func:`repro.api.run` calls
+publish into the process-wide :func:`get_registry`), and the exporters
+in :mod:`repro.obs.export` turn any registry into a JSON snapshot or
 Prometheus text. Registries round-trip through :meth:`~MetricsRegistry.
 to_dict` / :meth:`~MetricsRegistry.from_dict`, which is how the
 ``repro obs`` CLI re-renders a snapshot another process exported.
+
+Every reader that aggregates across label sets works on that dict form:
+:func:`select` picks a family's samples by label subset and
+:func:`merge_histograms` folds histogram samples into one distribution
+(the serving telemetry view, the SLO evaluator, the fleet gateway and
+the replay bench all merge through it).
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
+    "merge_histograms",
+    "select",
     "set_registry",
 ]
 
@@ -94,8 +103,7 @@ class Histogram:
     ``buckets`` are inclusive upper bounds (an implicit ``+Inf``
     overflow bucket is always appended). :meth:`quantile` interpolates
     linearly inside the winning bucket — the trade the registry makes
-    for never holding per-observation state; the telemetry layer keeps
-    a bounded reservoir when exact percentiles matter.
+    for never holding per-observation state.
     """
 
     __slots__ = (
@@ -165,6 +173,61 @@ class Histogram:
                     return lo + (hi - lo) * frac
                 seen += n
             return self.max
+
+    def state(self) -> dict:
+        """The JSON-ready state (the sample body of
+        :meth:`MetricsRegistry.to_dict`); reads without locking, so the
+        caller serializes against concurrent observations."""
+        return {
+            "buckets": list(self.buckets),
+            "counts": list(self.counts),
+            "count": self.count,
+            "sum": self.sum,
+            "min": self.min if self.count else None,
+            "max": self.max if self.count else None,
+        }
+
+
+def select(
+    doc: Mapping[str, dict], name: str, match: Mapping[str, str] | None = None
+) -> list[dict]:
+    """The samples of family ``name`` in a :meth:`MetricsRegistry.to_dict`
+    document whose labels include every ``match`` pair (all of them
+    when ``match`` is empty; none when the family is absent)."""
+    family = doc.get(name)
+    if not family:
+        return []
+    match = match or {}
+    return [
+        s for s in family.get("samples", ())
+        if all(s.get("labels", {}).get(k) == v for k, v in match.items())
+    ]
+
+
+def merge_histograms(samples: Iterable[Mapping]) -> Histogram | None:
+    """Fold histogram samples (the :meth:`MetricsRegistry.to_dict` form)
+    into one :class:`Histogram`: bucket counts, count and sum add, and
+    min/max take the envelope. ``None`` when ``samples`` is empty; a
+    :class:`~repro.errors.ConfigError` when two samples disagree on the
+    bucket layout (their counts would not line up)."""
+    merged: Histogram | None = None
+    for s in samples:
+        buckets = tuple(float(b) for b in s["buckets"])
+        if merged is None:
+            merged = Histogram(threading.Lock(), buckets)
+        elif buckets != merged.buckets:
+            raise ConfigError(
+                f"cannot merge histograms with different bucket layouts: "
+                f"{list(merged.buckets)} vs {list(buckets)}"
+            )
+        merged.counts = [a + int(b) for a, b in zip(merged.counts, s["counts"])]
+        merged.count += int(s["count"])
+        merged.sum += float(s["sum"])
+        if s.get("min") is not None:
+            merged.min = min(merged.min, float(s["min"]))
+        if s.get("max") is not None:
+            merged.max = max(merged.max, float(s["max"]))
+    return merged
 
 
 class _Family:
@@ -300,17 +363,11 @@ class MetricsRegistry:
                 samples = []
                 for key in sorted(family.children):
                     child = family.children[key]
-                    if isinstance(child, (Counter, Gauge)):
-                        state: dict = {"value": child.value}
-                    else:
-                        state = {
-                            "buckets": list(child.buckets),
-                            "counts": list(child.counts),
-                            "count": child.count,
-                            "sum": child.sum,
-                            "min": child.min if child.count else None,
-                            "max": child.max if child.count else None,
-                        }
+                    state = (
+                        {"value": child.value}
+                        if isinstance(child, (Counter, Gauge))
+                        else child.state()
+                    )
                     samples.append({"labels": dict(key), **state})
                 out[name] = {
                     "kind": family.kind,
@@ -336,25 +393,15 @@ class MetricsRegistry:
                 elif kind == "gauge":
                     registry.gauge(name, labels).set(float(sample["value"]))
                 else:
-                    h = registry.histogram(
-                        name, labels, buckets=sample["buckets"]
-                    )
-                    h.counts = [int(c) for c in sample["counts"]]
-                    h.count = int(sample["count"])
-                    h.sum = float(sample["sum"])
-                    h.min = (
-                        float(sample["min"]) if sample.get("min") is not None
-                        else math.inf
-                    )
-                    h.max = (
-                        float(sample["max"]) if sample.get("max") is not None
-                        else -math.inf
-                    )
+                    src = merge_histograms([sample])
+                    h = registry.histogram(name, labels, buckets=src.buckets)
+                    h.counts, h.count, h.sum = src.counts, src.count, src.sum
+                    h.min, h.max = src.min, src.max
         return registry
 
 
-#: the process-wide default registry engines publish into unless one is
-#: injected (``repro.open_engine(metrics=...)``)
+#: the process-wide default registry one-shot ``repro.api.run`` calls
+#: publish kernel wall times into (engines each own a registry)
 _GLOBAL = MetricsRegistry()
 _GLOBAL_LOCK = threading.Lock()
 

@@ -8,7 +8,13 @@ asserts the two never drift. Adding a metric means adding it *here*
 
 Conventions follow Prometheus: ``_total`` suffix on counters,
 ``_seconds`` on time-valued histograms, labels for the low-cardinality
-dimensions (``session``, ``backend``, ``device``).
+dimensions. The serving families are the engine's only measurement
+store — :class:`repro.serve.telemetry.Telemetry` derives every summary
+from them — so they carry the labels its views project on: batch
+counters by ``session``, ``backend``, ``device`` and ``plan`` (the plan
+key, empty when none routed the batch), per-request histograms by
+``session``, ``backend`` and ``device``, and the per-plan gauges by
+``plan`` alone.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ __all__ = ["KERNEL_WALL_BUCKETS_S", "STANDARD_METRICS", "declare_standard"]
 REQUESTS = "repro_requests_total"
 BATCHES = "repro_batches_total"
 LAUNCHES = "repro_launches_total"
+MODELLED_BUSY = "repro_modelled_busy_seconds_total"
+PLAN_PREDICTED = "repro_plan_predicted_time"
+PLAN_SHARDS = "repro_plan_shards"
 REJECTIONS = "repro_rejections_total"
 QUEUE_DEPTH = "repro_queue_depth"
 REQUEST_WALL = "repro_request_wall_seconds"
@@ -72,27 +81,39 @@ KERNEL_WALL_BUCKETS_S: tuple[float, ...] = tuple(1e-8 * 4**i for i in range(15))
 #: ``(name, kind, help, buckets)`` for every metric the stack publishes
 STANDARD_METRICS: tuple[tuple[str, str, str, tuple[float, ...] | None], ...] = (
     (REQUESTS, "counter",
-     "Requests served, by session.", None),
+     "Requests served, by session, backend, device and plan.", None),
     (BATCHES, "counter",
-     "Coalesced batch executions, by session.", None),
+     "Coalesced batch executions, by session, backend, device and plan.",
+     None),
     (LAUNCHES, "counter",
-     "Modelled kernel launches, by session.", None),
+     "Modelled kernel launches, by session, backend, device and plan.",
+     None),
+    (MODELLED_BUSY, "counter",
+     "Modelled device busy time of the served batches, by session, "
+     "backend, device and plan.", None),
+    (PLAN_PREDICTED, "gauge",
+     "The serving plan's predicted per-launch time in seconds, by plan.",
+     None),
+    (PLAN_SHARDS, "gauge",
+     "The serving plan's tensor-parallel width (1 = unsharded), by plan.",
+     None),
     (REJECTIONS, "counter",
      "Requests shed by admission control, by session.", None),
     (QUEUE_DEPTH, "gauge",
      "Requests waiting in the micro-batcher at last enqueue, by session.",
      None),
     (REQUEST_WALL, "histogram",
-     "Per-request wall latency: queue wait + batch execution.",
-     DEFAULT_TIME_BUCKETS_S),
+     "Per-request wall latency: queue wait + batch execution, by "
+     "session, backend and device.", DEFAULT_TIME_BUCKETS_S),
     (REQUEST_MODELLED, "histogram",
-     "Per-request modelled kernel latency (calibrated cost model).",
-     DEFAULT_TIME_BUCKETS_S),
+     "Per-request modelled kernel latency (calibrated cost model), by "
+     "session, backend and device.", DEFAULT_TIME_BUCKETS_S),
     (QUEUE_WAIT, "histogram",
-     "Time a request spent queued before its batch dispatched.",
-     DEFAULT_TIME_BUCKETS_S),
+     "Time a request spent queued before its batch dispatched, by "
+     "session, backend and device.", DEFAULT_TIME_BUCKETS_S),
     (BATCH_SIZE, "histogram",
-     "Requests coalesced per batch execution.", _BATCH_BUCKETS),
+     "Requests coalesced per batch execution, by session, backend and "
+     "device.", _BATCH_BUCKETS),
     (KERNEL_WALL, "histogram",
      "Measured wall time of one backend kernel execution, by op and "
      "backend.", KERNEL_WALL_BUCKETS_S),

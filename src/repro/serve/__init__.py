@@ -17,10 +17,11 @@ engine:
   max-wait policy (plus optional queue-depth / latency-budget
   admission control raising :class:`~repro.errors.AdmissionError`),
   executing concurrently on a thread pool.
-- :class:`~repro.serve.telemetry.Telemetry` aggregates p50/p95/p99
-  modelled latency, throughput, batch occupancy and admission
-  rejections, per session, per ``(backend, device)`` *and* per plan
-  key; :meth:`~repro.serve.telemetry.Telemetry.snapshot` exports the
+- :class:`~repro.serve.telemetry.Telemetry` is the read-only view over
+  the engine's metrics registry: p50/p95/p99 modelled latency,
+  throughput, batch occupancy and admission rejections, per session,
+  per ``(backend, device)`` *and* per plan key;
+  :meth:`~repro.serve.telemetry.Telemetry.snapshot` exports the
   deterministic :class:`~repro.serve.telemetry.TelemetrySnapshot` the
   :mod:`repro.autotune` re-tuning scheduler consumes.
 

@@ -5,8 +5,10 @@ An :class:`Engine` owns
 - an :class:`~repro.serve.planner.ExecutionPlanner` (with its
   :class:`~repro.serve.cache.PlanCache`),
 - a :class:`~repro.serve.batcher.MicroBatcher` + thread pool, and
-- :class:`~repro.serve.telemetry.Telemetry` (injectable via the
-  constructor's ``telemetry=`` for shared collectors).
+- a :class:`~repro.obs.MetricsRegistry` — the one store every served
+  batch is published into — with
+  :class:`~repro.serve.telemetry.Telemetry` as its read-only serving
+  view.
 
 The engine is **device- and backend-aware**: its ``device`` argument is
 validated into a :class:`~repro.runtime.Device` handle, and each
@@ -52,7 +54,7 @@ from repro.api.resolution import (
 from repro.core.matrix import SparseMatrix
 from repro.errors import AdmissionError, ConfigError, EngineClosedError, RetuneError
 from repro.obs import names as metric_names
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.names import declare_standard
 from repro.obs.profile import NULL_PROFILER, ProfileConfig, Profiler
 from repro.obs.trace import Tracer
@@ -60,7 +62,7 @@ from repro.runtime import Device, resolve_backend
 from repro.serve.batcher import BatchItem, BatchPolicy, MicroBatcher, RequestHandle
 from repro.serve.cache import PlanCache
 from repro.serve.planner import ExecutionPlanner, Objective, Plan
-from repro.serve.telemetry import Telemetry
+from repro.serve.telemetry import Telemetry, publish_batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.autotune.policy import RetunePolicy
@@ -385,7 +387,6 @@ class Engine:
         max_workers: int = 4,
         backend: str | None = None,
         warm_start: "str | Path | Sequence[str | Path] | None" = None,
-        telemetry: Telemetry | None = None,
         retune: "RetunePolicy | None" = None,
         metrics=None,
         tracer: Tracer | None = None,
@@ -395,17 +396,18 @@ class Engine:
         artifacts (see :mod:`repro.autotune`) into the planner's plan
         cache, so swept request classes skip the cold planner search on
         first contact. Manifest drift against the live backend registry
-        is reported as warnings, never an error. ``telemetry`` injects
-        a shared collector (the default builds a fresh one). ``retune``
-        attaches (and starts) a background
+        is reported as warnings, never an error. ``retune`` attaches
+        (and starts) a background
         :class:`~repro.autotune.scheduler.RetuneScheduler` driven by
         the given :class:`~repro.autotune.policy.RetunePolicy`, closing
         the serve → autotune loop in-process. ``metrics`` injects a
-        :class:`repro.obs.MetricsRegistry` (default: the process-wide
-        one); the telemetry, plan cache and scheduler all publish into
-        it. ``tracer`` attaches a :class:`repro.obs.Tracer` — requests
-        then carry their span tree on ``Response.trace``; the default
-        is a disabled tracer (near-zero overhead). ``profile`` attaches
+        :class:`repro.obs.MetricsRegistry` (default: a fresh one per
+        engine, so two engines' views never mix); served batches, the
+        plan cache and the scheduler all publish into it, and
+        ``engine.telemetry`` reads it back. ``tracer`` attaches a
+        :class:`repro.obs.Tracer` — requests then carry their span
+        tree on ``Response.trace``; the default is a disabled tracer
+        (near-zero overhead). ``profile`` attaches
         a sampling profiler (a
         :class:`~repro.obs.profile.ProfileConfig`, or a prebuilt
         :class:`~repro.obs.profile.Profiler` to share across engines):
@@ -431,7 +433,7 @@ class Engine:
                 warm_start = [warm_start]
             self.warm_start_paths = tuple(Path(p) for p in warm_start)
             self.planner.warm_start(self.warm_start_paths)
-        self.metrics = metrics if metrics is not None else get_registry()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         declare_standard(self.metrics)
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         if profile is None:
@@ -440,8 +442,7 @@ class Engine:
             self.profiler = profile
         else:
             self.profiler = Profiler(profile)
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.telemetry.bind_metrics(self.metrics)
+        self.telemetry = Telemetry(self.metrics)
         self.planner.cache.bind_metrics(self.metrics)
         #: monotonic request ids (also the ticket ids `submit_async` hands out)
         self._request_ids = itertools.count(1)
@@ -521,7 +522,9 @@ class Engine:
             if span is not None:
                 span.set(rejected=True).end()
                 self.tracer.finish(trace)
-            self.telemetry.record_rejection(session)
+            self.metrics.counter(
+                metric_names.REJECTIONS, {"session": session}
+            ).inc()
             # name the shed request so rejection logs line up with
             # traces and the per-session rejection counters
             raise AdmissionError(f"request #{request_id}: {exc}") from exc
@@ -669,16 +672,17 @@ class Engine:
         self, key: tuple, items: Sequence[BatchItem]
     ) -> list[Response]:
         """Run one coalesced batch of a session's riders: the session's
-        kind launches it, then one telemetry record for the batch and
-        one closed-out :class:`Response` per rider."""
+        kind launches it, then publishes the batch once into the
+        metrics registry and closes out one :class:`Response` per
+        rider."""
         session = self._sessions[key[0]]
         t0 = time.perf_counter()
         parts, res, modelled_s, launches = session.kind.launch(session, items)
         wall_s = time.perf_counter() - t0
         batch_id = next(self._batch_ids)
         plan_key = parts[0].plan.key if parts[0].plan is not None else None
-        self.telemetry.record_batch(
-            session.name, session.op, modelled_s,
+        publish_batch(
+            self.metrics, session.name, modelled_s,
             [i.queue_wait_s for i in items],
             backend=res.backend, device=res.device_label,
             plan_key=plan_key,
@@ -702,7 +706,7 @@ class Engine:
 
     # -- reporting ------------------------------------------------------
     def summary(self) -> dict:
-        """Machine-readable engine state (telemetry + plan cache)."""
+        """Machine-readable engine state (telemetry views + plan cache)."""
         return {
             "device": self.device,
             "backend": self.backend,

@@ -1,4 +1,4 @@
-"""Serving telemetry: latency percentiles, throughput, batch occupancy.
+"""Serving telemetry: a read-only view over the engine's metrics registry.
 
 Latencies are the *modelled* kernel times (the library's calibrated
 A100 cost model) — every request in a batch experiences its batch's
@@ -7,12 +7,18 @@ second of modelled GPU busy time, the number a real deployment would
 see from the device) and wall (requests per second of host wall time in
 this process, dominated by the Python execution of the kernels).
 
-Batches are aggregated along three axes: per *session* (the serving
-view), per ``(backend, device)`` (the runtime view) — the same axes
-the autotuner sweeps on, so an offline sweep report and a live serving
-report line up column for column — and per *plan key* (the tuning
-view the re-tuning scheduler consumes). Admission-control rejections
-are counted per session alongside the served requests.
+The engine publishes each served batch once, into its
+:class:`~repro.obs.metrics.MetricsRegistry` (:func:`publish_batch`);
+nothing here stores a measurement. :class:`Telemetry` projects the
+registry's labelled families along three axes: per *session* (the
+serving view), per ``backend@device`` (the runtime view) — the same
+axes the autotuner sweeps on, so an offline sweep report and a live
+serving report line up column for column — and per *plan key* (the
+tuning view the re-tuning scheduler consumes). Admission-control
+rejections are counted per session alongside the served requests.
+Percentiles are the registry's bucket estimates
+(:meth:`~repro.obs.metrics.Histogram.quantile`), the same numbers
+``BENCH_serve.json``, ``repro obs summary`` and the SLO grades report.
 
 :meth:`Telemetry.snapshot` exports the deterministic part of all three
 views as a :class:`TelemetrySnapshot` — the stable contract the
@@ -26,97 +32,67 @@ import hashlib
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, Mapping, Sequence
 
 from repro.ioutil import atomic_write_text
+from repro.obs import names
+from repro.obs.metrics import MetricsRegistry, merge_histograms, select
 
 
-class _Reservoir:
-    """A bounded, deterministic sample of an unbounded value stream.
+def publish_batch(
+    metrics: MetricsRegistry,
+    session: str,
+    modelled_time_s: float,
+    queue_waits_s: Sequence[float],
+    *,
+    backend: str = "",
+    device: str = "",
+    plan_key: str | None = None,
+    predicted_time_s: float | None = None,
+    launches: int = 1,
+    wall_time_s: float | None = None,
+    shards: int = 1,
+) -> None:
+    """Publish one batched launch serving ``len(queue_waits_s)`` requests.
 
-    Running ``count``/``total`` stay exact forever. The retained
-    ``values`` are a systematic sample: every ``stride``-th observation
-    is kept, and when the buffer exceeds ``cap`` it is thinned to every
-    other element (``values[::2]``) and the stride doubles — kept
-    positions stay multiples of the new stride, so two identical
-    recordings always retain identical samples. While ``stride == 1``
-    (up to ``cap`` observations) the sample *is* the full stream and
-    percentiles computed from it are exact — which keeps
-    :class:`TelemetrySnapshot` byte-identical to the historical
-    unbounded-list behaviour for every bounded workload; past the cap,
-    percentiles degrade gracefully to estimates over ~``cap/2`` evenly
-    spaced observations instead of the process growing without bound.
+    ``backend``/``device`` attribute the launch to one runtime
+    execution stack; batches published without them only show up in
+    the per-session view. ``plan_key`` attributes it to the serving
+    plan that routed it (with ``predicted_time_s``, the plan's cost
+    estimate, and ``shards``, its tensor-parallel width) — the
+    per-plan view the re-tuning scheduler consumes. ``launches`` is
+    how many kernel launches ``modelled_time_s`` spans (SDDMM
+    dispatches execute item by item), so observed per-launch time stays
+    comparable to the plan's estimate. ``wall_time_s`` is the host wall
+    time of the batch execution; when given, each rider's wall latency
+    — queue wait + execution — feeds ``repro_request_wall_seconds``.
     """
-
-    __slots__ = ("cap", "stride", "count", "total", "values")
-
-    #: retained samples stay in (CAP/2, CAP]; at 4096 float64s that is
-    #: at most 32 KiB per series, forever
-    CAP = 4096
-
-    def __init__(self, cap: int = CAP) -> None:
-        self.cap = cap
-        self.stride = 1
-        self.count = 0
-        self.total = 0.0
-        self.values: list[float] = []
-
-    def add(self, v: float) -> None:
-        if self.count % self.stride == 0:
-            self.values.append(v)
-            if len(self.values) > self.cap:
-                self.values = self.values[::2]
-                self.stride *= 2
-        self.count += 1
-        self.total += v
-
-    @property
-    def exact(self) -> bool:
-        """Whether ``values`` still holds every observation."""
-        return self.stride == 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
-@dataclass
-class _SessionStats:
-    latencies_s: _Reservoir = field(default_factory=_Reservoir)  # per request
-    queue_waits_s: _Reservoir = field(default_factory=_Reservoir)  # per request
-    batch_sizes: _Reservoir = field(default_factory=_Reservoir)  # per batch
-    batch_times_s: _Reservoir = field(default_factory=_Reservoir)  # per batch
-    ops: set = field(default_factory=set)
-
-
-@dataclass
-class _PlanStats:
-    """Traffic served under one plan key (the scheduler's unit)."""
-
-    requests: int = 0
-    batches: int = 0
-    launches: int = 0  # kernel launches (SDDMM batches run item-by-item)
-    modelled_busy_s: float = 0.0
-    predicted_time_s: float = 0.0  # the plan's recorded cost estimate
-    backend: str = ""
-    device: str = ""
-    shards: int = 1  # tensor-parallel width the plan elected (1 = unsharded)
-
-    def to_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "launches": self.launches,
-            "modelled_busy_s": self.modelled_busy_s,
-            "predicted_time_s": self.predicted_time_s,
-            "backend": self.backend,
-            "device": self.device,
-            "shards": self.shards,
-        }
+    n = len(queue_waits_s)
+    labels = {"session": session, "backend": backend or "", "device": device or ""}
+    batch = {**labels, "plan": plan_key or ""}
+    metrics.counter(names.REQUESTS, batch).inc(n)
+    metrics.counter(names.BATCHES, batch).inc()
+    metrics.counter(names.LAUNCHES, batch).inc(max(1, launches))
+    metrics.counter(names.MODELLED_BUSY, batch).inc(modelled_time_s)
+    metrics.histogram(names.BATCH_SIZE, labels).observe(n)
+    modelled = metrics.histogram(names.REQUEST_MODELLED, labels)
+    waits = metrics.histogram(names.QUEUE_WAIT, labels)
+    wall = (
+        metrics.histogram(names.REQUEST_WALL, labels)
+        if wall_time_s is not None else None
+    )
+    for w in queue_waits_s:
+        modelled.observe(modelled_time_s)
+        waits.observe(w)
+        if wall is not None:
+            wall.observe(w + wall_time_s)
+    if plan_key is not None:
+        plan = {"plan": plan_key}
+        if predicted_time_s is not None:
+            metrics.gauge(names.PLAN_PREDICTED, plan).set(predicted_time_s)
+        metrics.gauge(names.PLAN_SHARDS, plan).set(max(1, shards))
 
 
 @dataclass(frozen=True)
@@ -184,9 +160,9 @@ class TelemetrySnapshot:
 
     Example::
 
-        telemetry = Telemetry()
-        telemetry.record_batch("ffn", "spmm", 1e-3, [0.0, 0.0])
-        snap = telemetry.snapshot()
+        registry = MetricsRegistry()
+        publish_batch(registry, "ffn", 1e-3, [0.0, 0.0])
+        snap = Telemetry(registry).snapshot()
         assert TelemetrySnapshot.from_json(snap.to_json()) == snap
     """
 
@@ -258,161 +234,163 @@ class TelemetrySnapshot:
         return hash(self.fingerprint)
 
 
-class Telemetry:
-    """Thread-safe per-session aggregation of serving metrics.
+#: the per-plan counters the scheduler's view reads, by field name
+_PLAN_COUNTERS = (
+    ("requests", names.REQUESTS),
+    ("batches", names.BATCHES),
+    ("launches", names.LAUNCHES),
+    ("modelled_busy_s", names.MODELLED_BUSY),
+)
 
-    ``metrics`` (or a later :meth:`bind_metrics`) attaches a
-    :class:`repro.obs.MetricsRegistry`; every recorded batch and
-    rejection is then also published as the standard counters and
-    histograms (see :mod:`repro.obs.names`), which is how the scrape /
-    replay-bench view stays consistent with the rendered tables.
+
+def _total(doc: Mapping[str, dict], name: str, match: Mapping[str, str]) -> float:
+    return sum(float(s["value"]) for s in select(doc, name, match))
+
+
+class Telemetry:
+    """Read-only serving views over one :class:`MetricsRegistry`.
+
+    Every call reads the registry's current state (one
+    :meth:`~MetricsRegistry.to_dict` dump, so a report is internally
+    consistent) and projects it by label. The view keeps no
+    measurements — only its start time (for wall throughput) and the
+    per-plan baselines :meth:`reset_plans` rebases. ``metrics``
+    defaults to a fresh registry.
     """
 
-    def __init__(self, metrics=None) -> None:
-        self._lock = threading.Lock()
-        self._sessions: dict[str, _SessionStats] = {}
-        self._backends: dict[tuple[str, str], _SessionStats] = {}
-        self._plans: dict[str, _PlanStats] = {}
-        self._rejections: dict[str, int] = {}
+    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._started_at = time.monotonic()
-        self.metrics = metrics
+        self._lock = threading.Lock()
+        self._plan_base: dict[str, dict] = {}
 
-    def bind_metrics(self, registry) -> None:
-        """Publish all future recordings into ``registry`` as well."""
-        self.metrics = registry
+    # -- projections over one registry dump ------------------------------
+    def _summarize(
+        self, doc: Mapping[str, dict], match: Mapping[str, str]
+    ) -> LatencySummary:
+        """Aggregate every series whose labels include ``match``."""
+        requests = int(_total(doc, names.REQUESTS, match))
+        wall = time.monotonic() - self._started_at
+        if requests == 0:
+            return LatencySummary(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, wall, 0.0)
+        batches = int(_total(doc, names.BATCHES, match))
+        busy = _total(doc, names.MODELLED_BUSY, match)
+        latency = merge_histograms(select(doc, names.REQUEST_MODELLED, match))
+        waits = merge_histograms(select(doc, names.QUEUE_WAIT, match))
+        return LatencySummary(
+            requests=requests,
+            batches=batches,
+            p50_ms=latency.quantile(0.50) * 1e3,
+            p95_ms=latency.quantile(0.95) * 1e3,
+            p99_ms=latency.quantile(0.99) * 1e3,
+            mean_batch_size=requests / batches,
+            mean_queue_wait_ms=waits.mean * 1e3,
+            modelled_busy_s=busy,
+            modelled_throughput_rps=requests / busy if busy > 0 else 0.0,
+            wall_s=wall,
+            wall_throughput_rps=requests / wall if wall > 0 else 0.0,
+        )
 
-    # ------------------------------------------------------------------
-    def record_batch(
-        self,
-        session: str,
-        op: str,
-        modelled_time_s: float,
-        queue_waits_s: list[float],
-        backend: str | None = None,
-        device: str | None = None,
-        plan_key: str | None = None,
-        predicted_time_s: float | None = None,
-        launches: int = 1,
-        wall_time_s: float | None = None,
-        shards: int = 1,
-    ) -> None:
-        """Record one batched launch serving ``len(queue_waits_s)`` requests.
+    @staticmethod
+    def _served(doc: Mapping[str, dict]) -> list[str]:
+        return sorted({s["labels"]["session"] for s in select(doc, names.REQUESTS)})
 
-        ``backend``/``device`` attribute the launch to one runtime
-        execution stack; batches recorded without them only show up in
-        the per-session view. ``plan_key`` attributes it to the serving
-        plan that routed it (with ``predicted_time_s``, the plan's cost
-        estimate) — the per-plan view the re-tuning scheduler consumes.
-        ``launches`` is how many kernel launches ``modelled_time_s``
-        spans (SDDMM dispatches execute item-by-item), so observed
-        per-launch time stays comparable to the plan's estimate.
-        ``wall_time_s`` is the host wall time of the batch execution;
-        when given (and a metrics registry is bound), each rider's
-        wall latency — queue wait + execution — feeds the
-        ``repro_request_wall_seconds`` histogram. ``shards`` is the
-        plan's tensor-parallel width (``Plan.shards``; 1 = unsharded),
-        recorded per plan key so the scheduler view shows which keys a
-        sharded plan is carrying.
-        """
-        n = len(queue_waits_s)
+    @staticmethod
+    def _pairs(doc: Mapping[str, dict]) -> list[tuple[str, str]]:
+        return sorted({
+            (s["labels"]["backend"], s["labels"]["device"])
+            for s in select(doc, names.REQUESTS)
+            if s["labels"].get("backend") and s["labels"].get("device")
+        })
+
+    @staticmethod
+    def _rejections(doc: Mapping[str, dict]) -> dict[str, int]:
+        return {
+            s["labels"]["session"]: int(s["value"])
+            for s in select(doc, names.REJECTIONS)
+            if "session" in s["labels"]
+        }
+
+    @staticmethod
+    def _plan_totals(doc: Mapping[str, dict]) -> dict[str, dict]:
+        """Lifetime per-plan traffic, before any :meth:`reset_plans`."""
+        plans: dict[str, dict] = {}
+        for field, name in _PLAN_COUNTERS:
+            for s in select(doc, name):
+                labels = s["labels"]
+                if not labels.get("plan"):
+                    continue
+                p = plans.setdefault(labels["plan"], {
+                    "requests": 0, "batches": 0, "launches": 0,
+                    "modelled_busy_s": 0.0,
+                    "backend": labels.get("backend", ""),
+                    "device": labels.get("device", ""),
+                })
+                p[field] += float(s["value"])
+        return plans
+
+    def _plans(self, doc: Mapping[str, dict]) -> dict[str, dict]:
+        """Per-plan traffic since each key's last :meth:`reset_plans`."""
         with self._lock:
-            buckets = [self._sessions.setdefault(session, _SessionStats())]
-            if backend is not None and device is not None:
-                buckets.append(
-                    self._backends.setdefault((backend, device), _SessionStats())
-                )
-            for s in buckets:
-                s.ops.add(op)
-                s.batch_sizes.add(n)
-                s.batch_times_s.add(modelled_time_s)
-                for w in queue_waits_s:
-                    s.latencies_s.add(modelled_time_s)
-                    s.queue_waits_s.add(w)
-            if plan_key is not None:
-                p = self._plans.setdefault(plan_key, _PlanStats())
-                p.requests += n
-                p.batches += 1
-                p.launches += max(1, launches)
-                p.modelled_busy_s += modelled_time_s
-                if predicted_time_s is not None:
-                    p.predicted_time_s = predicted_time_s
-                if backend is not None:
-                    p.backend = backend
-                if device is not None:
-                    p.device = device
-                p.shards = max(1, shards)
-        if self.metrics is not None:
-            self._publish_batch(
-                session, n, modelled_time_s, queue_waits_s, launches,
-                wall_time_s,
-            )
+            base = dict(self._plan_base)
+        out = {}
+        for key, p in self._plan_totals(doc).items():
+            b = base.get(key, {})
+            delta = {field: p[field] - b.get(field, 0) for field, _ in _PLAN_COUNTERS}
+            if delta["batches"] <= 0:
+                continue
+            plan = {"plan": key}
+            predicted = select(doc, names.PLAN_PREDICTED, plan)
+            shards = select(doc, names.PLAN_SHARDS, plan)
+            out[key] = {
+                "requests": int(delta["requests"]),
+                "batches": int(delta["batches"]),
+                "launches": int(delta["launches"]),
+                "modelled_busy_s": delta["modelled_busy_s"],
+                "predicted_time_s": (
+                    float(predicted[0]["value"]) if predicted else 0.0
+                ),
+                "backend": p["backend"],
+                "device": p["device"],
+                "shards": int(shards[0]["value"]) if shards else 1,
+            }
+        return out
 
-    def _publish_batch(
-        self, session, n, modelled_time_s, queue_waits_s, launches, wall_time_s
-    ) -> None:
-        """Mirror one recorded batch into the bound metrics registry."""
-        from repro.obs import names
-
-        m = self.metrics
-        m.counter(names.REQUESTS, {"session": session}).inc(n)
-        m.counter(names.BATCHES, {"session": session}).inc()
-        m.counter(names.LAUNCHES, {"session": session}).inc(max(1, launches))
-        m.histogram(names.BATCH_SIZE).observe(n)
-        modelled = m.histogram(names.REQUEST_MODELLED)
-        waits = m.histogram(names.QUEUE_WAIT)
-        wall = m.histogram(names.REQUEST_WALL)
-        for w in queue_waits_s:
-            modelled.observe(modelled_time_s)
-            waits.observe(w)
-            if wall_time_s is not None:
-                wall.observe(w + wall_time_s)
-
-    def record_rejection(self, session: str, count: int = 1) -> None:
-        """Count ``count`` admission-control rejections against a session."""
-        with self._lock:
-            self._rejections[session] = self._rejections.get(session, 0) + count
-        if self.metrics is not None:
-            from repro.obs import names
-
-            self.metrics.counter(
-                names.REJECTIONS, {"session": session}
-            ).inc(count)
-
+    # -- the public views -------------------------------------------------
     def rejections(self, session: str | None = None) -> int:
         """Rejected requests for one session, or in total."""
-        with self._lock:
-            if session is None:
-                return sum(self._rejections.values())
-            return self._rejections.get(session, 0)
+        rejected = self._rejections(self.metrics.to_dict())
+        if session is None:
+            return sum(rejected.values())
+        return rejected.get(session, 0)
 
-    # ------------------------------------------------------------------
     def sessions(self) -> list[str]:
         """Every session seen — including ones whose every request was
         rejected, so a fully-throttled session stays visible in the
         report instead of vanishing while the TOTAL rejected count
         grows."""
-        with self._lock:
-            return sorted(set(self._sessions) | set(self._rejections))
+        doc = self.metrics.to_dict()
+        return sorted(set(self._served(doc)) | set(self._rejections(doc)))
 
     def backends(self) -> list[tuple[str, str]]:
         """Every ``(backend, device)`` pair that served at least one batch."""
-        with self._lock:
-            return sorted(self._backends)
+        return self._pairs(self.metrics.to_dict())
 
     def plans(self) -> list[str]:
-        """Every plan key that routed at least one batch."""
-        with self._lock:
-            return sorted(self._plans)
+        """Every plan key that routed a batch since its last reset."""
+        return sorted(self._plans(self.metrics.to_dict()))
 
     def reset_plans(self, keys: Iterable[str]) -> None:
-        """Drop the per-plan stats for ``keys`` (session/backend views
-        are untouched). The re-tuning scheduler calls this when a
-        promotion *changes* a key's plan: the old observations describe
-        the replaced plan, so regression decisions must restart from
-        post-promotion traffic."""
+        """Restart the per-plan view of ``keys`` from zero (session and
+        backend views, and the registry's counters, are untouched). The
+        re-tuning scheduler calls this when a promotion *changes* a
+        key's plan: the old observations describe the replaced plan, so
+        regression decisions must restart from post-promotion traffic."""
+        totals = self._plan_totals(self.metrics.to_dict())
         with self._lock:
             for key in keys:
-                self._plans.pop(key, None)
+                if key in totals:
+                    self._plan_base[key] = totals[key]
 
     def snapshot(self) -> TelemetrySnapshot:
         """Export the deterministic state as a :class:`TelemetrySnapshot`.
@@ -423,104 +401,53 @@ class Telemetry:
         an identical snapshot, so schedulers can compare fingerprints
         across polls.
         """
-        with self._lock:
-            sessions = {
-                name: _stable(self._summarize([stats]))
-                for name, stats in self._sessions.items()
-            }
-            backends = {
-                f"{backend}@{device}": _stable(self._summarize([stats]))
-                for (backend, device), stats in self._backends.items()
-            }
-            plans = {key: p.to_dict() for key, p in self._plans.items()}
-            rejections = dict(self._rejections)
-            total = _stable(self._summarize(list(self._sessions.values())))
+        doc = self.metrics.to_dict()
+        total = _stable(self._summarize(doc, {}))
         return TelemetrySnapshot(
             requests=total["requests"],
-            sessions=sessions,
-            backends=backends,
-            plans=plans,
-            rejections=rejections,
+            sessions={
+                name: _stable(self._summarize(doc, {"session": name}))
+                for name in self._served(doc)
+            },
+            backends={
+                f"{backend}@{device}": _stable(self._summarize(
+                    doc, {"backend": backend, "device": device}
+                ))
+                for backend, device in self._pairs(doc)
+            },
+            plans=self._plans(doc),
+            rejections=self._rejections(doc),
             total=total,
         )
 
     def summary(self, session: str | None = None) -> LatencySummary:
         """Aggregate one session, or everything when ``session`` is None."""
-        with self._lock:
-            if session is None:
-                stats = list(self._sessions.values())
-            else:
-                stats = [self._sessions.get(session, _SessionStats())]
-            return self._summarize(stats)
+        match = {} if session is None else {"session": session}
+        return self._summarize(self.metrics.to_dict(), match)
 
     def backend_summary(self, backend: str, device: str) -> LatencySummary:
         """Aggregate everything one ``(backend, device)`` pair served."""
-        with self._lock:
-            stats = [self._backends.get((backend, device), _SessionStats())]
-            return self._summarize(stats)
-
-    @staticmethod
-    def _mean(reservoirs: list[_Reservoir]) -> float:
-        """Exact mean while every reservoir is complete (the historical
-        ``np.mean`` over the raw lists, bit for bit), running-total mean
-        once any stream has been thinned."""
-        if not reservoirs or not any(r.count for r in reservoirs):
-            return 0.0
-        if all(r.exact for r in reservoirs):
-            return float(np.mean([v for r in reservoirs for v in r.values]))
-        total = sum(r.total for r in reservoirs)
-        count = sum(r.count for r in reservoirs)
-        return float(total / count)
-
-    def _summarize(self, stats: list[_SessionStats]) -> LatencySummary:
-        """Aggregate a list of stat buckets (call with lock held).
-
-        Request/batch counts and totals come from the reservoirs'
-        running aggregates (exact at any traffic volume); percentiles
-        come from the retained samples — the full stream below the
-        reservoir cap, an evenly spaced sample above it.
-        """
-        latencies = np.array(
-            [t for s in stats for t in s.latencies_s.values], dtype=np.float64
-        )
-        n = sum(s.latencies_s.count for s in stats)
-        batches = sum(s.batch_sizes.count for s in stats)
-        busy = float(sum(s.batch_times_s.total for s in stats))
-        wall = time.monotonic() - self._started_at
-        if n == 0:
-            return LatencySummary(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, wall, 0.0)
-        p50, p95, p99 = np.percentile(latencies, [50, 95, 99]) * 1e3
-        return LatencySummary(
-            requests=int(n),
-            batches=batches,
-            p50_ms=float(p50),
-            p95_ms=float(p95),
-            p99_ms=float(p99),
-            mean_batch_size=self._mean([s.batch_sizes for s in stats]),
-            mean_queue_wait_ms=self._mean(
-                [s.queue_waits_s for s in stats]
-            ) * 1e3,
-            modelled_busy_s=busy,
-            modelled_throughput_rps=float(n / busy) if busy > 0 else 0.0,
-            wall_s=wall,
-            wall_throughput_rps=float(n / wall) if wall > 0 else 0.0,
+        return self._summarize(
+            self.metrics.to_dict(), {"backend": backend, "device": device}
         )
 
     def render(self, plan_cache_stats: dict | None = None) -> str:
         """Plain-text report (the ``--demo`` output)."""
         from repro.bench.report import render_table
 
+        doc = self.metrics.to_dict()
+        rejected = self._rejections(doc)
         headers = [
             "session", "requests", "rejected", "batches", "mean batch",
             "p50 ms", "p95 ms", "p99 ms", "model req/s",
         ]
         rows = []
-        for name in self.sessions() + [None]:
-            s = self.summary(name)
+        for name in sorted(set(self._served(doc)) | set(rejected)) + [None]:
+            s = self._summarize(doc, {} if name is None else {"session": name})
             rows.append([
                 name if name is not None else "TOTAL",
                 s.requests,
-                self.rejections(name),
+                rejected.get(name, 0) if name is not None else sum(rejected.values()),
                 s.batches,
                 f"{s.mean_batch_size:.2f}",
                 f"{s.p50_ms:.4f}",
@@ -529,11 +456,11 @@ class Telemetry:
                 f"{s.modelled_throughput_rps:.0f}",
             ])
         lines = [render_table(headers, rows, title="-- serving telemetry --")]
-        pairs = self.backends()
+        pairs = self._pairs(doc)
         if pairs:
             brows = []
             for backend, device in pairs:
-                s = self.backend_summary(backend, device)
+                s = self._summarize(doc, {"backend": backend, "device": device})
                 brows.append([
                     backend,
                     device,
@@ -549,7 +476,7 @@ class Telemetry:
                  "p50 ms", "p95 ms", "p99 ms", "model req/s"],
                 brows, title="-- per-backend telemetry --",
             ))
-        total = self.summary()
+        total = self._summarize(doc, {})
         lines.append(
             f"wall: {total.wall_s:.2f}s ({total.wall_throughput_rps:.0f} req/s host); "
             f"modelled GPU busy: {total.modelled_busy_s * 1e3:.3f} ms"

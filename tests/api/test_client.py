@@ -6,6 +6,7 @@ import pytest
 import repro
 from repro import api
 from repro.errors import AdmissionError, ConfigError, EngineClosedError
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime import DEFAULT_BACKEND
 from repro.serve.batcher import BatchPolicy
 from repro.serve.cache import PlanCache
@@ -176,11 +177,12 @@ class TestConstructorThreading:
             client.flush()
 
     def test_telemetry_injection(self, matrix, rhs):
-        telemetry = Telemetry()
-        with repro.open_engine(telemetry=telemetry) as client:
-            assert client.telemetry is telemetry
+        """``metrics=`` injects the store the telemetry view reads."""
+        registry = MetricsRegistry()
+        with repro.open_engine(metrics=registry) as client:
+            assert client.metrics is client.telemetry.metrics is registry
             client.run(api.SpmmRequest(lhs=matrix, rhs=rhs, session="w"))
-        assert telemetry.sessions() == ["w"]
+        assert Telemetry(registry).sessions() == ["w"]
 
     def test_cache_injection(self):
         cache = PlanCache()

@@ -14,6 +14,7 @@ from repro.autotune import (
     manifest_path,
 )
 from repro.errors import RetuneError
+from repro.serve.telemetry import publish_batch
 from tests.conftest import make_structured_sparse
 
 
@@ -112,6 +113,31 @@ class TestCycles:
             # every triggered key is now live in the engine's cache
             for t in cycle.triggers:
                 assert client.planner.cache.peek(t.plan_key) is not None
+
+    def test_changed_promotion_restarts_the_plan_view(self, weights):
+        """A promotion that changes a key's plan rebases that key's
+        per-plan view: regression checks see only post-promotion
+        traffic, while the registry's counters stay monotonic."""
+        from dataclasses import replace
+
+        from repro.obs import names
+        from repro.obs.metrics import select
+
+        with api.open_engine(device="A100", retune=quiet_policy()) as client:
+            serve_widths(client, weights, (64,))
+            (key,) = client.telemetry.plans()
+            # a stale live plan, so the re-sweep's plan differs from it
+            live = client.planner.cache
+            stale = live.peek(key)
+            live.put(key, replace(stale, predicted_time_s=stale.predicted_time_s * 9))
+            cycle = client.retune.run_once()
+            assert key in cycle.promoted_keys and cycle.changed == 1
+            assert key not in client.telemetry.snapshot().plans
+            serve_widths(client, weights, (64,), per=1)
+            after = client.telemetry.snapshot().plans[key]
+            assert (after["requests"], after["batches"]) == (1, 1)
+            served = select(client.metrics.to_dict(), names.REQUESTS, {"plan": key})
+            assert sum(s["value"] for s in served) == 3
 
     def test_promoted_keys_join_the_baseline(self, weights):
         """After a promotion the same traffic no longer cold-misses; with
@@ -262,8 +288,8 @@ class TestSterileRetuneBackoff:
         with api.open_engine(device="A100", retune=policy) as client:
             key = ("spmm|512x512|n=64|v=8|s=0.900|"
                    "magicube-emulation+cublas-fp16@A100|latency[L8-16,R8-16]")
-            client.telemetry.record_batch(
-                "ffn", "spmm", 1e-3, [0.0], backend="magicube-emulation",
+            publish_batch(
+                client.metrics, "ffn", 1e-3, [0.0], backend="magicube-emulation",
                 device="A100", plan_key=key, predicted_time_s=1e-3,
             )
             first = client.retune.run_once()
@@ -282,8 +308,8 @@ class TestFailedCycle:
         with api.open_engine(device="A100", retune=policy) as client:
             key = ("spmm|512x512|n=64|v=8|s=0.900|"
                    "ghost-backend@A100|latency[L8-16,R8-16]")
-            client.telemetry.record_batch(
-                "ffn", "spmm", 1e-3, [0.0], backend="ghost-backend",
+            publish_batch(
+                client.metrics, "ffn", 1e-3, [0.0], backend="ghost-backend",
                 device="A100", plan_key=key, predicted_time_s=1e-3,
             )
             with pytest.raises(Exception):

@@ -215,6 +215,33 @@ class TestRunReplay:
         assert sessions == {"replay-spmm", "replay-sddmm", "replay-attn"}
 
 
+class TestGatewayReplay:
+    def test_rollups_come_from_the_merged_snapshot(self, replay_artifacts):
+        """Routed through a one-worker fleet, the replay writes the same
+        report shape, its rollups read off the merged metrics."""
+        _, direct = replay_artifacts
+        config = ReplayConfig(
+            requests=12, arrival="uniform", rate_rps=400.0, seed=3,
+            gateway_workers=1,
+        )
+        report = run_replay(config, out=None)
+        r = report["results"]
+        assert set(r) == (set(direct["results"]) - {"profile"}) | {"gateway"}
+        for section in ("requests", "latency_s", "throughput", "batching",
+                        "plan_cache"):
+            assert set(r[section]) == set(direct["results"][section])
+        assert r["requests"]["completed"] == 12
+        # every request ran in a batch, so the rollups must cover it all
+        batching = r["batching"]
+        assert batching["batches"] >= 1
+        assert batching["batches"] * batching["mean_batch_size"] == pytest.approx(
+            r["latency_s"]["modelled"]["count"]
+        )
+        assert r["throughput"]["saturation_rps"] > 0
+        assert r["plan_cache"]["hits"] + r["plan_cache"]["misses"] > 0
+        assert r["gateway"]["workers"] == 1
+
+
 def _report(**overrides) -> dict:
     base = {
         "schema": BENCH_SCHEMA,

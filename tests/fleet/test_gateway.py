@@ -143,6 +143,12 @@ class TestRouting:
         )
         assert routed >= 4  # everything the tests above sent
 
+    def test_worker_stats_carry_one_metrics_payload(self, gateway):
+        """Each worker reports its registry once; there is no separate
+        telemetry copy of the same measurements."""
+        for stats in gateway.worker_stats().values():
+            assert set(stats) == {"name", "summary", "metrics", "sessions"}
+
 
 class TestFailover:
     def test_killed_worker_respawns_and_session_recovers(self, operands):

@@ -12,7 +12,7 @@ from repro import api
 from repro.errors import AdmissionError
 from repro.obs import names
 from repro.obs.export import parse_prometheus, render_prometheus
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, merge_histograms, select
 from repro.obs.names import STANDARD_METRICS
 from repro.obs.trace import Tracer
 from repro.serve.batcher import BatchPolicy
@@ -154,12 +154,21 @@ class TestMetricsPublication:
         with repro.open_engine(metrics=registry) as client:
             for _ in range(4):
                 client.run(api.SpmmRequest(lhs=lhs, rhs=_rhs(), session="s"))
-        assert registry.counter(names.REQUESTS, {"session": "s"}).value == 4
-        assert registry.counter(names.BATCHES, {"session": "s"}).value >= 1
-        # latency histograms aggregate across sessions (bounded
-        # cardinality); counters carry the per-session breakdown
-        wall = registry.histogram(names.REQUEST_WALL)
-        modelled = registry.histogram(names.REQUEST_MODELLED)
+        doc = registry.to_dict()
+
+        def total(name):
+            return sum(s["value"] for s in select(doc, name, {"session": "s"}))
+
+        assert total(names.REQUESTS) == 4
+        assert total(names.BATCHES) >= 1
+        assert total(names.MODELLED_BUSY) > 0
+        # every serving series carries session/backend/device labels
+        (series,) = select(doc, names.REQUEST_WALL)
+        assert set(series["labels"]) == {"session", "backend", "device"}
+        (plan,) = {s["labels"]["plan"] for s in select(doc, names.REQUESTS)}
+        assert plan and select(doc, names.PLAN_PREDICTED, {"plan": plan})
+        wall = merge_histograms(select(doc, names.REQUEST_WALL))
+        modelled = merge_histograms(select(doc, names.REQUEST_MODELLED))
         assert wall.count == modelled.count == 4
         assert wall.sum > modelled.sum  # wall includes queueing + dispatch
         hits = registry.counter(names.CACHE_HITS).value
@@ -173,16 +182,22 @@ class TestMetricsPublication:
         families = parse_prometheus(render_prometheus(registry))
         assert set(families) == {m[0] for m in STANDARD_METRICS}
 
-    def test_engines_default_to_the_process_registry(self, lhs):
-        from repro.obs.metrics import get_registry, set_registry
+    def test_default_engines_stay_separate(self, lhs):
+        """An engine opened without ``metrics=`` owns a fresh registry:
+        two default engines opened in turn each report only their own
+        sessions (and neither touches the process-wide registry)."""
+        from repro.obs.metrics import get_registry
 
-        fresh = MetricsRegistry()
-        old = set_registry(fresh)
-        try:
+        process_wide = get_registry().to_dict()
+        seen = []
+        for session in ("first", "second"):
             with repro.open_engine() as client:
-                assert client.metrics is fresh
-        finally:
-            set_registry(old)
+                assert client.metrics is not get_registry()
+                client.run(api.SpmmRequest(lhs=lhs, rhs=_rhs(), session=session))
+                seen.append((client.telemetry.sessions(), client.summary()))
+        assert [sessions for sessions, _ in seen] == [["first"], ["second"]]
+        assert [summary["total"]["requests"] for _, summary in seen] == [1, 1]
+        assert get_registry().to_dict() == process_wide
 
     def test_retune_scheduler_publishes_cycles(self, lhs):
         from repro.autotune import RetunePolicy
@@ -254,7 +269,7 @@ class TestDisabledOverhead:
             assert not client.tracer.enabled
             for _ in range(8):
                 client.run(api.SpmmRequest(lhs=lhs, rhs=_rhs(), session="s"))
-        wall = registry.histogram(names.REQUEST_WALL)
+        wall = merge_histograms(select(registry.to_dict(), names.REQUEST_WALL))
         mean_request_s = wall.mean
         assert mean_request_s > 0
 

@@ -8,10 +8,13 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs import names
+from repro.obs import metrics
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS_S,
     MetricsRegistry,
     get_registry,
+    merge_histograms,
+    select,
     set_registry,
 )
 from repro.obs.names import STANDARD_METRICS, declare_standard
@@ -123,6 +126,95 @@ class TestRoundTrip:
         r.histogram("h")
         h = MetricsRegistry.from_dict(r.to_dict()).histogram("h")
         assert h.count == 0 and h.min == math.inf
+
+
+def _two_series(buckets_b=(1.0, 2.0, 4.0)) -> dict:
+    """A registry dump with one histogram family over two label sets."""
+    r = MetricsRegistry()
+    a = r.histogram("h", {"session": "a"}, buckets=(1.0, 2.0, 4.0))
+    for v in (0.5, 1.5):
+        a.observe(v)
+    doc = r.to_dict()
+    other = MetricsRegistry()
+    b = other.histogram("h", {"session": "b"}, buckets=buckets_b)
+    for v in (3.0, 9.0):
+        b.observe(v)
+    doc["h"]["samples"] += other.to_dict()["h"]["samples"]
+    return doc
+
+
+class TestMergeHistograms:
+    """The one histogram merge every cross-label reader goes through."""
+
+    def test_adds_counts_sum_and_count(self):
+        h = merge_histograms(select(_two_series(), "h"))
+        assert h.counts == [1, 1, 1, 1]
+        assert (h.count, h.sum) == (4, 14.0)
+        assert h.buckets == (1.0, 2.0, 4.0)
+
+    def test_keeps_the_min_max_envelope(self):
+        h = merge_histograms(select(_two_series(), "h"))
+        assert (h.min, h.max) == (0.5, 9.0)
+        # the envelope clamps the estimate to the data's actual range
+        assert h.quantile(1.0) == 9.0 and h.quantile(0.0) == 0.5
+
+    def test_empty_and_min_less_samples(self):
+        assert merge_histograms([]) is None
+        # windowed deltas carry no min/max; the merge tolerates that
+        delta = {"buckets": [1.0], "counts": [2, 0], "count": 2, "sum": 1.0}
+        h = merge_histograms([delta])
+        assert h.count == 2 and h.min == math.inf
+
+    def test_select_filters_by_label_subset(self):
+        doc = _two_series()
+        assert [s["labels"] for s in select(doc, "h", {"session": "b"})] == [
+            {"session": "b"}
+        ]
+        assert len(select(doc, "h")) == 2
+        assert select(doc, "absent") == []
+
+    def test_mismatched_layouts_raise(self):
+        from repro.bench.loadgen import _latency_stats
+
+        doc = _two_series(buckets_b=(1.0, 8.0, 64.0))
+        with pytest.raises(ConfigError, match="bucket layouts"):
+            merge_histograms(select(doc, "h"))
+        with pytest.raises(ConfigError, match="bucket layouts"):
+            _latency_stats(doc, "h")
+
+    def test_every_cross_label_reader_calls_it(self, monkeypatch):
+        from repro.bench import loadgen
+        from repro.fleet import gateway
+        from repro.obs import health
+        from repro.serve import telemetry
+
+        calls = []
+        real = metrics.merge_histograms
+
+        def spy(samples):
+            calls.append(1)
+            return real(samples)
+
+        # loadgen imports it lazily, from the metrics module itself
+        for module in (metrics, gateway, health, telemetry):
+            monkeypatch.setattr(module, "merge_histograms", spy)
+        doc = _two_series()
+
+        merged = gateway.merge_metric_docs([doc, doc])
+        assert calls and merged["h"]["samples"][0]["count"] == 4
+        calls.clear()
+        spec = health.SloSpec(
+            name="p95", kind="latency", objective=1.0, metric="h"
+        )
+        assert health.evaluate_registry(doc, (spec,)).results[0].observed
+        assert calls
+        calls.clear()
+        assert loadgen._latency_stats(doc, "h")["count"] == 4
+        assert calls
+        calls.clear()
+        t = telemetry.Telemetry()
+        telemetry.publish_batch(t.metrics, "s", 1e-3, [0.0])
+        assert t.summary().requests == 1 and calls
 
 
 class TestStandardContract:

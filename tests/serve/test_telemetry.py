@@ -1,22 +1,29 @@
-"""Telemetry: per-(backend, device) columns and rejection counters."""
+"""Telemetry: the read-only serving view over the metrics registry."""
 
 import numpy as np
 import pytest
 
 import repro
 from repro import api
+from repro.obs import names
+from repro.obs.metrics import merge_histograms, select
 from repro.serve.batcher import BatchPolicy
-from repro.serve.telemetry import Telemetry
+from repro.serve.telemetry import Telemetry, publish_batch
+
+
+def _reject(t: Telemetry, session: str, count: int = 1) -> None:
+    """Count admission rejections the way the engine does."""
+    t.metrics.counter(names.REJECTIONS, {"session": session}).inc(count)
 
 
 class TestPerBackendColumns:
     def test_batches_aggregate_by_backend_device(self):
         t = Telemetry()
-        t.record_batch("s1", "spmm", 1e-3, [0.0],
+        publish_batch(t.metrics, "s1", 1e-3, [0.0],
                        backend="magicube-emulation", device="A100")
-        t.record_batch("s2", "spmm", 2e-3, [0.0, 0.0],
+        publish_batch(t.metrics, "s2", 2e-3, [0.0, 0.0],
                        backend="magicube-emulation", device="A100")
-        t.record_batch("s1", "spmm", 4e-3, [0.0],
+        publish_batch(t.metrics, "s1", 4e-3, [0.0],
                        backend="cublas-fp16", device="H100")
         assert t.backends() == [
             ("cublas-fp16", "H100"), ("magicube-emulation", "A100"),
@@ -29,7 +36,7 @@ class TestPerBackendColumns:
 
     def test_unattributed_batches_only_in_session_view(self):
         t = Telemetry()
-        t.record_batch("s1", "spmm", 1e-3, [0.0])
+        publish_batch(t.metrics, "s1", 1e-3, [0.0])
         assert t.backends() == []
         assert t.summary("s1").requests == 1
 
@@ -39,9 +46,9 @@ class TestPerBackendColumns:
 
     def test_render_includes_backend_table_and_rejections(self):
         t = Telemetry()
-        t.record_batch("s1", "spmm", 1e-3, [0.0],
+        publish_batch(t.metrics, "s1", 1e-3, [0.0],
                        backend="magicube-emulation", device="A100")
-        t.record_rejection("s1")
+        _reject(t, "s1")
         text = t.render()
         assert "per-backend telemetry" in text
         assert "magicube-emulation" in text
@@ -53,17 +60,17 @@ class TestRejections:
         """A session whose every request was rejected still gets a
         report row; the TOTAL rejected count always adds up."""
         t = Telemetry()
-        t.record_batch("served", "spmm", 1e-3, [0.0])
-        t.record_rejection("throttled")
+        publish_batch(t.metrics, "served", 1e-3, [0.0])
+        _reject(t, "throttled")
         assert t.sessions() == ["served", "throttled"]
         assert t.summary("throttled").requests == 0
         assert "throttled" in t.render()
 
     def test_counts_per_session_and_total(self):
         t = Telemetry()
-        t.record_rejection("a")
-        t.record_rejection("a", count=2)
-        t.record_rejection("b")
+        _reject(t, "a")
+        _reject(t, "a", 2)
+        _reject(t, "b")
         assert t.rejections("a") == 3
         assert t.rejections("b") == 1
         assert t.rejections() == 4
@@ -115,13 +122,13 @@ class TestSnapshot:
     KEY = "spmm|512x512|n=64|v=8|s=0.900|magicube-emulation@A100|latency[L8-16,R8-16]"
 
     def record(self, t: Telemetry) -> None:
-        t.record_batch("ffn", "spmm", 1e-3, [0.0, 0.0],
+        publish_batch(t.metrics, "ffn", 1e-3, [0.0, 0.0],
                        backend="magicube-emulation", device="A100",
                        plan_key=self.KEY, predicted_time_s=9e-4)
-        t.record_batch("ffn", "spmm", 2e-3, [0.0],
+        publish_batch(t.metrics, "ffn", 2e-3, [0.0],
                        backend="magicube-emulation", device="A100",
                        plan_key=self.KEY, predicted_time_s=9e-4)
-        t.record_rejection("ffn", 2)
+        _reject(t, "ffn", 2)
 
     def test_identical_recordings_produce_identical_snapshots(self):
         a, b = Telemetry(), Telemetry()
@@ -178,7 +185,7 @@ class TestSnapshot:
         """Item-by-item dispatches record their launch count so observed
         per-launch time stays comparable to the plan's estimate."""
         t = Telemetry()
-        t.record_batch("att", "sddmm", 4e-3, [0.0] * 4,
+        publish_batch(t.metrics, "att", 4e-3, [0.0] * 4,
                        backend="magicube-emulation", device="A100",
                        plan_key="k", predicted_time_s=1e-3, launches=4)
         stats = t.snapshot().plans["k"]
@@ -233,8 +240,123 @@ class TestSnapshot:
     def test_reset_plans_drops_only_the_named_keys(self):
         t = Telemetry()
         self.record(t)
-        t.record_batch("att", "spmm", 1e-3, [0.0], plan_key="other")
+        publish_batch(t.metrics, "att", 1e-3, [0.0], plan_key="other")
         t.reset_plans([self.KEY, "never-seen"])
         assert t.plans() == ["other"]
         # session/backend views are untouched
         assert t.summary("ffn").requests == 3
+
+
+class TestOneStore:
+    """The serving view and the registry are one store: every reader
+    reports the same numbers for the same run."""
+
+    def test_view_equals_the_registry_it_reads(self, rng):
+        from repro.bench.loadgen import _latency_stats
+        from repro.obs.export import summarize
+        from tests.conftest import make_structured_sparse
+
+        # three SpMM weight classes of different sizes, plus SDDMM and
+        # attention: modelled latencies spread over several buckets
+        weights = [
+            make_structured_sparse(rng, n, n, 8, 0.7) for n in (64, 128, 256)
+        ]
+        mask = make_structured_sparse(rng, 64, 64, 8, 0.9)
+        with repro.open_engine(device="A100") as client:
+            futures = []
+            for i in range(15):
+                w = weights[i % 3]
+                futures.append(client.submit(api.SpmmRequest(
+                    lhs=w, rhs=rng.integers(-8, 8, size=(w.shape[1], 16)),
+                )))
+            futures.append(client.submit(api.SddmmRequest(
+                mask=mask, a=rng.integers(-8, 8, size=(64, 32)),
+                b=rng.integers(-8, 8, size=(32, 64)),
+            )))
+            futures.append(client.submit(
+                api.AttentionRequest(seq_len=128, num_layers=1)
+            ))
+            for f in futures:
+                f.result(timeout=30)
+            summary = client.telemetry.summary()
+            doc = client.metrics.to_dict()
+            report = client.report()
+            obs_summary = summarize(client.metrics)
+
+        latency = merge_histograms(select(doc, names.REQUEST_MODELLED))
+        expected = [latency.quantile(q) * 1e3 for q in (0.50, 0.95, 0.99)]
+        assert [summary.p50_ms, summary.p95_ms, summary.p99_ms] == expected
+        assert summary.requests == latency.count == 17
+        sizes = merge_histograms(select(doc, names.BATCH_SIZE))
+        assert summary.mean_batch_size == sizes.mean
+        assert summary.modelled_busy_s == sum(
+            s["value"] for s in select(doc, names.MODELLED_BUSY)
+        )
+        # BENCH_serve.json's modelled latency block reads the same merge
+        stats = _latency_stats(doc, names.REQUEST_MODELLED)
+        assert [stats["p50"], stats["p95"], stats["p99"]] == [
+            latency.quantile(q) for q in (0.50, 0.95, 0.99)
+        ]
+        # the demo table's TOTAL row and `repro obs summary`'s merged row
+        total_row = next(ln for ln in report.splitlines() if "TOTAL" in ln)
+        assert all(f"{ms:.4f}" in total_row for ms in expected)
+        merged_row = next(
+            ln for ln in obs_summary.splitlines()
+            if names.REQUEST_MODELLED in ln and "(all)" in ln
+        )
+        assert all(
+            f"{latency.quantile(q):.3e}" in merged_row
+            for q in (0.50, 0.95, 0.99)
+        )
+
+    def test_concurrent_publishes_lose_no_update(self):
+        """Batcher threads publish into one registry at once; the view
+        must count every batch (a lost read-modify-write would not)."""
+        import sys
+        import threading
+
+        t = Telemetry()
+        threads, per = 8, 300
+
+        def publish(i: int) -> None:
+            for _ in range(per):
+                publish_batch(t.metrics, f"s{i % 2}", 1e-6, [0.0, 1e-5],
+                              backend="b", device="d", plan_key="k")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=publish, args=(i,))
+                for i in range(threads)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(old)
+        snap = t.snapshot()
+        assert snap.total["batches"] == threads * per
+        assert snap.total["requests"] == 2 * threads * per
+        assert snap.plans["k"]["launches"] == threads * per
+        latency = merge_histograms(
+            select(t.metrics.to_dict(), names.REQUEST_MODELLED)
+        )
+        assert latency.count == 2 * threads * per
+
+    def test_session_view_is_a_label_projection(self):
+        t = Telemetry()
+        publish_batch(t.metrics, "a", 1e-3, [0.0, 1e-4],
+                      backend="magicube-emulation", device="A100")
+        publish_batch(t.metrics, "b", 3e-3, [0.0],
+                      backend="magicube-emulation", device="A100")
+        doc = t.metrics.to_dict()
+        for session in ("a", "b"):
+            mine = merge_histograms(
+                select(doc, names.REQUEST_MODELLED, {"session": session})
+            )
+            assert t.summary(session).p99_ms == mine.quantile(0.99) * 1e3
+        both = t.backend_summary("magicube-emulation", "A100")
+        assert both.requests == 3 and both.batches == 2

@@ -1,94 +1,41 @@
-"""Telemetry memory stays bounded: the reservoir behind the snapshot."""
+"""Telemetry memory stays bounded: the registry's fixed-bucket series."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from repro.serve.telemetry import Telemetry, _Reservoir
+from repro.serve.telemetry import Telemetry, publish_batch
 
 
-class TestReservoir:
-    def test_exact_while_under_cap(self):
-        r = _Reservoir(cap=8)
-        for v in range(8):
-            r.add(float(v))
-        assert r.exact
-        assert r.values == [float(v) for v in range(8)]
-        assert (r.count, r.total) == (8, 28.0)
-        assert r.mean == 3.5
-
-    def test_thins_deterministically_past_cap(self):
-        r = _Reservoir(cap=8)
-        for v in range(9):
-            r.add(float(v))
-        assert not r.exact and r.stride == 2
-        assert r.values == [0.0, 2.0, 4.0, 6.0, 8.0]  # every stride-th kept
-
-    def test_count_and_total_stay_exact_forever(self):
-        r = _Reservoir(cap=4)
-        n = 10_000
-        for v in range(n):
-            r.add(1.0)
-        assert (r.count, r.total, r.mean) == (n, float(n), 1.0)
-        assert len(r.values) <= r.cap
-
-    def test_identical_streams_identical_samples(self):
-        a, b = _Reservoir(cap=16), _Reservoir(cap=16)
-        for v in range(1000):
-            a.add(float(v))
-            b.add(float(v))
-        assert a.values == b.values and a.stride == b.stride
-
-    def test_sample_spans_the_stream_evenly(self):
-        r = _Reservoir(cap=64)
-        for v in range(100_000):
-            r.add(float(v))
-        # systematic sampling: retained values are multiples of stride
-        assert all(v % r.stride == 0 for v in r.values)
-        assert np.percentile(r.values, 50) == pytest.approx(50_000, rel=0.1)
+def _series_shape(t: Telemetry) -> dict:
+    """Per-family label sets and bucket-count lengths — the registry's
+    whole per-series state, minus the values."""
+    return {
+        name: sorted(
+            (tuple(sorted(s["labels"].items())), len(s.get("counts", ())))
+            for s in family["samples"]
+        )
+        for name, family in t.metrics.to_dict().items()
+    }
 
 
 class TestTelemetryBounded:
     def test_memory_constant_under_sustained_load(self):
         t = Telemetry()
-        for batch in range(3000):
-            t.record_batch("s", "spmm", 1e-6, [1e-5, 2e-5], backend="b", device="d")
-        stats = t._sessions["s"]
-        assert stats.latencies_s.count == 6000
-        assert len(stats.latencies_s.values) <= _Reservoir.CAP
-        assert len(stats.batch_sizes.values) <= _Reservoir.CAP
+        for batch in range(10):
+            publish_batch(t.metrics, "s", 1e-6, [1e-5, 2e-5], backend="b", device="d")
+        shape = _series_shape(t)
+        for batch in range(2990):
+            publish_batch(t.metrics, "s", 1e-6, [1e-5, 2e-5], backend="b", device="d")
+        assert _series_shape(t) == shape
         snap = t.snapshot()
         assert snap.total["requests"] == 6000
         assert snap.total["batches"] == 3000
 
-    def test_snapshot_unchanged_for_bounded_workloads(self):
-        """Below the cap the reservoir IS the stream: summary numbers
-        match a straight numpy computation over every observation (the
-        historical unbounded-list behaviour, bit for bit)."""
-        t = Telemetry()
-        rng = np.random.default_rng(0)
-        times = rng.uniform(1e-6, 1e-3, size=50)
-        waits = rng.uniform(1e-5, 1e-3, size=200)
-        for i, mt in enumerate(times):
-            t.record_batch(
-                "s", "spmm", float(mt), waits[4 * i: 4 * i + 4].tolist(),
-                backend="b", device="d",
-            )
-        # each batch rider experiences its batch's modelled launch time
-        latencies = np.repeat(times, 4)
-        session = t.snapshot().sessions["s"]
-        assert session["p50_ms"] == float(np.percentile(latencies, 50) * 1e3)
-        assert session["p99_ms"] == float(np.percentile(latencies, 99) * 1e3)
-        assert session["mean_queue_wait_ms"] == float(np.mean(waits) * 1e3)
-        assert session["mean_batch_size"] == 4.0
-
     def test_snapshot_fingerprint_stable_past_the_cap(self):
         def build() -> Telemetry:
             t = Telemetry()
-            for batch in range(_Reservoir.CAP):
-                t.record_batch(
-                    "s", "spmm", 1e-6, [1e-5, 2e-5], backend="b", device="d"
+            for batch in range(4096):
+                publish_batch(
+                    t.metrics, "s", 1e-6, [1e-5, 2e-5], backend="b", device="d"
                 )
             return t
 

@@ -15,7 +15,7 @@ from repro.errors import ConfigError
 from repro.runtime.backend import Problem
 from repro.runtime.magicube import TP_CANDIDATES, MagicubeEmulationBackend
 from repro.serve.planner import ExecutionPlanner, Plan
-from repro.serve.telemetry import Telemetry
+from repro.serve.telemetry import Telemetry, publish_batch
 
 SMALL = Problem("spmm", 64, 64, 64, 8, 0.7)
 LARGE = Problem("spmm", 8192, 8192, 128, 8, 0.7)
@@ -103,8 +103,8 @@ class TestPlanShards:
 class TestTelemetryShards:
     def test_recorded_per_plan_key(self):
         t = Telemetry()
-        t.record_batch("s", "spmm", 1e-3, [0.0], plan_key="sharded", shards=4)
-        t.record_batch("s", "spmm", 1e-3, [0.0], plan_key="plain")
+        publish_batch(t.metrics, "s", 1e-3, [0.0], plan_key="sharded", shards=4)
+        publish_batch(t.metrics, "s", 1e-3, [0.0], plan_key="plain")
         plans = t.snapshot().plans
         assert plans["sharded"]["shards"] == 4
         assert plans["plain"]["shards"] == 1
