@@ -18,7 +18,9 @@ Failure model:
   the ring never changes shape on a crash — and every request that was
   in flight to it is **retried exactly once** (on the fresh process,
   or routed around the slot if its restart budget is spent). A request
-  lost twice resolves to :class:`~repro.errors.WorkerCrashError`.
+  lost twice resolves to :class:`~repro.errors.WorkerCrashError`. A
+  control call (prepare / flush / stats) lost with its worker is
+  re-issued once, only after the slot carries a fresh pipe.
 - a worker past its restart budget leaves the live set; ring lookups
   exclude it, which migrates its sessions to their next ring point —
   the minimal-movement rebalance.
@@ -373,7 +375,7 @@ class Gateway:
             )
         for p in lost:
             if p.kind != "run":
-                p.future.set_exception(FleetError(
+                p.future.set_exception(WorkerCrashError(
                     f"worker {name!r} died during a {p.kind!r} call"
                 ))
             elif not self.config.retry_lost or p.attempts >= 2:
@@ -435,12 +437,14 @@ class Gateway:
         self._send(target, message)
 
     # -- send side -------------------------------------------------------
-    def _send(self, worker: str, message: dict) -> None:
+    def _send(self, worker: str, message: dict):
+        """Ship ``message`` to ``worker``; return the connection it went
+        out on (``None`` mid-respawn)."""
         conn = self.pool.handle(worker).conn
         if conn is None:
             # mid-respawn; treat like a pipe that broke under us
             self._send_failed(worker, message, None)
-            return
+            return None
         try:
             with self._send_locks[worker]:
                 conn.send(message)
@@ -448,6 +452,7 @@ class Gateway:
             # the worker is dying under us; fail this message over now
             # (the receiver's EOF handles everything sent before it)
             self._send_failed(worker, message, conn)
+        return conn
 
     def _send_failed(self, worker: str, message: dict, dead_conn) -> None:
         with self._lock:
@@ -460,7 +465,7 @@ class Gateway:
         if pending is None:
             return  # the worker-down sweep already owns it
         if pending.kind != "run":
-            pending.future.set_exception(FleetError(
+            pending.future.set_exception(WorkerCrashError(
                 f"worker {worker!r} pipe closed during a "
                 f"{pending.kind!r} call"
             ))
@@ -482,7 +487,8 @@ class Gateway:
 
         Control calls are cheap and idempotent (prepare / flush /
         stats), so one that dies with the worker is re-issued once
-        after the slot respawns.
+        after the slot respawns: on a connection other than the one
+        the call was lost on.
         """
         future: Future = Future()
         with self._lock:
@@ -492,7 +498,7 @@ class Gateway:
                 worker=worker, kind=kind, message=sendable, future=future,
                 sent_at=time.monotonic(),
             )
-        self._send(worker, sendable)
+        sent_on = self._send(worker, sendable)
         try:
             return future.result(
                 timeout if timeout is not None else self.config.rpc_timeout_s
@@ -504,10 +510,11 @@ class Gateway:
                 f"worker {worker!r} did not answer a {kind!r} call within "
                 f"{self.config.rpc_timeout_s:.1f}s"
             ) from None
-        except FleetError:
+        except FleetError as exc:
             if _retried or self._closed:
                 raise
-            self._await_ready(worker)
+            lost = isinstance(exc, WorkerCrashError)
+            self._await_ready(worker, sent_on if lost else None)
             return self._call(worker, kind, message, timeout, _retried=True)
 
     # -- request routing -------------------------------------------------

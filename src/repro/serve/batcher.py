@@ -5,12 +5,18 @@ must match for requests to share a kernel launch — session, shape,
 precision), gated by the policy's optional admission control
 (queue-depth and latency-budget checks that raise
 :class:`~repro.errors.AdmissionError` instead of letting a backlog grow
-without bound). A scheduler thread flushes a group as soon as it reaches
-``max_batch_size`` or its oldest request has waited ``max_wait_s``, and
-hands the batch to a :class:`~concurrent.futures.ThreadPoolExecutor`
-worker that runs the caller-supplied ``execute`` function once for the
-whole batch. Each request's :class:`~concurrent.futures.Future` resolves
-to its slice of the batch result.
+without bound). A scheduler thread hands batches to a
+:class:`~concurrent.futures.ThreadPoolExecutor` worker that runs the
+caller-supplied ``execute`` function once for the whole batch. Each
+request's :class:`~concurrent.futures.Future` resolves to its slice of
+the batch result.
+
+The scheduler is work-conserving (the continuous-batching rule): a
+group leaves the moment a pool worker is idle, provided it is full or
+its oldest request has waited ``max_wait_s`` (``0`` by default, so a
+lone request runs at once). Ready groups leave oldest head first. While
+every worker is busy the scheduler waits for a batch to finish, and the
+requests that arrive meanwhile pile up and coalesce.
 
 Two client APIs sit on top of :meth:`MicroBatcher.submit`:
 
@@ -33,24 +39,35 @@ from typing import Callable, Hashable, Sequence
 from repro.errors import AdmissionError, EngineClosedError
 from repro.obs.profile import NULL_PROFILER
 
+#: the mean batch wall time is a plain running mean over the first
+#: this-many batches, then an exponential one with weight 1/_WALL_WINDOW
+_WALL_WINDOW = 16
+
 
 @dataclass(frozen=True)
 class BatchPolicy:
     """When a group of queued requests is flushed to a worker.
 
+    A group leaves when a pool worker is idle **and** it holds
+    ``max_batch_size`` requests or its oldest request has waited
+    ``max_wait_s``. Coalescing comes from load, not from waiting: while
+    every worker is busy, requests queue up and leave together. The
+    default ``max_wait_s=0`` never holds a request back from an idle
+    worker; a positive value is an opt-in linger that trades that much
+    latency for bigger launches at low load.
+
     The two admission knobs gate :meth:`MicroBatcher.submit` *before* a
     request enters its queue: ``max_queue_depth`` bounds a group's
     pending backlog outright, and ``admission_budget_s`` rejects a
-    request whose estimated queue delay —
-    ``max_wait_s * (1 + depth // max_batch_size)``, one wait window per
-    full batch already ahead of it — would exceed the budget. Both
+    request whose estimated queue delay (see
+    :meth:`estimated_queue_delay_s`) would exceed the budget. Both
     raise the typed :class:`~repro.errors.AdmissionError` and bump the
     batcher's rejection counters; ``None`` (the default) admits
-    everything, preserving the PR 1 behaviour.
+    everything.
     """
 
     max_batch_size: int = 8
-    max_wait_s: float = 0.002
+    max_wait_s: float = 0.0
     max_queue_depth: int | None = None
     admission_budget_s: float | None = None
 
@@ -64,10 +81,16 @@ class BatchPolicy:
         if self.admission_budget_s is not None and self.admission_budget_s < 0:
             raise ValueError("admission_budget_s must be >= 0 (or None)")
 
-    def estimated_queue_delay_s(self, depth: int) -> float:
+    def estimated_queue_delay_s(self, depth: int, batch_wall_s: float = 0.0) -> float:
         """Conservative queue-delay model for a request entering at
-        ``depth``: every full batch ahead of it costs one wait window."""
-        return self.max_wait_s * (1 + depth // self.max_batch_size)
+        ``depth``: ``max_wait_s + window * (depth // max_batch_size)``,
+        its own linger plus one window per full batch ahead of it, where
+        ``window = max(max_wait_s, batch_wall_s)`` and ``batch_wall_s``
+        is the batcher's measured mean batch wall time (``0`` before
+        any batch has run). A request's own execute time is not queue
+        delay, so a slow batch never makes a lone request inadmissible."""
+        window = max(self.max_wait_s, batch_wall_s)
+        return self.max_wait_s + window * (depth // self.max_batch_size)
 
 
 @dataclass
@@ -90,8 +113,9 @@ class _Group:
     pending: list[_Pending] = field(default_factory=list)
 
     @property
-    def deadline(self) -> float:
-        return self.pending[0].enqueued_at if self.pending else float("inf")
+    def head_at(self) -> float:
+        """Arrival time of the oldest queued request."""
+        return self.pending[0].enqueued_at
 
 
 class RequestHandle:
@@ -139,8 +163,9 @@ class MicroBatcher:
 
     ``execute(key, items)`` receives the group key and the batch's
     :class:`BatchItem` list and must return one result per item, in
-    order. It runs on a pool worker; multiple groups execute
-    concurrently.
+    order. It runs on a pool worker; up to ``max_workers`` batches
+    execute concurrently (more only while :meth:`flush` or
+    :meth:`close` force the queues out).
     """
 
     def __init__(
@@ -161,6 +186,13 @@ class MicroBatcher:
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
+        self._max_workers = max_workers
+        #: batches handed to the pool and not yet finished
+        self._in_flight = 0
+        #: mean batch wall time over (about) the last _WALL_WINDOW
+        #: batches — the admission estimate's window
+        self._batch_wall_s = 0.0
+        self._batches_timed = 0
         self._closed = False
         #: requests refused by admission control, total and per group key
         self.rejected = 0
@@ -205,7 +237,7 @@ class MicroBatcher:
                 f"{policy.max_queue_depth}"
             )
         if policy.admission_budget_s is not None:
-            estimate = policy.estimated_queue_delay_s(depth)
+            estimate = policy.estimated_queue_delay_s(depth, self._batch_wall_s)
             if estimate > policy.admission_budget_s:
                 self._reject(key)
                 raise AdmissionError(
@@ -271,45 +303,58 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def _take_batches(self, force: bool = False) -> list[tuple[Hashable, list[_Pending]]]:
-        """Pop every group that is ready to run (call with lock held)."""
-        now = time.monotonic()
+        """Pop the batches that may run now (call with lock held).
+
+        One batch per idle worker, from the ready groups (full, or head
+        waited ``max_wait_s``), oldest head first. ``force`` (flush and
+        close) takes every queued request regardless of workers.
+        """
         size = self.policy.max_batch_size
         ready = []
-        for key, group in list(self._groups.items()):
-            while group.pending:
-                full = len(group.pending) >= size
-                expired = now - group.deadline >= self.policy.max_wait_s
-                if not (force or full or expired):
-                    break
-                ready.append((key, group.pending[:size]))
-                group.pending = group.pending[size:]
+        if force:
+            for key, group in self._groups.items():
+                for start in range(0, len(group.pending), size):
+                    ready.append((key, group.pending[start : start + size]))
+            self._groups.clear()
+            self._in_flight += len(ready)
+            return ready
+        now = time.monotonic()
+        while self._in_flight < self._max_workers:
+            candidates = [
+                (key, group)
+                for key, group in self._groups.items()
+                if len(group.pending) >= size
+                or now - group.head_at >= self.policy.max_wait_s
+            ]
+            if not candidates:
+                break
+            key, group = min(candidates, key=lambda kv: kv[1].head_at)
+            ready.append((key, group.pending[:size]))
+            del group.pending[:size]
             if not group.pending:
                 del self._groups[key]
+            self._in_flight += 1
         return ready
 
-    def _next_deadline(self) -> float | None:
-        """Earliest flush deadline across groups (call with lock held)."""
-        deadlines = [
-            g.deadline + self.policy.max_wait_s
-            for g in self._groups.values()
-            if g.pending
-        ]
-        return min(deadlines) if deadlines else None
+    def _idle_timeout(self) -> float | None:
+        """How long the scheduler may sleep (call with lock held):
+        until woken by a submit or a finished batch when nothing is
+        queued or every worker is busy, else until the oldest head's
+        linger runs out."""
+        if not self._groups or self._in_flight >= self._max_workers:
+            return None
+        head_at = min(g.head_at for g in self._groups.values())
+        return max(head_at + self.policy.max_wait_s - time.monotonic(), 0.0)
 
     def _scheduler_loop(self) -> None:
         while True:
             with self._wakeup:
                 if self._closed:
                     return
-                deadline = self._next_deadline()
-                timeout = (
-                    None if deadline is None else max(deadline - time.monotonic(), 0.0)
-                )
-                if timeout is None or timeout > 0:
-                    self._wakeup.wait(timeout=timeout)
-                if self._closed:
-                    return
                 batches = self._take_batches()
+                if not batches:
+                    self._wakeup.wait(timeout=self._idle_timeout())
+                    continue
             self._dispatch(batches)
 
     def _dispatch(self, batches: list[tuple[Hashable, list[_Pending]]]) -> None:
@@ -323,18 +368,28 @@ class MicroBatcher:
             for p in pending
         ]
         try:
-            with self.profiler.sample("batcher-dispatch"):
-                results = self._execute(key, items)
-            if len(results) != len(pending):
-                raise RuntimeError(
-                    f"execute returned {len(results)} results for "
-                    f"{len(pending)} requests"
-                )
-        except BaseException as exc:  # propagate to every waiter
-            for p in pending:
+            try:
+                with self.profiler.sample("batcher-dispatch"):
+                    results = self._execute(key, items)
+                if len(results) != len(pending):
+                    raise RuntimeError(
+                        f"execute returned {len(results)} results for "
+                        f"{len(pending)} requests"
+                    )
+            except BaseException as exc:  # propagate to every waiter
+                for p in pending:
+                    if not p.future.cancelled():
+                        p.future.set_exception(exc)
+                return
+            for p, result in zip(pending, results):
                 if not p.future.cancelled():
-                    p.future.set_exception(exc)
-            return
-        for p, result in zip(pending, results):
-            if not p.future.cancelled():
-                p.future.set_result(result)
+                    p.future.set_result(result)
+        finally:
+            wall = time.monotonic() - started
+            with self._wakeup:
+                self._in_flight -= 1
+                self._batches_timed += 1
+                self._batch_wall_s += (wall - self._batch_wall_s) / min(
+                    self._batches_timed, _WALL_WINDOW
+                )
+                self._wakeup.notify()

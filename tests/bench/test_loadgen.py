@@ -214,6 +214,17 @@ class TestRunReplay:
         # seeded mix over 24 requests draws every class
         assert sessions == {"replay-spmm", "replay-sddmm", "replay-attn"}
 
+    def test_bursty_replay_coalesces_under_the_default_policy(self):
+        """The batcher holds no request back from an idle worker, yet a
+        burst still finds every worker busy and piles up into shared
+        launches."""
+        report = run_replay(
+            ReplayConfig(requests=48, arrival="bursty", seed=0), out=None
+        )
+        r = report["results"]
+        assert r["requests"]["completed"] == 48
+        assert r["batching"]["mean_batch_size"] > 1
+
 
 class TestGatewayReplay:
     def test_rollups_come_from_the_merged_snapshot(self, replay_artifacts):

@@ -6,6 +6,7 @@ routing/equivalence cases, plus dedicated fleets for the chaos and
 saturation paths.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -195,6 +196,28 @@ class TestFailover:
                 )
             )
             assert retried >= 0  # kill may land before or after dispatch
+
+    def test_control_call_retry_waits_for_a_fresh_pipe(self):
+        """A control call lost on a dead pipe is re-issued only once the
+        slot carries a new connection. The window is held open: the
+        handle keeps the dead pipe while the process still looks alive,
+        as between a SIGKILL and the monitor noticing it."""
+
+        class DeadPipe:
+            def send(self, message):
+                raise BrokenPipeError("worker end closed")
+
+        with open_fleet(FleetConfig(workers=1, heartbeat_s=0.1)) as gw:
+            handle = gw.pool.handle("w0")
+            live = handle.conn
+            handle.conn = DeadPipe()
+            respawn = threading.Timer(0.3, setattr, (handle, "conn", live))
+            respawn.start()
+            try:
+                gw.flush()  # retried on the fresh pipe, not the dead one
+            finally:
+                respawn.join()
+            assert handle.conn is live
 
     def test_transformer_inflight_retry_once(self):
         """Chaos: SIGKILL the worker serving a stream of whole-model

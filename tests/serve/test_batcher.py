@@ -1,11 +1,14 @@
 """MicroBatcher: coalescing, policy limits, admission, error propagation."""
 
+import sys
 import threading
+import time
+from concurrent.futures import Future
 
 import pytest
 
 from repro.errors import AdmissionError
-from repro.serve.batcher import BatchItem, BatchPolicy, MicroBatcher
+from repro.serve.batcher import BatchItem, BatchPolicy, MicroBatcher, _Group, _Pending
 
 
 class Recorder:
@@ -79,6 +82,113 @@ class TestCoalescing:
         with MicroBatcher(execute, BatchPolicy(max_batch_size=4, max_wait_s=0.01)) as mb:
             mb.submit("k", 0).result(timeout=5)
         assert all(isinstance(i, BatchItem) and i.queue_wait_s >= 0 for i in seen)
+
+
+def _enqueue(mb, key, payload, enqueued_at):
+    """Queue one request at a chosen arrival time (call with mb._lock held)."""
+    group = mb._groups.setdefault(key, _Group())
+    group.pending.append(_Pending(payload, Future(), enqueued_at))
+
+
+class TestWorkConservingDispatch:
+    """The dispatch rule: a ready group leaves the moment a worker is
+    idle; requests wait only while every worker is busy."""
+
+    def test_idle_worker_takes_lone_request_at_arrival(self):
+        rec = Recorder()
+        with MicroBatcher(rec, BatchPolicy()) as mb:
+            with mb._lock:
+                now = time.monotonic()
+                _enqueue(mb, "k", 0, now)
+                batches = mb._take_batches()
+            mb._dispatch(batches)
+        assert [(key, len(p)) for key, p in batches] == [("k", 1)]
+        assert rec.batches == [("k", [0])]
+
+    def test_busy_workers_hold_lone_request(self):
+        rec = Recorder()
+        with MicroBatcher(rec, BatchPolicy(), max_workers=2) as mb:
+            with mb._lock:
+                mb._in_flight = 2  # every worker busy
+                _enqueue(mb, "k", 0, time.monotonic())
+                assert mb._take_batches() == []
+                mb._in_flight = 0
+        # close() still forces the held request out
+        assert rec.batches == [("k", [0])]
+
+    def test_oldest_group_head_dispatched_first(self):
+        rec = Recorder()
+        with MicroBatcher(rec, BatchPolicy(), max_workers=2) as mb:
+            with mb._lock:
+                now = time.monotonic()
+                # insertion order is the reverse of arrival order
+                _enqueue(mb, "young", 0, now - 0.001)
+                _enqueue(mb, "middle", 0, now - 0.005)
+                _enqueue(mb, "old", 0, now - 0.010)
+                batches = mb._take_batches()
+            mb._dispatch(batches)
+            assert [key for key, _ in batches] == ["old", "middle"]
+        assert {key for key, _ in rec.batches} == {"old", "middle", "young"}
+
+    def test_backlog_behind_busy_worker_leaves_as_one_batch(self):
+        rec = Recorder()
+        gate, started = threading.Event(), threading.Event()
+
+        def execute(key, items):
+            if key == "gate":
+                started.set()
+                gate.wait(timeout=5)
+            return rec(key, items)
+
+        with MicroBatcher(execute, BatchPolicy(), max_workers=1) as mb:
+            blocker = mb.submit("gate", 0)
+            assert started.wait(timeout=5)
+            futures = []
+            for i in range(6):
+                futures.append(mb.submit("k", i))
+                time.sleep(0.005)  # arrivals spread out, not a burst
+            gate.set()
+            assert blocker.result(timeout=5) == "gate:0"
+            assert [f.result(timeout=5) for f in futures] == [
+                f"k:{i}" for i in range(6)
+            ]
+        assert rec.batches == [("gate", [0]), ("k", list(range(6)))]
+
+    def test_in_flight_batches_never_exceed_workers(self):
+        """Stress: more workers than cores and a short switch interval;
+        the pool never holds more batches than workers, and the busy
+        count returns to zero (a lost update would leave it off)."""
+        lock = threading.Lock()
+        outstanding = peak = 0
+
+        def execute(key, items):
+            nonlocal outstanding
+            time.sleep(0.0005)
+            with lock:
+                outstanding -= 1
+            return [i.payload for i in items]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            mb = MicroBatcher(execute, BatchPolicy(max_batch_size=2), max_workers=4)
+            pool_submit = mb._pool.submit
+
+            def counting_submit(*args):
+                nonlocal outstanding, peak
+                with lock:
+                    outstanding += 1
+                    peak = max(peak, outstanding)
+                return pool_submit(*args)
+
+            mb._pool.submit = counting_submit
+            futures = [mb.submit(f"k{i % 7}", i) for i in range(300)]
+            assert [f.result(timeout=10) for f in futures] == list(range(300))
+            mb.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= peak <= 4
+        assert mb._in_flight == 0
 
 
 class TestLifecycleAndErrors:
@@ -209,6 +319,62 @@ class TestAdmissionControl:
         assert policy.estimated_queue_delay_s(3) == pytest.approx(0.01)
         assert policy.estimated_queue_delay_s(4) == pytest.approx(0.02)
         assert policy.estimated_queue_delay_s(9) == pytest.approx(0.03)
+
+    def test_estimated_queue_delay_uses_measured_batch_wall(self):
+        policy = BatchPolicy(max_batch_size=4, max_wait_s=0.01)
+        # the window is the larger of the linger and the measured wall
+        # own linger, plus one window per full batch ahead
+        assert policy.estimated_queue_delay_s(9, batch_wall_s=0.05) == pytest.approx(0.11)
+        assert policy.estimated_queue_delay_s(9, batch_wall_s=0.001) == pytest.approx(0.03)
+        assert BatchPolicy().estimated_queue_delay_s(20) == 0.0
+        # the request's own execute time is not charged
+        assert BatchPolicy().estimated_queue_delay_s(7, batch_wall_s=5.0) == 0.0
+
+    def test_measured_batch_wall_drives_admission(self):
+        """With no linger, the budget gate prices the backlog by the
+        measured batch wall time: a deep queue behind a slow execute
+        is refused."""
+        gate, started = threading.Event(), threading.Event()
+
+        def execute(key, items):
+            if key == "gate":
+                started.set()
+                gate.wait(timeout=5)
+            else:
+                time.sleep(0.02)
+            return [i.payload for i in items]
+
+        policy = BatchPolicy(admission_budget_s=0.1)
+        with MicroBatcher(execute, policy, max_workers=1) as mb:
+            mb.submit("slow", -1).result(timeout=5)  # one measured batch
+            blocker = mb.submit("gate", 0)
+            assert started.wait(timeout=5)
+            admitted = []
+            with pytest.raises(AdmissionError, match="admission_budget_s"):
+                for i in range(64):
+                    admitted.append(mb.submit("slow", i))
+            gate.set()
+            blocker.result(timeout=5)
+            assert [f.result(timeout=10) for f in admitted] == list(
+                range(len(admitted))
+            )
+        assert mb.rejections("slow") == 1
+
+    def test_slow_batch_does_not_lock_out_lone_requests(self):
+        """A batch slower than the budget is the request's own execute
+        time, not queue delay: a lone request is still admitted after
+        it, so admission cannot shut the engine for good."""
+
+        def slow_execute(key, items):
+            time.sleep(0.05)
+            return [i.payload for i in items]
+
+        policy = BatchPolicy(admission_budget_s=0.01)
+        with MicroBatcher(slow_execute, policy) as mb:
+            assert mb.submit("k", 0).result(timeout=5) == 0  # wall > budget
+            assert mb._batch_wall_s > policy.admission_budget_s
+            assert mb.submit("k", 1).result(timeout=5) == 1
+        assert mb.rejections() == 0
 
     def test_rejected_request_future_is_never_created(self):
         """Rejection is synchronous: the caller gets the exception, not
