@@ -1,15 +1,15 @@
-"""The v1 client facade: one engine handle, three verbs.
+"""The v1 client facade: one engine handle, two verbs.
 
 :func:`open_engine` stands up a serving engine and returns a
-:class:`Client` that accepts every typed request the same three ways::
+:class:`Client` that accepts every typed request the same two ways::
 
     import repro
     from repro.api import SpmmRequest, AttentionRequest
 
     with repro.open_engine(device="A100", warm_start="plans.json") as client:
         r = client.run(SpmmRequest(lhs=A, rhs=x))            # sync
-        fut = client.submit(SpmmRequest(lhs=A, rhs=x))       # Future
-        handle = client.submit_async(AttentionRequest(1024)) # awaitable
+        fut = client.submit(AttentionRequest(1024))          # Future
+        r = await asyncio.wrap_future(client.submit(req))    # from asyncio
 
 Request classes are prepared lazily and memoized: the first
 ``SpmmRequest`` carrying a given operand (or ``session=`` name) builds
@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.profile import ProfileConfig, Profiler
     from repro.obs.trace import Tracer
-    from repro.serve.batcher import BatchPolicy, RequestHandle
+    from repro.serve.batcher import BatchPolicy
     from repro.serve.cache import PlanCache
     from repro.serve.engine import Engine, Session
     from repro.serve.planner import ExecutionPlanner
@@ -129,12 +129,10 @@ def open_engine(
 class Client:
     """Typed request intake over one :class:`~repro.serve.engine.Engine`.
 
-    All three verbs accept any request type: :meth:`run` blocks and
-    returns the :class:`~repro.api.requests.Response`, :meth:`submit`
-    returns a :class:`concurrent.futures.Future`, and
-    :meth:`submit_async` an awaitable ticketed
-    :class:`~repro.serve.batcher.RequestHandle` (redeemable via
-    :meth:`result`, also by integer id).
+    Both verbs accept any request type: :meth:`run` blocks and returns
+    the :class:`~repro.api.requests.Response`; :meth:`submit` returns a
+    :class:`concurrent.futures.Future` for it, which asyncio code
+    awaits through :func:`asyncio.wrap_future`.
     """
 
     def __init__(self, engine: "Engine") -> None:
@@ -183,26 +181,16 @@ class Client:
         )
         return session, replace(request, **{field: session.operand})
 
-    # -- the three verbs ------------------------------------------------
+    # -- the two verbs --------------------------------------------------
     def submit(self, request: Request) -> Future:
         """Enqueue one request; the future resolves to its
         :class:`~repro.api.requests.Response`."""
         session, req = self._route(request)
         return session.submit(req)
 
-    def submit_async(self, request: Request) -> "RequestHandle":
-        """Like :meth:`submit`, returning an awaitable ticketed handle."""
-        return self._engine._track(self.submit(request))
-
     def run(self, request: Request) -> Response:
         """Blocking convenience wrapper around :meth:`submit`."""
         return self.submit(request).result()
-
-    def result(
-        self, request: "RequestHandle | int", timeout: float | None = None
-    ) -> Response:
-        """Redeem a ticket from :meth:`submit_async`."""
-        return self._engine.result(request, timeout=timeout)
 
     # -- engine passthrough ---------------------------------------------
     @property

@@ -94,7 +94,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         placement = gateway.status()["placement"]
         for session, worker in sorted(placement.items()):
             print(f"  {session:<16} -> {worker}")
-        handles = []
+        futures = []
         kill_at = args.requests // 2 if args.kill else None
         victim = None
         for n in range(args.requests):
@@ -104,13 +104,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 gateway.kill_worker(victim)
             _name, make = classes[n % len(classes)]
             try:
-                handles.append(gateway.submit_async(make()))
+                futures.append(gateway.submit(make()))
             except ReproError as exc:
                 errors.append(f"submit: {type(exc).__name__}: {exc}")
         gateway.flush()
-        for handle in handles:
+        for future in futures:
             try:
-                gateway.result(handle, timeout=config.rpc_timeout_s)
+                future.result(config.rpc_timeout_s)
             except ReproError as exc:
                 errors.append(f"result: {type(exc).__name__}: {exc}")
         status = gateway.status()

@@ -1,9 +1,9 @@
 """The fleet front door: Client-shaped routing over a worker pool.
 
 :class:`Gateway` exposes the same verb surface as
-:class:`repro.api.Client` — ``run`` / ``submit`` / ``submit_async`` +
-``result`` for every typed request kind — but executes nothing
-itself: every request class is *placed* on one worker of a
+:class:`repro.api.Client` — ``run``, and ``submit`` returning a
+:class:`~concurrent.futures.Future`, for every typed request kind — but
+executes nothing itself: every request class is *placed* on one worker of a
 :class:`~repro.fleet.pool.WorkerPool` by the consistent-hash
 :class:`~repro.fleet.placement.PlacementRing` and shipped over that
 worker's pipe. Placement is by session name (gateway-assigned for
@@ -68,7 +68,6 @@ from repro.obs import names
 from repro.obs.health import DEFAULT_SLOS, SloSpec
 from repro.obs.metrics import MetricsRegistry, merge_histograms
 from repro.obs.names import STANDARD_METRICS
-from repro.serve.batcher import RequestHandle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
@@ -252,8 +251,6 @@ class Gateway:
         self._last_beat: dict[str, float] = {}
         self._dead: set[str] = set()
         self._respawning: set[str] = set()
-        self._tickets: dict[int, RequestHandle] = {}
-        self._ticket_ids = itertools.count(1)
         self._closed = False
 
         self.pool.start()
@@ -576,6 +573,9 @@ class Gateway:
         worker = self.ring.lookup(name, exclude=self._dead)
         self._ensure_prepared(worker, name)
         future: Future = Future()
+        # shipped at once, so running from the start: cancel() returns
+        # False and the reply always finds a future it may resolve
+        future.set_running_or_notify_cancel()
         with self._lock:
             if self._inflight[worker] >= self.config.max_inflight:
                 self.metrics.counter(
@@ -603,42 +603,9 @@ class Gateway:
         self._send(worker, message)
         return future
 
-    def submit_async(self, request: Request) -> RequestHandle:
-        """Like :meth:`submit`, returning an awaitable ticketed handle
-        redeemable via :meth:`result` (also by integer id)."""
-        future = self.submit(request)
-        with self._lock:
-            ticket = next(self._ticket_ids)
-            handle = RequestHandle(ticket, future)
-            self._tickets[ticket] = handle
-        return handle
-
     def run(self, request: Request) -> Response:
         """Blocking convenience wrapper around :meth:`submit`."""
         return self.submit(request).result(self.config.rpc_timeout_s)
-
-    def result(
-        self, request: "RequestHandle | int", timeout: float | None = None
-    ) -> Response:
-        """Redeem a ticket from :meth:`submit_async`."""
-        if isinstance(request, RequestHandle):
-            handle = request
-        else:
-            with self._lock:
-                handle = self._tickets.get(request)
-            if handle is None:
-                if self._closed:
-                    raise EngineClosedError(
-                        f"fleet gateway is closed; ticket {request!r} "
-                        f"cannot resolve"
-                    )
-                raise ConfigError(f"unknown fleet ticket {request!r}")
-        try:
-            return handle.result(timeout)
-        finally:
-            if handle.done():
-                with self._lock:
-                    self._tickets.pop(handle.id, None)
 
     # -- fleet operations ------------------------------------------------
     def flush(self) -> None:

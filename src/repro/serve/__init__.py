@@ -44,7 +44,7 @@ Quick start (the typed v1 surface — see :mod:`repro.api`)::
 self-contained serving demo.
 """
 
-from repro.serve.batcher import BatchPolicy, MicroBatcher, RequestHandle
+from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.cache import PlanCache
 from repro.serve.engine import Engine, Session
 from repro.serve.planner import ExecutionPlanner, Objective, Plan, PlanKey
@@ -59,7 +59,6 @@ __all__ = [
     "Plan",
     "PlanCache",
     "PlanKey",
-    "RequestHandle",
     "Session",
     "Telemetry",
     "TelemetrySnapshot",

@@ -18,18 +18,14 @@ lone request runs at once). Ready groups leave oldest head first. While
 every worker is busy the scheduler waits for a batch to finish, and the
 requests that arrive meanwhile pile up and coalesce.
 
-Two client APIs sit on top of :meth:`MicroBatcher.submit`:
-
-- the raw :class:`~concurrent.futures.Future` it returns, and
-- :meth:`MicroBatcher.submit_async`, which wraps the future in a
-  ticketed :class:`RequestHandle` — pollable (``done()``), blocking
-  (``result(timeout)`` / :meth:`MicroBatcher.result`), and *awaitable*
-  from asyncio code (``await handle``).
+A request's :class:`~concurrent.futures.Future` is its only handle,
+with the standard contract: it can be cancelled while queued, and once
+its batch starts running it can no longer be cancelled. asyncio code
+awaits it through :func:`asyncio.wrap_future`.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -118,46 +114,6 @@ class _Group:
         return self.pending[0].enqueued_at
 
 
-class RequestHandle:
-    """Ticket for one in-flight request.
-
-    Wraps the request's :class:`~concurrent.futures.Future` behind a
-    stable integer ``id`` (the cross-process-style ticket the client's
-    ``submit_async()``/``result()`` API hands out) and is directly
-    awaitable from asyncio code::
-
-        handle = client.submit_async(api.SpmmRequest(lhs=w, rhs=x))
-        result = await handle          # or handle.result(timeout=...)
-    """
-
-    __slots__ = ("id", "_future")
-
-    def __init__(self, request_id: int, future: Future) -> None:
-        self.id = request_id
-        self._future = future
-
-    def done(self) -> bool:
-        return self._future.done()
-
-    def cancelled(self) -> bool:
-        return self._future.cancelled()
-
-    def result(self, timeout: float | None = None):
-        return self._future.result(timeout)
-
-    def exception(self, timeout: float | None = None):
-        return self._future.exception(timeout)
-
-    def __await__(self):
-        import asyncio
-
-        return asyncio.wrap_future(self._future).__await__()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "done" if self.done() else "pending"
-        return f"RequestHandle(id={self.id}, {state})"
-
-
 class MicroBatcher:
     """Coalesces same-group requests into single batched executions.
 
@@ -197,7 +153,6 @@ class MicroBatcher:
         #: requests refused by admission control, total and per group key
         self.rejected = 0
         self._rejected_by_key: dict[Hashable, int] = {}
-        self._ticket_counter = itertools.count(1)
         self._thread = threading.Thread(
             target=self._scheduler_loop, name="repro-serve-scheduler", daemon=True
         )
@@ -263,19 +218,6 @@ class MicroBatcher:
                 return sum(len(g.pending) for g in self._groups.values())
             group = self._groups.get(key)
             return len(group.pending) if group is not None else 0
-
-    def submit_async(self, key: Hashable, payload: object) -> RequestHandle:
-        """Queue one request and return its awaitable ticket."""
-        return self.wrap(self.submit(key, payload))
-
-    def wrap(self, future: Future) -> RequestHandle:
-        """Issue a ticketed :class:`RequestHandle` for ``future``."""
-        return RequestHandle(next(self._ticket_counter), future)
-
-    @staticmethod
-    def result(handle: RequestHandle, timeout: float | None = None):
-        """Block until the ticketed request resolves; return its result."""
-        return handle.result(timeout)
 
     def flush(self) -> None:
         """Dispatch every queued request immediately (no wait policy)."""
@@ -363,11 +305,18 @@ class MicroBatcher:
 
     def _run_batch(self, key: Hashable, pending: list[_Pending]) -> None:
         started = time.monotonic()
-        items = [
-            BatchItem(payload=p.payload, queue_wait_s=started - p.enqueued_at)
-            for p in pending
-        ]
         try:
+            # riders cancelled while queued drop out here; the rest are
+            # running from now on, so cancel() can no longer take them
+            pending = [
+                p for p in pending if p.future.set_running_or_notify_cancel()
+            ]
+            if not pending:
+                return
+            items = [
+                BatchItem(payload=p.payload, queue_wait_s=started - p.enqueued_at)
+                for p in pending
+            ]
             try:
                 with self.profiler.sample("batcher-dispatch"):
                     results = self._execute(key, items)
@@ -378,18 +327,17 @@ class MicroBatcher:
                     )
             except BaseException as exc:  # propagate to every waiter
                 for p in pending:
-                    if not p.future.cancelled():
-                        p.future.set_exception(exc)
+                    p.future.set_exception(exc)
                 return
             for p, result in zip(pending, results):
-                if not p.future.cancelled():
-                    p.future.set_result(result)
+                p.future.set_result(result)
         finally:
             wall = time.monotonic() - started
             with self._wakeup:
                 self._in_flight -= 1
-                self._batches_timed += 1
-                self._batch_wall_s += (wall - self._batch_wall_s) / min(
-                    self._batches_timed, _WALL_WINDOW
-                )
+                if pending:  # a batch that ran: fold in its wall time
+                    self._batches_timed += 1
+                    self._batch_wall_s += (wall - self._batch_wall_s) / min(
+                        self._batches_timed, _WALL_WINDOW
+                    )
                 self._wakeup.notify()

@@ -19,8 +19,9 @@ precision → device → backend → plan stages a one-shot
 to the direct path.
 
 The typed front door is :func:`repro.open_engine` /
-:class:`repro.api.Client`: submit any typed request and get uniform
-:class:`~repro.api.Response` objects back. Underneath, one
+:class:`repro.api.Client`: submit any typed request and get a
+:class:`~concurrent.futures.Future` — the request's only handle — for a
+uniform :class:`~repro.api.Response`. Underneath, one
 :class:`Session` class serves every request kind; a per-kind table
 (:data:`_KINDS`, keyed by ``request.op``) says how a kind prepares its
 session, which riders may share a launch (the group key), how they
@@ -33,9 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import threading
 import time
-from collections import deque
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
@@ -59,7 +58,7 @@ from repro.obs.names import declare_standard
 from repro.obs.profile import NULL_PROFILER, ProfileConfig, Profiler
 from repro.obs.trace import Tracer
 from repro.runtime import Device, resolve_backend
-from repro.serve.batcher import BatchItem, BatchPolicy, MicroBatcher, RequestHandle
+from repro.serve.batcher import BatchItem, BatchPolicy, MicroBatcher
 from repro.serve.cache import PlanCache
 from repro.serve.planner import ExecutionPlanner, Objective, Plan
 from repro.serve.telemetry import Telemetry, publish_batch
@@ -131,6 +130,7 @@ class Session:
 
     def submit(self, request: Request) -> Future:
         """Enqueue one typed request; resolves to a :class:`Response`."""
+        self.engine._check_open(self.name)
         if request.op != self.op:
             raise ConfigError(
                 f"session {self.name!r} serves {self.op} requests, not "
@@ -150,14 +150,6 @@ class Session:
             self.name, (self.name, *self.kind.group(req, res)),
             {"request": req, "resolution": res}, request_id, trace,
         )
-
-    def submit_async(self, request: Request) -> RequestHandle:
-        """Like :meth:`submit`, returning an awaitable ticketed handle."""
-        return self.engine._track(self.submit(request))
-
-    def run(self, request: Request) -> Response:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(request).result()
 
 
 # -- the per-kind table ---------------------------------------------------
@@ -444,7 +436,7 @@ class Engine:
             self.profiler = Profiler(profile)
         self.telemetry = Telemetry(self.metrics)
         self.planner.cache.bind_metrics(self.metrics)
-        #: monotonic request ids (also the ticket ids `submit_async` hands out)
+        #: monotonic request ids (``Response.request_id``)
         self._request_ids = itertools.count(1)
         self._batch_ids = itertools.count(1)
         self._sessions: dict[str, Session] = {}
@@ -453,9 +445,6 @@ class Engine:
             profiler=self.profiler,
         )
         self._closed = False
-        self._inflight: dict[int, RequestHandle] = {}
-        self._completed_ids: deque[int] = deque()
-        self._inflight_lock = threading.Lock()
         self.retune = None
         if retune is not None:
             # imported lazily: repro.autotune imports the serve modules
@@ -463,12 +452,6 @@ class Engine:
 
             self.retune = RetuneScheduler(self, retune)
             self.retune.start()
-
-    #: completed-but-unredeemed tickets kept redeemable by integer id;
-    #: beyond this, the oldest are forgotten (callers holding the
-    #: RequestHandle itself are unaffected) — bounds the ticket registry
-    #: for clients that await handles and never call result()
-    COMPLETED_TICKET_LIMIT = 1024
 
     @property
     def device(self) -> str:
@@ -484,6 +467,7 @@ class Engine:
     def _open_session(self, name: str, request: Request) -> Session:
         """Prepare ``request``'s class once (operand conversion, backend
         pinning, model build) and serve it as session ``name``."""
+        self._check_open(name)
         if name in self._sessions:
             raise ConfigError(f"session {name!r} already exists")
         request = replace(request, **dict.fromkeys(request.payload_fields))
@@ -492,10 +476,17 @@ class Engine:
         return session
 
     # -- request intake -------------------------------------------------
+    def _check_open(self, session: str) -> None:
+        """Refuse work once closed, before any conversion or planning."""
+        if self._closed:
+            raise EngineClosedError(
+                f"engine is closed; request for session {session!r} refused"
+            )
+
     def _begin_request(self, session: str, op: str):
         """Assign the next request id and open its trace (the id is
-        also the ticket id ``submit_async`` hands out, so a trace, a log line
-        and a redeemable ticket all name the same request)."""
+        also ``Response.request_id``, so a response, its trace and an
+        admission-rejection message all name the same request)."""
         request_id = next(self._request_ids)
         return request_id, self.tracer.request(
             op=op, session=session, request_id=request_id
@@ -505,10 +496,6 @@ class Engine:
         self, session: str, key: tuple, payload: dict, request_id: int, trace
     ) -> Future:
         """Submit to the micro-batcher, accounting admission rejections."""
-        if self._closed:
-            raise EngineClosedError(
-                f"engine is closed; request for session {session!r} refused"
-            )
         payload["request_id"] = request_id
         span = None
         if trace:
@@ -533,62 +520,7 @@ class Engine:
         self.metrics.gauge(
             metric_names.QUEUE_DEPTH, {"session": session}
         ).set(self._batcher.queue_depth(key))
-        future._repro_request_id = request_id
         return future
-
-    # -- ticketed client API -------------------------------------------
-    def _track(self, future: Future) -> RequestHandle:
-        # the ticket id IS the engine's request id
-        handle = RequestHandle(future._repro_request_id, future)
-        with self._inflight_lock:
-            self._inflight[handle.id] = handle
-        future.add_done_callback(
-            lambda _f, ticket=handle.id: self._note_completed(ticket)
-        )
-        return handle
-
-    def _note_completed(self, ticket: int) -> None:
-        """Move a resolved ticket to the bounded completed window."""
-        with self._inflight_lock:
-            if ticket not in self._inflight:
-                return  # already redeemed
-            self._completed_ids.append(ticket)
-            while len(self._completed_ids) > self.COMPLETED_TICKET_LIMIT:
-                evicted = self._completed_ids.popleft()
-                self._inflight.pop(evicted, None)
-
-    def result(
-        self, request: "RequestHandle | int", timeout: float | None = None
-    ) -> Response:
-        """Redeem a ticket from ``submit_async``; blocks until resolved.
-
-        Tickets that resolved before :meth:`close` stay redeemable;
-        unknown tickets raise
-        :class:`~repro.errors.EngineClosedError` after close (they can
-        never resolve) and :class:`~repro.errors.ConfigError` before.
-        """
-        if isinstance(request, RequestHandle):
-            handle = request
-        else:
-            with self._inflight_lock:
-                handle = self._inflight.get(request)
-            if handle is None:
-                if self._closed:
-                    raise EngineClosedError(
-                        f"engine is closed; ticket {request!r} cannot resolve"
-                    )
-                raise ConfigError(f"unknown request ticket {request!r}")
-        try:
-            return handle.result(timeout)
-        finally:
-            if handle.done():
-                with self._inflight_lock:
-                    self._inflight.pop(handle.id, None)
-
-    def pending_requests(self) -> int:
-        """Outstanding tickets issued but not yet redeemed."""
-        with self._inflight_lock:
-            return sum(1 for h in self._inflight.values() if not h.done())
 
     # -- lifecycle ------------------------------------------------------
     def flush(self) -> None:

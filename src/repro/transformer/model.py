@@ -127,7 +127,10 @@ class SparseTransformerClassifier(Layer):
             x = layer.forward(x, additive_mask, quantized)
         self._seq_cache = x.shape[1]
         pooled = x.mean(axis=1)
-        return self.head.forward(pooled)
+        # one (1, d) @ (d, C) product per row: a 2-D (B, d) matmul rounds
+        # a row differently at B == 1 than at B > 1, and a served row's
+        # logits must not depend on which riders share its launch
+        return self.head.forward(pooled[:, None, :])[:, 0]
 
     def backward(self, dlogits: np.ndarray) -> None:
         l = self._seq_cache

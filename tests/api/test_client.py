@@ -1,4 +1,4 @@
-"""The open_engine / Client facade: three verbs, every request type."""
+"""The open_engine / Client facade: two verbs, every request type."""
 
 import numpy as np
 import pytest
@@ -43,12 +43,20 @@ class TestVerbs:
             r = fut.result(timeout=10)
         assert r.plan is not None and r.batch_size >= 1
 
-    def test_submit_async_ticket(self, matrix, rhs):
+    def test_submit_future_is_awaitable(self, matrix, rhs):
+        """asyncio code awaits the submit Future through the stdlib."""
+        import asyncio
+
         with repro.open_engine() as client:
-            handle = client.submit_async(api.SpmmRequest(lhs=matrix, rhs=rhs))
-            client.flush()
-            r = client.result(handle, timeout=10)
-        assert r.output is not None
+            async def serve():
+                return await asyncio.wrap_future(
+                    client.submit(api.SpmmRequest(lhs=matrix, rhs=rhs))
+                )
+
+            r = asyncio.run(serve())
+        np.testing.assert_array_equal(
+            r.output, matrix.to_dense().astype(np.int64) @ rhs
+        )
 
     def test_attention_request(self):
         with repro.open_engine() as client:
@@ -226,26 +234,25 @@ class TestClose:
         session = client.prepare(api.SpmmRequest(lhs=matrix, session="w"))
         client.close()
         with pytest.raises(EngineClosedError):
-            session.submit_async(api.SpmmRequest(lhs=matrix, rhs=rhs))
+            session.submit(api.SpmmRequest(lhs=matrix, rhs=rhs))
 
-    def test_unknown_ticket_after_close_is_typed(self):
+    def test_closed_engine_refuses_before_any_work(self, matrix, rhs):
+        """After close nothing converts an operand, opens a session or
+        searches a plan: the refusal comes first."""
         client = repro.open_engine()
+        client.prepare(api.SpmmRequest(lhs=matrix, session="w"))
         client.close()
+        sessions = len(client.engine._sessions)
+        stats = client.planner.cache.stats()
+        fresh = repro.SparseMatrix.from_dense(matrix.to_dense(), vector_length=8)
         with pytest.raises(EngineClosedError):
-            client.result(123456)
-
-    def test_unknown_ticket_before_close_is_config_error(self):
-        with repro.open_engine() as client:
-            with pytest.raises(ConfigError):
-                client.result(123456)
-
-    def test_resolved_tickets_survive_close(self, matrix, rhs):
-        client = repro.open_engine()
-        handle = client.submit_async(api.SpmmRequest(lhs=matrix, rhs=rhs))
-        client.flush()
-        handle.result(timeout=10)
-        client.close()
-        assert client.result(handle).output is not None
+            client.prepare(api.SpmmRequest(lhs=fresh))
+        with pytest.raises(EngineClosedError):
+            client.run(api.SpmmRequest(lhs=fresh, rhs=rhs))
+        with pytest.raises(EngineClosedError):
+            client.run(api.SpmmRequest(lhs=matrix, rhs=rhs, session="w"))
+        assert len(client.engine._sessions) == sessions
+        assert client.planner.cache.stats() == stats
 
     def test_error_family(self):
         assert issubclass(EngineClosedError, repro.ReproError)

@@ -114,14 +114,35 @@ class TestRouting:
         for session, worker in placement.items():
             assert worker == ring.lookup(session)
 
-    def test_submit_async_ticket_redeems(self, gateway, operands):
+    def test_submit_future_is_awaitable(self, gateway, operands):
+        """The gateway's submit Future is the request's one handle;
+        asyncio code awaits it through the stdlib."""
+        import asyncio
+
         req = SpmmRequest(
             lhs=operands["lhs"], rhs=operands["rhs"], session="rt-spmm"
         )
-        handle = gateway.submit_async(req)
-        gateway.flush()
-        r = gateway.result(handle, timeout=30.0)
+
+        async def serve():
+            future = gateway.submit(req)
+            gateway.flush()
+            return await asyncio.wait_for(asyncio.wrap_future(future), 30.0)
+
+        r = asyncio.run(serve())
         assert r.output is not None
+
+    def test_submitted_request_cannot_be_cancelled(self, gateway, operands):
+        """A request is on its worker once submit returns: cancel() is
+        refused, the reply resolves the future, and the worker's
+        receive loop keeps serving."""
+        req = SpmmRequest(
+            lhs=operands["lhs"], rhs=operands["rhs"], session="rt-spmm"
+        )
+        future = gateway.submit(req)
+        assert not future.cancel()
+        gateway.flush()
+        assert future.result(timeout=30.0).output is not None
+        assert gateway.run(req).output is not None
 
     def test_operand_swap_rejected(self, gateway, operands):
         """Same identity contract as the direct Client: a named session

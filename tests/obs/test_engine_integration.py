@@ -78,6 +78,23 @@ class TestTracedRequests:
                 client.run(api.SpmmRequest(lhs=lhs, rhs=_rhs()))
         assert [t.request_id for t in tracer.finished()] == [1, 2, 3]
 
+    def test_request_cancelled_while_queued_leaves_no_trace(self, lhs):
+        """A cancelled rider never reaches execute, so no served trace
+        (queue and kernel-launch spans) is retired for it."""
+        with repro.open_engine(
+            metrics=MetricsRegistry(), trace=True,
+            policy=BatchPolicy(max_batch_size=8, max_wait_s=60.0),
+        ) as client:
+            kept = client.submit(api.SpmmRequest(lhs=lhs, rhs=_rhs()))
+            dropped = client.submit(api.SpmmRequest(lhs=lhs, rhs=_rhs()))
+            assert dropped.cancel()
+            client.flush()
+            served = kept.result(timeout=30)
+            assert served.batch_size == 1
+            assert [t.request_id for t in client.tracer.finished()] == [
+                served.request_id
+            ]
+
     def test_untraced_engine_returns_no_trace_but_same_answers(self, lhs):
         with repro.open_engine(metrics=MetricsRegistry()) as client:
             r = client.run(api.SpmmRequest(lhs=lhs, rhs=_rhs()))
@@ -101,12 +118,14 @@ class TestRequestIds:
             )
         assert ids == [1, 2, 3, 4]
 
-    def test_ticket_id_is_the_request_id(self, lhs):
+    def test_submitted_request_ids_follow_submission_order(self, lhs):
         with repro.open_engine(metrics=MetricsRegistry()) as client:
-            handle = client.submit_async(api.SpmmRequest(lhs=lhs, rhs=_rhs()))
-            response = handle.result()
-            assert handle.id == response.request_id
-            assert client.result(handle.id).request_id == handle.id
+            futures = [
+                client.submit(api.SpmmRequest(lhs=lhs, rhs=_rhs()))
+                for _ in range(3)
+            ]
+            ids = [f.result(timeout=30).request_id for f in futures]
+        assert ids == [1, 2, 3]
 
     def test_one_shot_calls_have_no_request_id(self, lhs):
         r = api.run(api.SpmmRequest(lhs=lhs, rhs=_rhs()))

@@ -3,7 +3,7 @@
 import sys
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 
 import pytest
 
@@ -213,6 +213,81 @@ class TestLifecycleAndErrors:
             with pytest.raises(RuntimeError, match="results"):
                 f.result(timeout=5)
 
+    def test_request_cancelled_before_dispatch_never_executes(self):
+        rec = Recorder()
+        with MicroBatcher(rec, BatchPolicy(max_batch_size=8, max_wait_s=60.0)) as mb:
+            futures = [mb.submit("k", i) for i in range(3)]
+            assert futures[1].cancel()
+            mb.flush()
+            assert futures[0].result(timeout=5) == "k:0"
+            assert futures[2].result(timeout=5) == "k:2"
+        assert rec.batches == [("k", [0, 2])]
+
+    def test_all_cancelled_batch_skips_execute_and_frees_its_worker(self):
+        gate = threading.Event()
+        rec = Recorder()
+
+        def execute(key, items):
+            if key == "block":
+                gate.wait(timeout=5)
+            return rec(key, items)
+
+        with MicroBatcher(execute, BatchPolicy(), max_workers=1) as mb:
+            blocker = mb.submit("block", 0)
+            cancelled = mb.submit("k", 1)  # queued: the one worker is busy
+            assert cancelled.cancel()
+            gate.set()
+            # only runs if the skipped batch gave its worker slot back
+            assert mb.submit("j", 2).result(timeout=5) == "j:2"
+            assert blocker.result(timeout=5) == "block:0"
+        assert [key for key, _ in rec.batches] == ["block", "j"]
+
+    def test_cancel_is_refused_once_the_batch_runs(self):
+        """The concurrent.futures contract: a running future cannot be
+        cancelled, and its result is delivered."""
+        refused = []
+
+        def execute(key, items):
+            refused.append(not futures[0].cancel())
+            return [i.payload for i in items]
+
+        with MicroBatcher(execute, BatchPolicy(max_batch_size=8, max_wait_s=60.0)) as mb:
+            futures = [mb.submit("k", 0)]
+            mb.flush()
+            assert futures[0].result(timeout=5) == 0
+        assert refused == [True]
+
+    def test_racing_cancels_never_strand_a_batch(self):
+        """cancel() racing dispatch from several threads: every future
+        ends either cancelled or with its own result, and every batch
+        gives its worker back."""
+
+        def execute(key, items):
+            return [i.payload for i in items]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            mb = MicroBatcher(execute, BatchPolicy(max_batch_size=4), max_workers=8)
+            futures = [mb.submit(f"k{i % 3}", i) for i in range(600)]
+            cancellers = [
+                threading.Thread(target=lambda fs=futures[k::4]: [f.cancel() for f in fs])
+                for k in range(4)
+            ]
+            for t in cancellers:
+                t.start()
+            for t in cancellers:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in cancellers)
+            _, not_done = wait(futures, timeout=10)
+            assert not not_done
+            for i, f in enumerate(futures):
+                assert f.cancelled() or f.result() == i
+            mb.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert mb._in_flight == 0
+
     def test_close_drains_pending(self):
         rec = Recorder()
         mb = MicroBatcher(rec, BatchPolicy(max_batch_size=64, max_wait_s=60.0))
@@ -384,6 +459,6 @@ class TestAdmissionControl:
         with MicroBatcher(rec, policy) as mb:
             mb.submit("k", 1)
             with pytest.raises(AdmissionError):
-                mb.submit_async("k", 2)
+                mb.submit("k", 2)
             mb.flush()
         assert [p for _, p in rec.batches] == [[1]]

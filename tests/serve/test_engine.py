@@ -5,8 +5,6 @@ contracts (served == one-shot, coalescing, isolation) are shared in
 ``tests/serve/test_session.py``.
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -220,89 +218,6 @@ class TestBackendPinning:
         with repro.open_engine(device="A100") as c:
             with pytest.raises(ConfigError):
                 c.prepare(api.AttentionRequest(seq_len=512, backend="sputnik"))
-
-
-class TestTicketedClientAPI:
-    def test_submit_result_round_trip(self, client, weights, rng):
-        rhs = rng.integers(-128, 128, size=(128, 16))
-        handle = client.submit_async(spmm(weights, rhs))
-        assert not handle.done()
-        client.flush()
-        res = client.result(handle, timeout=30)
-        np.testing.assert_array_equal(res.output, weights.astype(np.int64) @ rhs)
-
-    def test_result_by_integer_ticket(self, client, weights, rng):
-        handle = client.submit_async(
-            spmm(weights, rng.integers(-128, 128, size=(128, 16)))
-        )
-        client.flush()
-        res = client.result(handle.id, timeout=30)
-        assert res.batch_size == 1
-        # redeemed tickets are forgotten
-        with pytest.raises(ConfigError):
-            client.result(handle.id)
-
-    def test_unknown_ticket_rejected(self, client):
-        with pytest.raises(ConfigError):
-            client.result(999999)
-
-    def test_pending_requests_counter(self, client, weights, rng):
-        handles = [
-            client.submit_async(
-                spmm(weights, rng.integers(-128, 128, size=(128, 16)))
-            )
-            for _ in range(3)
-        ]
-        assert client.engine.pending_requests() == 3
-        client.flush()
-        for h in handles:
-            client.result(h, timeout=30)
-        assert client.engine.pending_requests() == 0
-
-    def test_handles_are_awaitable(self, client, weights, rng):
-        import asyncio
-
-        rhs = rng.integers(-128, 128, size=(128, 16))
-
-        async def redeem():
-            handle = client.submit_async(spmm(weights, rhs))
-            client.flush()
-            return await handle
-
-        res = asyncio.run(redeem())
-        np.testing.assert_array_equal(res.output, weights.astype(np.int64) @ rhs)
-
-    def test_attention_submit_async(self, client):
-        handle = client.submit_async(
-            api.AttentionRequest(seq_len=512, batch=2, session="attn")
-        )
-        client.flush()
-        res = handle.result(timeout=60)
-        assert res.output is None and res.stats.total_s > 0
-
-    def test_completed_unredeemed_tickets_are_bounded(self, weights, rng):
-        """Clients that await handles without calling client.result()
-        must not grow the ticket registry without bound."""
-        with repro.open_engine(policy=BatchPolicy(1, 0.0)) as c:
-            e = c.engine
-            e.COMPLETED_TICKET_LIMIT = 4
-            rhs = rng.integers(-128, 128, size=(128, 8))
-            handles = []
-            for _ in range(10):
-                h = c.submit_async(spmm(weights, rhs))
-                h.result(timeout=30)  # resolved directly, never redeemed
-                handles.append(h)
-            # done-callbacks fire on worker threads; give them a moment
-            deadline = time.monotonic() + 5.0
-            while len(e._inflight) > 4 + 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert len(e._inflight) <= 4 + 1  # window + one in flight
-            # recent tickets stay redeemable by id; evicted ones do not
-            assert c.result(handles[-1].id, timeout=5) is not None
-            with pytest.raises(ConfigError):
-                c.result(handles[0].id)
-            # handles themselves always resolve, evicted or not
-            assert handles[0].result(timeout=5) is not None
 
 
 class TestPlannerRoutedInference:

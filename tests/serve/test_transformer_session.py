@@ -49,6 +49,15 @@ class TestTransformerSession:
         split = np.concatenate([p.output for p in parts])
         assert split.tobytes() == whole.output.tobytes()
 
+    def test_rows_are_independent_of_batch_mates(self):
+        """A row's logits are the same whether it runs alone or with
+        others, so coalescing under load never changes an answer."""
+        ids = make_ids(batch=4)
+        whole = api.run(api.TransformerRequest(ids=ids, **SPEC))
+        for i in range(4):
+            alone = api.run(api.TransformerRequest(ids=ids[i : i + 1], **SPEC))
+            assert alone.output.tobytes() == whole.output[i : i + 1].tobytes()
+
     def test_latency_modes(self):
         with api.open_engine() as client:
             prefill = client.run(
