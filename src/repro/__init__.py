@@ -48,7 +48,6 @@ from repro.errors import (
     EngineClosedError,
     FormatError,
     LayoutError,
-    MagicubeError,
     PlanCacheError,
     PrecisionError,
     QuantizationError,
@@ -67,7 +66,6 @@ __all__ = [
     "EngineClosedError",
     "FormatError",
     "LayoutError",
-    "MagicubeError",
     "PlanCacheError",
     "Precision",
     "PrecisionError",

@@ -25,17 +25,17 @@ Serving picks the artifact up through ``Engine(warm_start=...)`` /
 
 The loop also runs the *other* way — serve feeding autotune:
 
-- :mod:`~repro.autotune.policy` decides, from a live engine's
-  :class:`~repro.serve.telemetry.TelemetrySnapshot`, which plan keys
-  are worth re-sweeping (hot traffic, cold-search misses, latency
-  regressions, fingerprint drift) and synthesizes *targeted* sweep
-  configs covering exactly those keys.
+- :mod:`~repro.autotune.policy` decides, from the per-plan traffic in
+  a metrics registry (:func:`~repro.serve.telemetry.plan_traffic`),
+  which plan keys are worth re-sweeping (hot traffic, cold-search
+  misses, latency regressions, fingerprint drift) and synthesizes
+  *targeted* sweep configs covering exactly those keys.
 - :mod:`~repro.autotune.scheduler` runs that loop in the background of
   a serving engine (``repro.open_engine(retune=RetunePolicy(...))``),
   promotes the re-tuned plans into the live plan cache atomically, and
   ships each promotion as an artifact whose manifest names the
-  triggering snapshot. ``repro autotune watch`` drives the same cycle
-  from a snapshot file exported by another process, and ``repro bench
+  triggering traffic. ``repro autotune watch`` runs the same cycle
+  over a metrics file another process exported, and ``repro bench
   retune`` demonstrates the loop closing on a shifting workload.
 
 Quick start::
@@ -64,16 +64,10 @@ from repro.autotune.policy import (
     RetunePolicy,
     RetuneTrigger,
     TargetedSweep,
-    evaluate_snapshot,
     synthesize,
 )
 from repro.autotune.runner import Measurement, SweepBudget, SweepReport, run_sweep
-from repro.autotune.scheduler import (
-    RetuneCycle,
-    RetuneScheduler,
-    RetuneStatus,
-    retune_from_snapshot,
-)
+from repro.autotune.scheduler import RetuneCycle, RetuneScheduler, RetuneStatus
 from repro.autotune.space import SweepConfig, SweepPoint, enumerate_space
 
 __all__ = [
@@ -93,10 +87,8 @@ __all__ = [
     "check_drift",
     "device_fingerprint",
     "enumerate_space",
-    "evaluate_snapshot",
     "load_artifact",
     "manifest_path",
-    "retune_from_snapshot",
     "run_sweep",
     "synthesize",
     "warm_start_cache",

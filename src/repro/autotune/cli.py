@@ -8,9 +8,7 @@ Usage::
     repro autotune export serving-cache.json --out plans.json
     repro autotune verify plans.json
     repro autotune diff old-plans.json new-plans.json
-    repro autotune pack plans-a.json plans-b.json --out fleet-pack
-    repro autotune watch telemetry.json --plans plans.json \\
-        --out retuned/plans.json
+    repro autotune watch metrics.json --plans plans.json --out retuned
 
 ``sweep`` enumerates (plannable backends x devices x topology grid)
 from the live backend registry, measures every surviving point, and
@@ -19,10 +17,12 @@ engine can ``warm_start=``) plus ``plans.manifest.json`` (provenance +
 fingerprints). ``verify`` re-checks an artifact's manifest against the
 current registry and exits non-zero on drift; ``diff`` compares two
 artifacts plan by plan. ``watch`` closes the serve → autotune loop
-across processes: it reads a telemetry snapshot a serving process
-exported (``client.telemetry.snapshot().save(path)``), decides which
-plan keys are worth re-sweeping, runs the targeted sweep, and ships a
-re-tuned artifact whose manifest names the triggering snapshot.
+across processes: at every poll it re-loads a metrics file another
+process exported (``repro.obs.export.write_snapshot(client.metrics,
+path)``, a replay's ``*.metrics.json`` or ``repro fleet serve
+--metrics-out``) and runs one re-tuning scheduler cycle over it —
+decide, targeted re-sweep, and ship ``OUT/retune-NNNN/plans.json``
+with a manifest naming the triggering traffic.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import re
 import sys
 from pathlib import Path
 
-from repro.errors import MagicubeError
+from repro.errors import ReproError
 
 _SHAPE = re.compile(r"^(\d+)x(\d+)x(\d+)$")
 _BITS = re.compile(r"^(\d+)x(\d+)$")
@@ -188,31 +188,22 @@ def _cmd_diff(args) -> int:
     return 1
 
 
-def _cmd_pack(args) -> int:
-    from repro.fleet.pack import build_pack
-
-    pack = build_pack(args.artifacts, args.out, version=args.version)
-    summary = pack.summary()
-    print(f"packed {summary['members']} artifact(s), {summary['plans']} "
-          f"plan(s) -> {summary['root']} (version {summary['version']}, "
-          f"fingerprint {summary['fingerprint']})")
-    return 0
-
-
 def _cmd_watch(args) -> int:
     import time as _time
 
     from repro.autotune.policy import RetunePolicy
     from repro.autotune.runner import SweepBudget
-    from repro.autotune.scheduler import retune_from_snapshot
+    from repro.autotune.scheduler import RetuneScheduler
+    from repro.errors import ConfigError
+    from repro.obs.export import load_json
+    from repro.obs.metrics import MetricsRegistry
     from repro.serve.cache import PlanCache
-    from repro.serve.telemetry import TelemetrySnapshot
 
-    baseline: frozenset[str] = frozenset()
+    # the baseline artifact's plans are what a re-sweep is compared
+    # against, and their keys count as warm
+    cache = PlanCache()
     if args.plans:
-        cache = PlanCache()
         cache.load(args.plans)
-        baseline = frozenset(cache.keys())
     policy = RetunePolicy(
         min_requests=args.min_requests,
         hot_share=args.hot_share,
@@ -222,35 +213,23 @@ def _cmd_watch(args) -> int:
         budget=SweepBudget(max_trials=args.trials, max_seconds=args.seconds),
         warmup=args.warmup,
         repeats=args.repeats,
+        artifact_dir=args.out,
+    )
+    scheduler = RetuneScheduler(
+        MetricsRegistry(), policy, cache=cache, baseline_keys=cache.keys()
     )
     cycles = []
-    tuned_at: dict[str, float] = {}
     for i in range(args.cycles):
         if i:
             _time.sleep(args.interval)
         try:
-            snapshot = TelemetrySnapshot.load(args.snapshot)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read snapshot {args.snapshot}: {exc}",
+            scheduler.metrics = load_json(Path(args.metrics).read_text())
+        except (OSError, ConfigError) as exc:
+            print(f"error: cannot read metrics {args.metrics}: {exc}",
                   file=sys.stderr)
             return 2
-        now = _time.monotonic()
-        exclude = {
-            key for key, tuned in tuned_at.items()
-            if now - tuned < policy.cooldown_s
-        }
-        cycle = retune_from_snapshot(
-            snapshot, policy, baseline_keys=baseline, exclude=exclude,
-            out=args.out,
-        )
+        cycle = scheduler.run_once()
         cycles.append(cycle)
-        # only keys the sweep actually measured and shipped are warm
-        # from now on; everything else triggered (skipped keys, or a
-        # tail the budget cut off) merely cools down, so it resurfaces
-        # on a later cycle instead of being silently forgotten
-        baseline = baseline | set(cycle.promoted_keys)
-        for t in cycle.triggers:
-            tuned_at[t.plan_key] = now
         if args.json:
             print(json.dumps(cycle.to_dict(), indent=2, sort_keys=True))
             continue
@@ -343,34 +322,23 @@ def main(argv: list[str] | None = None) -> int:
     diff.add_argument("b")
     diff.set_defaults(fn=_cmd_diff)
 
-    pack = sub.add_parser(
-        "pack",
-        help="bundle artifacts into a versioned fleet pack "
-             "(alias of `repro fleet pack`)",
-    )
-    pack.add_argument("artifacts", nargs="+",
-                      help="plan-cache JSON artifacts to bundle")
-    pack.add_argument("--out", default="fleet-pack", metavar="DIR",
-                      help="pack directory to write (default: fleet-pack)")
-    pack.add_argument("--version", default="0")
-    pack.set_defaults(fn=_cmd_pack)
-
     watch = sub.add_parser(
         "watch",
-        help="re-tune targeted plan keys from an exported telemetry snapshot",
+        help="re-tune targeted plan keys from an exported metrics file",
     )
     watch.add_argument(
-        "snapshot",
-        help="TelemetrySnapshot JSON (client.telemetry.snapshot().save(path))",
+        "metrics",
+        help="metrics JSON (repro.obs.export.write_snapshot, a replay's "
+             "*.metrics.json or repro fleet serve --metrics-out)",
     )
     watch.add_argument("--plans", default=None, metavar="PATH",
                        help="baseline artifact: its keys count as warm, "
                             "everything else a serving process planned live "
                             "is a cold miss")
-    watch.add_argument("--out", required=True, metavar="PATH",
-                       help="artifact path for the re-tuned plans")
+    watch.add_argument("--out", required=True, metavar="DIR",
+                       help="ship each re-tune as DIR/retune-NNNN/plans.json")
     watch.add_argument("--min-requests", type=int, default=1, metavar="N",
-                       help="ignore snapshots with fewer requests (default 1)")
+                       help="ignore metrics with fewer requests (default 1)")
     watch.add_argument("--hot-share", type=float, default=0.10, metavar="F",
                        help="traffic share that makes a key hot (default 0.10)")
     watch.add_argument("--regression-ratio", type=float, default=1.5,
@@ -388,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     watch.add_argument("--warmup", type=int, default=0)
     watch.add_argument("--repeats", type=int, default=1)
     watch.add_argument("--cycles", type=int, default=1, metavar="N",
-                       help="poll the snapshot file N times (default 1)")
+                       help="poll the metrics file N times (default 1)")
     watch.add_argument("--interval", type=float, default=5.0, metavar="S",
                        help="seconds between polls (default 5)")
     watch.add_argument("--json", action="store_true",
@@ -400,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         args.prune_ratio = None
     try:
         return args.fn(args)
-    except MagicubeError as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,12 @@
 """Re-tune policy: which live plan keys are worth re-sweeping.
 
-The serving engine accumulates per-plan-key telemetry
-(:meth:`repro.serve.telemetry.Telemetry.snapshot`); this module is the
-pure decision layer between that snapshot and a targeted sweep:
+The serving engine's metrics registry breaks traffic out per plan key
+(:func:`repro.serve.telemetry.plan_traffic`); this module is the pure
+decision layer between that per-plan traffic and a targeted sweep:
 
 - :class:`RetunePolicy` holds the knobs — traffic-share and regression
   thresholds, trigger toggles, sweep budget, cadence;
-- :func:`evaluate_snapshot` turns one snapshot into
+- :func:`evaluate_traffic` turns one registry read into
   :class:`RetuneTrigger`\\ s (hot keys by traffic share, cold-search
   misses against a baseline key set, latency regressions vs. the
   plan's recorded cost estimate, fingerprint drift);
@@ -16,29 +16,27 @@ pure decision layer between that snapshot and a targeted sweep:
   ``keys=`` filter) re-sweeps *only* what the triggers named.
 
 Everything here is deterministic and side-effect free — the
-:mod:`~repro.autotune.scheduler` supplies the threading, promotion and
-artifact shipping around it, and ``repro autotune watch`` drives the
-same functions from a snapshot file on disk.
+:mod:`~repro.autotune.scheduler` supplies the registry reads,
+threading, promotion and artifact shipping around it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.autotune.runner import SweepBudget
 from repro.autotune.space import SweepConfig
 from repro.errors import ConfigError
 from repro.obs.health import HealthReport, SloSpec
 from repro.serve.planner import Objective, PlanKey
-from repro.serve.telemetry import TelemetrySnapshot
 
 __all__ = [
     "RetunePolicy",
     "RetuneTrigger",
     "TargetedSweep",
-    "evaluate_snapshot",
+    "evaluate_traffic",
     "synthesize",
 ]
 
@@ -69,7 +67,7 @@ class RetunePolicy:
     time is still CPU time); ``warmup``/``repeats`` are handed to
     :func:`~repro.autotune.runner.run_sweep`. ``artifact_dir`` (when
     set) ships every promotion as a ``retune-NNNN/plans.json`` artifact
-    whose manifest records the triggering telemetry snapshot.
+    whose manifest records the per-plan traffic that triggered it.
 
     ``slos`` attaches SLO objectives (:class:`repro.obs.health.SloSpec`)
     the scheduler evaluates over the engine's metrics each cycle, on a
@@ -133,8 +131,8 @@ class RetuneTrigger:
     ``reason`` is the highest-priority trigger that fired
     (``regression`` > ``slo-breach`` > ``load-shed`` > ``cold-miss`` >
     ``hot`` > ``drift``); ``detail`` names every one that did. ``share`` is the
-    key's traffic share in the evaluated snapshot (the sort key for
-    :func:`evaluate_snapshot`'s ``max_keys`` cap).
+    key's share of the evaluated traffic (the sort key for
+    :func:`evaluate_traffic`'s ``max_keys`` cap).
     """
 
     plan_key: str
@@ -166,8 +164,9 @@ class TargetedSweep:
     keys: frozenset[str]
 
 
-def evaluate_snapshot(
-    snapshot: TelemetrySnapshot,
+def evaluate_traffic(
+    requests: int,
+    plans: Mapping[str, dict],
     policy: RetunePolicy,
     *,
     baseline_keys: frozenset[str] = frozenset(),
@@ -175,8 +174,11 @@ def evaluate_snapshot(
     exclude: "frozenset[str] | set[str]" = frozenset(),
     health: "HealthReport | None" = None,
 ) -> list[RetuneTrigger]:
-    """Decide which of a snapshot's plan keys are worth re-sweeping.
+    """Decide which served plan keys are worth re-sweeping.
 
+    ``requests`` is the registry's total served requests (the share
+    denominator) and ``plans`` its per-plan traffic
+    (:func:`repro.serve.telemetry.plan_traffic`).
     ``baseline_keys`` is the plan-key set that existed before live
     traffic (warm-start artifacts plus earlier promotions) — traffic on
     any other key paid a cold planner search, the ``cold-miss``
@@ -196,8 +198,7 @@ def evaluate_snapshot(
     Triggers come back sorted by traffic share (then key), capped at
     ``policy.max_keys``.
     """
-    total = snapshot.requests
-    if total < policy.min_requests or total == 0:
+    if requests < policy.min_requests or requests == 0:
         return []
     breached = []
     pressured = []
@@ -209,11 +210,11 @@ def evaluate_snapshot(
             if r.spec.kind in ("queue_depth", "rejection_rate")
         ]
     triggers: list[RetuneTrigger] = []
-    for key in sorted(snapshot.plans):
+    for key in sorted(plans):
         if key in exclude:
             continue
-        stats = snapshot.plans[key]
-        share = stats.get("requests", 0) / total
+        stats = plans[key]
+        share = stats.get("requests", 0) / requests
         reasons: list[tuple[str, str]] = []
         launches = stats.get("launches", stats.get("batches", 0))
         predicted = stats.get("predicted_time_s", 0.0)

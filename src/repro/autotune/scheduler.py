@@ -1,35 +1,35 @@
 """The telemetry-driven re-tuning scheduler — serve → autotune, closed.
 
-A :class:`RetuneScheduler` watches one live
-:class:`~repro.serve.engine.Engine` and, off the hot path (a background
-thread woken every ``policy.interval_s``), runs the loop one cycle at a
-time:
+A :class:`RetuneScheduler` reads one
+:class:`~repro.obs.metrics.MetricsRegistry` and runs the loop one cycle
+at a time — off the hot path, from a background thread woken every
+``policy.interval_s``, or driven directly through :meth:`run_once`:
 
-1. **observe** — export the engine's telemetry as a deterministic
-   :class:`~repro.serve.telemetry.TelemetrySnapshot` and drift-check
-   the engine's warm-start manifests against the live registry;
-2. **decide** — :func:`~repro.autotune.policy.evaluate_snapshot` names
+1. **observe** — project the registry per plan key
+   (:func:`~repro.serve.telemetry.plan_traffic`) and drift-check the
+   warm-start manifests against the live backend registry;
+2. **decide** — :func:`~repro.autotune.policy.evaluate_traffic` names
    the plan keys worth re-sweeping (hot, cold-missed, regressed,
    drifted, or carrying traffic while a latency SLO burns — see
-   ``RetunePolicy.slos``), under the policy's cooldown and
-   ``max_keys`` cap;
+   ``RetunePolicy.slos``), under the per-key cooldown and the
+   policy's ``max_keys`` cap;
 3. **re-sweep** — :func:`~repro.autotune.policy.synthesize` builds
    targeted :class:`~repro.autotune.space.SweepConfig`\\ s and
    :func:`~repro.autotune.runner.run_sweep` measures exactly the
    triggered keys, budget-capped by the policy's
    :class:`~repro.autotune.runner.SweepBudget`;
-4. **promote** — the fresh plans land in the engine's live
+4. **promote** — the fresh plans land in the scheduler's
    :class:`~repro.serve.cache.PlanCache` through the lock-atomic
-   :meth:`~repro.serve.cache.PlanCache.promote` (an in-process
-   hot-swap: concurrent ``run()`` calls see the old or the new plan
+   :meth:`~repro.serve.cache.PlanCache.promote` (for an engine, its
+   live cache: concurrent ``run()`` calls see the old or the new plan
    set, never a torn mix), and — when ``policy.artifact_dir`` is set —
    ship as a ``retune-NNNN`` artifact whose manifest names the
-   triggering telemetry snapshot.
+   per-plan traffic that triggered it.
 
-Attach one with ``repro.open_engine(retune=RetunePolicy(...))`` and
-poll it with ``client.retune_status()``; ``repro autotune watch``
-drives the same decide/re-sweep/ship stages from a snapshot file
-exported by another process.
+Attach one to an engine with ``repro.open_engine(retune=RetunePolicy(...))``
+and poll it with ``client.retune_status()``. ``repro autotune watch``
+runs the same :meth:`~RetuneScheduler.run_once` over a metrics file
+another process exported, re-loaded at every poll.
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Iterable, Sequence
 
 from repro.autotune.artifact import (
     ArtifactManifest,
+    _digest,
     check_drift,
     device_fingerprints,
     git_describe,
@@ -52,23 +53,27 @@ from repro.autotune.artifact import (
 from repro.autotune.policy import (
     RetunePolicy,
     RetuneTrigger,
-    evaluate_snapshot,
+    evaluate_traffic,
     synthesize,
 )
 from repro.autotune.runner import run_sweep
 from repro.errors import PlanCacheError, RetuneError
+from repro.obs import names
+from repro.obs.metrics import MetricsRegistry, select
 from repro.serve.cache import PlanCache
+from repro.serve.telemetry import plan_traffic
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serve.engine import Engine
-    from repro.serve.telemetry import TelemetrySnapshot
-
-__all__ = ["RetuneCycle", "RetuneScheduler", "RetuneStatus", "retune_from_snapshot"]
+__all__ = ["RetuneCycle", "RetuneScheduler", "RetuneStatus"]
 
 
 @dataclass
 class RetuneCycle:
-    """What one scheduler wake-up observed, measured and promoted."""
+    """What one scheduler wake-up observed, measured and promoted.
+
+    ``snapshot_fingerprint`` is a content hash of the per-plan traffic
+    the cycle read (identical traffic ⇒ identical fingerprint); the
+    shipped manifest records it as ``retune.snapshot``.
+    """
 
     snapshot_fingerprint: str
     triggers: list[RetuneTrigger] = field(default_factory=list)
@@ -157,57 +162,45 @@ def _measure_targets(targets, policy: RetunePolicy) -> _SweepOutcome:
     return outcome
 
 
-def _manifest_for(
-    outcome: _SweepOutcome, snapshot, cycle: RetuneCycle,
-    source: str, registry, extra: dict | None = None,
-) -> ArtifactManifest:
-    """Provenance naming the triggering snapshot and its triggers."""
-    return ArtifactManifest(
-        sweep={
-            "source": source,
-            "configs": outcome.configs,
-            "measured": outcome.measured,
-            "retune": {
-                **(extra or {}),
-                "snapshot": snapshot.fingerprint,
-                "triggers": [t.to_dict() for t in cycle.triggers],
-                "drift": list(cycle.drift),
-            },
-        },
-        git=git_describe(),
-        backends=registry_fingerprints(registry, sorted(outcome.backends)),
-        devices=device_fingerprints(sorted(outcome.devices)),
-        plans=len(outcome.cache),
-        measurements=outcome.measurements,
-    )
-
-
 class RetuneScheduler:
-    """Watches one engine's telemetry and re-tunes its plan cache.
+    """Re-tunes the plans one metrics registry's traffic names.
+
+    ``metrics`` is the registry every cycle reads: an engine's live
+    registry, or one loaded from a metrics file (``repro autotune
+    watch`` re-assigns :attr:`metrics` at each poll). Promotions land
+    in ``cache`` — an engine's live plan cache, or by default a private
+    one recording what this scheduler promoted. ``baseline_keys`` are
+    the keys that did not pay a live cold search (warm-started
+    contents); every promoted key joins them. ``warm_start_paths`` are
+    the artifacts whose manifests each cycle drift-checks against the
+    backend ``registry`` (default: the live one).
 
     Construction is passive; :meth:`start` spawns the daemon thread
     (``Engine(retune=...)`` does both). :meth:`run_once` is the whole
-    loop body and is safe to call directly — tests and ``bench
-    retune`` drive deterministic cycles that way, without waking the
-    thread.
+    loop body and is safe to call directly — tests, ``bench retune``
+    and ``repro autotune watch`` drive deterministic cycles that way,
+    without waking the thread.
     """
 
     def __init__(
         self,
-        engine: "Engine",
+        metrics: MetricsRegistry,
         policy: RetunePolicy | None = None,
+        *,
+        cache: PlanCache | None = None,
+        baseline_keys: Iterable[str] = (),
+        warm_start_paths: Sequence["str | Path"] = (),
         registry=None,
     ) -> None:
-        self._engine = engine
+        self.metrics = metrics
         self.policy = policy if policy is not None else RetunePolicy()
+        self._cache = cache if cache is not None else PlanCache()
+        self._warm_start_paths = tuple(Path(p) for p in warm_start_paths)
         self._registry = registry
-        #: the engine's obs metrics registry (distinct from `registry`,
-        #: the runtime *backend* registry used for drift fingerprints)
-        self._obs_metrics = getattr(engine, "metrics", None)
         #: rolling-window SLO evaluator (only when the policy declares
-        #: objectives and the engine has a metrics registry to read)
+        #: objectives)
         self._health_evaluator = None
-        if self.policy.slos and self._obs_metrics is not None:
+        if self.policy.slos:
             from repro.obs.health import HealthEvaluator
 
             self._health_evaluator = HealthEvaluator(
@@ -218,15 +211,16 @@ class RetuneScheduler:
         #: serializes cycles (timer thread vs. a direct run_once call)
         self._cycle_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        #: keys that did NOT pay a live cold search: the warm-started /
-        #: pre-existing cache contents plus everything already promoted
-        self._baseline_keys = frozenset(engine.planner.cache.keys())
+        self._baseline_keys = frozenset(baseline_keys)
         self._tuned_at: dict[str, float] = {}
         #: consecutive re-tunes of a key that left its plan unchanged —
         #: each doubles that key's effective cooldown (capped), so a
         #: permanently-regressed key whose re-sweep cannot change
         #: anything backs off instead of burning the budget forever
         self._unchanged_streak: dict[str, int] = {}
+        #: per-key traffic at the last promotion that changed the key's
+        #: plan (:func:`plan_traffic`'s ``since``)
+        self._plan_base: dict[str, dict] = {}
         self._cycles = 0
         self._triggers_total = 0
         self._promoted_total = 0
@@ -295,7 +289,10 @@ class RetuneScheduler:
         """
         with self._cycle_lock:
             started = time.perf_counter()
-            snapshot = self._engine.telemetry.snapshot()
+            metrics = self.metrics
+            doc = metrics.to_dict()
+            requests = int(sum(s["value"] for s in select(doc, names.REQUESTS)))
+            plans = plan_traffic(doc, since=self._plan_base)
             drift = self._drift_lines()
             now = time.monotonic()
             exclude = set()
@@ -305,12 +302,11 @@ class RetuneScheduler:
                     exclude.add(key)
             health = None
             if self._health_evaluator is not None:
-                # publishes repro_slo_* into the engine's registry too
-                health = self._health_evaluator.evaluate(
-                    self._obs_metrics, now=now
-                )
-            triggers = evaluate_snapshot(
-                snapshot,
+                # publishes repro_slo_* into the registry too
+                health = self._health_evaluator.evaluate(metrics, now=now)
+            triggers = evaluate_traffic(
+                requests,
+                plans,
                 self.policy,
                 baseline_keys=self._baseline_keys,
                 drift=drift,
@@ -318,13 +314,13 @@ class RetuneScheduler:
                 health=health,
             )
             cycle = RetuneCycle(
-                snapshot_fingerprint=snapshot.fingerprint,
+                snapshot_fingerprint=_digest({"requests": requests, "plans": plans}),
                 triggers=list(triggers),
                 drift=list(drift),
             )
             try:
                 if triggers:
-                    self._retune(cycle, snapshot, triggers)
+                    self._retune(cycle, metrics, triggers)
             except Exception as exc:
                 # a failing sweep must not hot-retry every interval:
                 # its triggers cool down exactly like handled ones, and
@@ -344,15 +340,14 @@ class RetuneScheduler:
                     if cycle.artifact is not None:
                         self._artifacts.append(cycle.artifact)
                     self._last_cycle = cycle
-                if self._obs_metrics is not None:
-                    self._publish_cycle(cycle, cooldown_keys=len(exclude))
+                self._publish_cycle(metrics, cycle, cooldown_keys=len(exclude))
             return cycle
 
-    def _publish_cycle(self, cycle: RetuneCycle, cooldown_keys: int) -> None:
+    @staticmethod
+    def _publish_cycle(
+        m: MetricsRegistry, cycle: RetuneCycle, cooldown_keys: int
+    ) -> None:
         """Mirror one cycle's outcome into the obs metrics registry."""
-        from repro.obs import names
-
-        m = self._obs_metrics
         m.counter(names.RETUNE_CYCLES).inc()
         if cycle.triggers:
             m.counter(names.RETUNE_TRIGGERS).inc(len(cycle.triggers))
@@ -363,7 +358,7 @@ class RetuneScheduler:
     def _retune(
         self,
         cycle: RetuneCycle,
-        snapshot: "TelemetrySnapshot",
+        metrics: MetricsRegistry,
         triggers: Sequence[RetuneTrigger],
     ) -> None:
         """Measure the triggered keys and promote the fresh plans."""
@@ -384,9 +379,8 @@ class RetuneScheduler:
                 f"targeted sweep measured no plans for "
                 f"{sorted(k for t in targets for k in t.keys)}"
             )
-        live = self._engine.planner.cache
-        before = {key: live.peek(key) for key in plans}
-        cycle.changed = live.promote(plans)
+        before = {key: self._cache.peek(key) for key in plans}
+        cycle.changed = self._cache.promote(plans)
         cycle.promoted = len(plans)
         cycle.promoted_keys = sorted(plans)
         changed_keys = []
@@ -403,30 +397,49 @@ class RetuneScheduler:
                 changed_keys.append(key)
         # observations recorded under a *replaced* plan describe the old
         # decision; regression checks restart from post-promotion traffic
-        self._engine.telemetry.reset_plans(changed_keys)
+        lifetime = plan_traffic(metrics.to_dict())
+        self._plan_base.update(
+            {key: lifetime[key] for key in changed_keys if key in lifetime}
+        )
         with self._state_lock:
             # promoted keys join the baseline: their future traffic is
             # warm, not a cold miss
             self._baseline_keys = self._baseline_keys | frozenset(plans)
         if self.policy.artifact_dir is not None:
-            cycle.artifact = self._ship(outcome, snapshot, cycle)
+            cycle.artifact = self._ship(outcome, cycle)
 
-    def _ship(self, outcome: _SweepOutcome, snapshot, cycle: RetuneCycle) -> Path:
+    def _ship(self, outcome: _SweepOutcome, cycle: RetuneCycle) -> Path:
         """Write the promotion as a provenance-carrying artifact pair."""
         with self._state_lock:
             seq = len(self._artifacts) + 1
         out = Path(self.policy.artifact_dir) / f"retune-{seq:04d}" / "plans.json"
-        manifest = _manifest_for(
-            outcome, snapshot, cycle, "retune", self._registry,
-            extra={"cycle": seq},
+        manifest = ArtifactManifest(
+            sweep={
+                "source": "retune",
+                "configs": outcome.configs,
+                "measured": outcome.measured,
+                "retune": {
+                    "cycle": seq,
+                    "snapshot": cycle.snapshot_fingerprint,
+                    "triggers": [t.to_dict() for t in cycle.triggers],
+                    "drift": list(cycle.drift),
+                },
+            },
+            git=git_describe(),
+            backends=registry_fingerprints(
+                self._registry, sorted(outcome.backends)
+            ),
+            devices=device_fingerprints(sorted(outcome.devices)),
+            plans=len(outcome.cache),
+            measurements=outcome.measurements,
         )
         plans_path, _ = write_artifact(out, outcome.cache, manifest)
         return plans_path
 
     def _drift_lines(self) -> list[str]:
-        """Drift of the engine's warm-start manifests vs. the registry."""
+        """Drift of the warm-start manifests vs. the backend registry."""
         lines: list[str] = []
-        for path in getattr(self._engine, "warm_start_paths", ()):
+        for path in self._warm_start_paths:
             mpath = manifest_path(path)
             if not mpath.exists():
                 continue
@@ -436,49 +449,3 @@ class RetuneScheduler:
                 continue  # unreadable manifest already warned at load
             lines += check_drift(manifest, self._registry)
         return lines
-
-
-def retune_from_snapshot(
-    snapshot: "TelemetrySnapshot",
-    policy: RetunePolicy,
-    *,
-    baseline_keys: frozenset[str] = frozenset(),
-    drift: Sequence[str] = (),
-    exclude: "frozenset[str] | set[str]" = frozenset(),
-    out: "str | Path | None" = None,
-    registry=None,
-) -> RetuneCycle:
-    """One offline decide → re-sweep → ship cycle from a snapshot.
-
-    The cross-process form of :meth:`RetuneScheduler.run_once` —
-    ``repro autotune watch`` feeds it snapshots another serving
-    process exported with ``client.telemetry.snapshot().save(path)``.
-    There is no live cache to hot-swap, so promotion means shipping
-    the re-tuned artifact to ``out`` (when given); warm-start the next
-    engine from it to close the loop across processes. ``exclude``
-    carries the caller's cooldown state (keys re-tuned recently) —
-    the stateless equivalent of the scheduler's per-key rate limit.
-    """
-    cycle = RetuneCycle(snapshot_fingerprint=snapshot.fingerprint)
-    started = time.perf_counter()
-    triggers = evaluate_snapshot(
-        snapshot, policy, baseline_keys=baseline_keys, drift=drift,
-        exclude=exclude,
-    )
-    cycle.triggers = list(triggers)
-    cycle.drift = list(drift)
-    if triggers:
-        targets, skipped = synthesize(triggers)
-        cycle.skipped = [(t.plan_key, why) for t, why in skipped]
-        outcome = _measure_targets(targets, policy)
-        cycle.measured = outcome.measured
-        cycle.promoted = len(outcome.cache)
-        cycle.promoted_keys = outcome.cache.keys()
-        if out is not None and len(outcome.cache):
-            manifest = _manifest_for(
-                outcome, snapshot, cycle, "retune-watch", registry
-            )
-            plans_path, _ = write_artifact(Path(out), outcome.cache, manifest)
-            cycle.artifact = plans_path
-    cycle.elapsed_s = time.perf_counter() - started
-    return cycle

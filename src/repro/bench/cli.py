@@ -415,7 +415,7 @@ def _print_retune(count: int) -> None:
         retune_info = manifest.sweep["retune"]
         print(
             f"provenance: {shipped[-1].parent.name} was triggered by "
-            f"telemetry snapshot {retune_info['snapshot']} "
+            f"per-plan traffic {retune_info['snapshot']} "
             f"({len(retune_info['triggers'])} trigger(s))"
         )
     sched = results["scheduler"]

@@ -8,10 +8,6 @@ boundary::
         client.run(request)
     except repro.ReproError as exc:
         ...  # every typed library error lands here
-
-:data:`MagicubeError` is the pre-v1 name of the same base class, kept
-as an alias so existing ``except MagicubeError`` handlers keep
-catching everything.
 """
 
 from __future__ import annotations
@@ -21,12 +17,7 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
-#: pre-v1 alias of :class:`ReproError`; ``except MagicubeError`` still
-#: catches the whole family
-MagicubeError = ReproError
-
-
-class PrecisionError(MagicubeError):
+class PrecisionError(ReproError):
     """An unsupported precision (pair) was requested.
 
     Raised e.g. when asking SpMM for an ``Lx-Ry`` combination outside
@@ -35,7 +26,7 @@ class PrecisionError(MagicubeError):
     """
 
 
-class FormatError(MagicubeError):
+class FormatError(ReproError):
     """A sparse-format invariant was violated.
 
     Covers malformed row pointers, out-of-range column indices, vector
@@ -43,11 +34,11 @@ class FormatError(MagicubeError):
     """
 
 
-class ShapeError(MagicubeError):
+class ShapeError(ReproError):
     """Operand shapes are inconsistent with the requested operation."""
 
 
-class LayoutError(MagicubeError):
+class LayoutError(ReproError):
     """A Tensor-core data-layout requirement was violated.
 
     The MMA primitives require a row-major LHS and a column-major RHS
@@ -56,15 +47,15 @@ class LayoutError(MagicubeError):
     """
 
 
-class DeviceError(MagicubeError):
+class DeviceError(ReproError):
     """An unknown device or unsupported device capability was requested."""
 
 
-class QuantizationError(MagicubeError):
+class QuantizationError(ReproError):
     """Invalid quantization parameters (zero scale, bad bit width, ...)."""
 
 
-class ConfigError(MagicubeError):
+class ConfigError(ReproError):
     """Invalid kernel/launch configuration (tile sizes, warp counts...)."""
 
 
@@ -80,7 +71,7 @@ class MaskError(ConfigError):
     """
 
 
-class AdmissionError(MagicubeError):
+class AdmissionError(ReproError):
     """The serving layer refused to enqueue a request.
 
     Raised by the micro-batcher's admission control when a group's
@@ -90,7 +81,7 @@ class AdmissionError(MagicubeError):
     """
 
 
-class PlanCacheError(MagicubeError, ValueError):
+class PlanCacheError(ReproError, ValueError):
     """A persisted plan cache or autotune artifact could not be read.
 
     Wraps corrupt / truncated JSON, unsupported schema versions and
@@ -101,11 +92,11 @@ class PlanCacheError(MagicubeError, ValueError):
     """
 
 
-class SweepError(MagicubeError):
+class SweepError(ReproError):
     """An autotuning sweep was misconfigured or produced no points."""
 
 
-class RetuneError(MagicubeError):
+class RetuneError(ReproError):
     """The telemetry-driven re-tuning scheduler failed or is absent.
 
     Raised by :meth:`repro.serve.engine.Engine.retune_status` /
@@ -115,7 +106,7 @@ class RetuneError(MagicubeError):
     """
 
 
-class FleetError(MagicubeError):
+class FleetError(ReproError):
     """A multi-process fleet (gateway / worker pool) invariant failed.
 
     Covers placement over an empty ring, malformed fleet packs, RPC
@@ -135,7 +126,7 @@ class WorkerCrashError(FleetError):
     """
 
 
-class EngineClosedError(MagicubeError, RuntimeError):
+class EngineClosedError(ReproError, RuntimeError):
     """A request was submitted to (or redeemed from) a closed engine.
 
     Raised by :meth:`repro.serve.engine.Engine.submit` /

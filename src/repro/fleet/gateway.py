@@ -31,14 +31,16 @@ Failure model:
 The gateway publishes the ``repro_fleet_*`` metric families into its
 own registry and aggregates the workers' registries on demand:
 :meth:`Gateway.metrics_snapshot` merges every worker's serving /
-cache / retune families (sum counters and gauges, add histogram
-buckets) with the gateway's fleet families into one exportable
-:class:`~repro.obs.metrics.MetricsRegistry`. :data:`FLEET_SLOS` grades
-that merged view; :func:`fleet_retune_policy` pushes the same
-load-shed / queue-pressure objectives down into each worker's
+cache / retune families (sum counters and load gauges, max the
+per-plan gauges, add histogram buckets) with the gateway's fleet
+families into one exportable :class:`~repro.obs.metrics.MetricsRegistry`
+— the file ``repro fleet serve --metrics-out`` writes and ``repro
+autotune watch`` re-tunes from. :data:`FLEET_SLOS` grades that merged
+view; :func:`fleet_retune_policy` pushes the same load-shed /
+queue-pressure objectives down into each worker's
 :class:`~repro.autotune.RetunePolicy`, closing the loop between fleet
 saturation and plan re-tuning (the ``load-shed`` trigger in
-:func:`repro.autotune.policy.evaluate_snapshot`).
+:func:`repro.autotune.policy.evaluate_traffic`).
 """
 
 from __future__ import annotations
@@ -122,8 +124,9 @@ def fleet_retune_policy(policy: "RetunePolicy | None" = None) -> "RetunePolicy":
 
 def merge_metric_docs(docs: "list[dict]") -> dict:
     """Merge registry :meth:`~repro.obs.metrics.MetricsRegistry.to_dict`
-    snapshots into one: counters and gauges sum per label set,
-    histogram samples fold through
+    snapshots into one: counters and gauges sum per label set (the
+    per-plan gauges in :data:`~repro.obs.names.MAX_MERGED_GAUGES` take
+    the max), histogram samples fold through
     :func:`~repro.obs.metrics.merge_histograms`. Families keep the
     first snapshot's kind and help (every worker declares the same
     standard contract)."""
@@ -142,10 +145,11 @@ def merge_metric_docs(docs: "list[dict]") -> dict:
                 ).append(sample)
     merged: dict = {}
     for name, family in families.items():
+        combine = max if name in names.MAX_MERGED_GAUGES else sum
         samples = []
         for key, group in family["samples"].items():
             if "value" in group[0]:
-                state = {"value": sum(float(s["value"]) for s in group)}
+                state = {"value": combine(float(s["value"]) for s in group)}
             else:
                 state = merge_histograms(group).state()
             samples.append({"labels": dict(key), **state})

@@ -16,8 +16,8 @@ from::
 **fingerprint** (digest of the member digests), so "did every worker
 load the same plans?" is one string comparison across the fleet, and a
 truncated copy fails :meth:`FleetPack.verify` before a worker serves
-from it. Packs are built by :func:`build_pack` (the ``repro autotune
-pack`` / ``repro fleet pack`` CLIs) and consumed by
+from it. Packs are built by :func:`build_pack` (the ``repro fleet
+pack`` CLI) and consumed by
 :class:`~repro.fleet.pool.WorkerPool`, which hands every worker the
 pack's plan paths as its ``open_engine(warm_start=...)`` list.
 """

@@ -31,6 +31,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.errors import ConfigError, ReproError
 from repro.obs.export import (
     load_json,
     render_json,
@@ -54,7 +55,10 @@ def _load_registry(path: str) -> tuple[MetricsRegistry, str]:
     """(registry, provenance line) for a snapshot path that may not exist."""
     p = Path(path)
     if p.exists():
-        return load_json(p.read_text()), f"metrics from {p}"
+        try:
+            return load_json(p.read_text()), f"metrics from {p}"
+        except ConfigError as exc:
+            raise ConfigError(f"{p}: {exc}") from None
     registry = declare_standard(MetricsRegistry())
     return registry, f"{p} not found; showing the (empty) standard contract"
 
@@ -349,7 +353,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

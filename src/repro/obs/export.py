@@ -51,12 +51,26 @@ def render_json(registry: MetricsRegistry) -> str:
 
 
 def load_json(text: str) -> MetricsRegistry:
-    """Rebuild a registry from :func:`render_json` output."""
-    doc = json.loads(text)
-    schema = doc.get("schema")
+    """Rebuild a registry from :func:`render_json` output.
+
+    Anything else — invalid JSON, another schema, or another document
+    that happens to carry ``"schema": 1`` but no ``metrics`` mapping
+    (every ``BENCH_*.json`` report does) — raises
+    :class:`~repro.errors.ConfigError`.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"not a metrics snapshot: {exc}") from None
+    schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != EXPORT_SCHEMA:
         raise ConfigError(
             f"metrics snapshot schema {schema!r} is not {EXPORT_SCHEMA}"
+        )
+    if not isinstance(doc.get("metrics"), dict):
+        raise ConfigError(
+            "not a metrics snapshot: no 'metrics' mapping (is this a "
+            "BENCH report rather than its .metrics.json?)"
         )
     return MetricsRegistry.from_dict(doc["metrics"])
 

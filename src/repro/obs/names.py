@@ -21,7 +21,12 @@ from __future__ import annotations
 
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS_S, MetricsRegistry
 
-__all__ = ["KERNEL_WALL_BUCKETS_S", "STANDARD_METRICS", "declare_standard"]
+__all__ = [
+    "KERNEL_WALL_BUCKETS_S",
+    "MAX_MERGED_GAUGES",
+    "STANDARD_METRICS",
+    "declare_standard",
+]
 
 # -- serving -----------------------------------------------------------
 REQUESTS = "repro_requests_total"
@@ -30,6 +35,10 @@ LAUNCHES = "repro_launches_total"
 MODELLED_BUSY = "repro_modelled_busy_seconds_total"
 PLAN_PREDICTED = "repro_plan_predicted_time"
 PLAN_SHARDS = "repro_plan_shards"
+#: gauges that describe a plan, not a load: every worker serving a plan
+#: key publishes the same value, so merging registries takes the max
+#: (summing would double them per worker)
+MAX_MERGED_GAUGES = frozenset({PLAN_PREDICTED, PLAN_SHARDS})
 REJECTIONS = "repro_rejections_total"
 QUEUE_DEPTH = "repro_queue_depth"
 REQUEST_WALL = "repro_request_wall_seconds"

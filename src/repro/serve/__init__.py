@@ -19,11 +19,11 @@ engine:
   executing concurrently on a thread pool.
 - :class:`~repro.serve.telemetry.Telemetry` is the read-only view over
   the engine's metrics registry: p50/p95/p99 modelled latency,
-  throughput, batch occupancy and admission rejections, per session,
-  per ``(backend, device)`` *and* per plan key;
-  :meth:`~repro.serve.telemetry.Telemetry.snapshot` exports the
-  deterministic :class:`~repro.serve.telemetry.TelemetrySnapshot` the
-  :mod:`repro.autotune` re-tuning scheduler consumes.
+  throughput, batch occupancy and admission rejections, per session
+  and per ``(backend, device)``;
+  :func:`~repro.serve.telemetry.plan_traffic` projects the same
+  registry per plan key for the :mod:`repro.autotune` re-tuning
+  scheduler.
 
 ``Engine(warm_start="plans.json")`` preloads a shipped
 :mod:`repro.autotune` artifact so swept request classes hit the plan
@@ -48,7 +48,7 @@ from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.cache import PlanCache
 from repro.serve.engine import Engine, Session
 from repro.serve.planner import ExecutionPlanner, Objective, Plan, PlanKey
-from repro.serve.telemetry import Telemetry, TelemetrySnapshot
+from repro.serve.telemetry import Telemetry
 
 __all__ = [
     "BatchPolicy",
@@ -61,5 +61,4 @@ __all__ = [
     "PlanKey",
     "Session",
     "Telemetry",
-    "TelemetrySnapshot",
 ]

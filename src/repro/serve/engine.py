@@ -450,7 +450,13 @@ class Engine:
             # imported lazily: repro.autotune imports the serve modules
             from repro.autotune.scheduler import RetuneScheduler
 
-            self.retune = RetuneScheduler(self, retune)
+            self.retune = RetuneScheduler(
+                self.metrics,
+                retune,
+                cache=self.planner.cache,
+                baseline_keys=self.planner.cache.keys(),
+                warm_start_paths=self.warm_start_paths,
+            )
             self.retune.start()
 
     @property

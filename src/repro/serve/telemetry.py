@@ -10,33 +10,28 @@ this process, dominated by the Python execution of the kernels).
 The engine publishes each served batch once, into its
 :class:`~repro.obs.metrics.MetricsRegistry` (:func:`publish_batch`);
 nothing here stores a measurement. :class:`Telemetry` projects the
-registry's labelled families along three axes: per *session* (the
-serving view), per ``backend@device`` (the runtime view) — the same
+registry's labelled families along two axes: per *session* (the
+serving view) and per ``backend@device`` (the runtime view) — the same
 axes the autotuner sweeps on, so an offline sweep report and a live
-serving report line up column for column — and per *plan key* (the
-tuning view the re-tuning scheduler consumes). Admission-control
+serving report line up column for column. Admission-control
 rejections are counted per session alongside the served requests.
 Percentiles are the registry's bucket estimates
 (:meth:`~repro.obs.metrics.Histogram.quantile`), the same numbers
 ``BENCH_serve.json``, ``repro obs summary`` and the SLO grades report.
 
-:meth:`Telemetry.snapshot` exports the deterministic part of all three
-views as a :class:`TelemetrySnapshot` — the stable contract the
-:mod:`repro.autotune.scheduler` (and the offline ``repro autotune
-watch`` command) make re-tuning decisions from.
+:func:`plan_traffic` is the third projection, per *plan key*: the
+tuning view the :mod:`repro.autotune.scheduler` makes re-tuning
+decisions from. It reads a registry dump, so a live engine's registry
+and a metrics file another process exported
+(:func:`repro.obs.export.write_snapshot`) feed the same re-tune cycle.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from repro.ioutil import atomic_write_text
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, merge_histograms, select
 
@@ -127,114 +122,7 @@ class LatencySummary:
         }
 
 
-#: LatencySummary fields that depend only on what was *recorded* (the
-#: wall-clock fields change between two snapshot() calls and are
-#: therefore excluded from the deterministic export)
-_STABLE_FIELDS = (
-    "requests", "batches", "p50_ms", "p95_ms", "p99_ms",
-    "mean_batch_size", "mean_queue_wait_ms", "modelled_busy_s",
-    "modelled_throughput_rps",
-)
-
-
-def _stable(summary: LatencySummary) -> dict:
-    """The deterministic subset of one summary (no wall-clock fields)."""
-    d = summary.to_dict()
-    return {k: d[k] for k in _STABLE_FIELDS}
-
-
-@dataclass(frozen=True)
-class TelemetrySnapshot:
-    """A deterministic, JSON-round-trippable export of one telemetry
-    state — the re-tuning scheduler's input contract.
-
-    ``sessions`` / ``backends`` hold the same aggregates the rendered
-    summary tables show (``backends`` keyed ``backend@device``),
-    *minus* the wall-clock fields, so the same recorded batches always
-    produce an identical snapshot. ``plans`` breaks traffic out per
-    plan key — requests, batches, modelled busy time, and the plan's
-    recorded cost estimate (``predicted_time_s``), which is what lets
-    a scheduler spot latency regressions. :attr:`fingerprint` is a
-    short content hash; promotion manifests use it to name the
-    snapshot that triggered a re-tune.
-
-    Example::
-
-        registry = MetricsRegistry()
-        publish_batch(registry, "ffn", 1e-3, [0.0, 0.0])
-        snap = Telemetry(registry).snapshot()
-        assert TelemetrySnapshot.from_json(snap.to_json()) == snap
-    """
-
-    requests: int
-    sessions: dict
-    backends: dict
-    plans: dict
-    rejections: dict
-    total: dict
-
-    # -- persistence -----------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "sessions": dict(self.sessions),
-            "backends": dict(self.backends),
-            "plans": dict(self.plans),
-            "rejections": dict(self.rejections),
-            "total": dict(self.total),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TelemetrySnapshot":
-        return cls(
-            requests=int(d.get("requests", 0)),
-            sessions=dict(d.get("sessions", {})),
-            backends=dict(d.get("backends", {})),
-            plans=dict(d.get("plans", {})),
-            rejections=dict(d.get("rejections", {})),
-            total=dict(d.get("total", {})),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TelemetrySnapshot":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: "str | Path") -> Path:
-        """Write the snapshot as JSON (the ``repro autotune watch``
-        input file); returns the path written.
-
-        The write is atomic (:func:`repro.ioutil.atomic_write_text`):
-        a watcher polling the file from another process sees the old
-        or the new snapshot, never a torn one — the same contract as
-        :meth:`~repro.serve.cache.PlanCache.save`.
-        """
-        return atomic_write_text(path, self.to_json())
-
-    @classmethod
-    def load(cls, path: "str | Path") -> "TelemetrySnapshot":
-        return cls.from_json(Path(path).read_text())
-
-    # -- identity --------------------------------------------------------
-    @property
-    def fingerprint(self) -> str:
-        """Short content hash naming this snapshot in provenance
-        manifests (identical recorded state ⇒ identical fingerprint)."""
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TelemetrySnapshot):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __hash__(self) -> int:  # frozen dataclass with dict fields
-        return hash(self.fingerprint)
-
-
-#: the per-plan counters the scheduler's view reads, by field name
+#: the per-plan counters :func:`plan_traffic` reads, by field name
 _PLAN_COUNTERS = (
     ("requests", names.REQUESTS),
     ("batches", names.BATCHES),
@@ -247,22 +135,75 @@ def _total(doc: Mapping[str, dict], name: str, match: Mapping[str, str]) -> floa
     return sum(float(s["value"]) for s in select(doc, name, match))
 
 
+def plan_traffic(
+    doc: Mapping[str, dict], since: Mapping[str, dict] | None = None
+) -> dict[str, dict]:
+    """Per-plan traffic in one registry dump (:meth:`MetricsRegistry.to_dict`).
+
+    Each plan key that routed a batch maps to its ``requests``,
+    ``batches``, ``launches`` and ``modelled_busy_s`` totals, the
+    runtime stack that served it (``backend``/``device``), the plan's
+    recorded cost estimate (``predicted_time_s``, 0 when none was
+    published) and its tensor-parallel width (``shards``).
+
+    ``since`` maps plan keys to an earlier result of this function:
+    those keys count only the traffic recorded after it, and drop out
+    until they route another batch. The re-tuning scheduler rebases a
+    key that way when a promotion changes its plan, so regression
+    checks see only post-promotion traffic.
+    """
+    totals: dict[str, dict] = {}
+    for field, name in _PLAN_COUNTERS:
+        for s in select(doc, name):
+            labels = s["labels"]
+            if not labels.get("plan"):
+                continue
+            p = totals.setdefault(labels["plan"], {
+                "backend": labels.get("backend", ""),
+                "device": labels.get("device", ""),
+            })
+            p[field] = p.get(field, 0) + float(s["value"])
+    since = since or {}
+    out = {}
+    for key, p in sorted(totals.items()):
+        base = since.get(key, {})
+        delta = {
+            field: p.get(field, 0) - base.get(field, 0)
+            for field, _ in _PLAN_COUNTERS
+        }
+        if delta["batches"] <= 0:
+            continue
+        plan = {"plan": key}
+        predicted = select(doc, names.PLAN_PREDICTED, plan)
+        shards = select(doc, names.PLAN_SHARDS, plan)
+        out[key] = {
+            "requests": int(delta["requests"]),
+            "batches": int(delta["batches"]),
+            "launches": int(delta["launches"]),
+            "modelled_busy_s": delta["modelled_busy_s"],
+            "predicted_time_s": (
+                float(predicted[0]["value"]) if predicted else 0.0
+            ),
+            "backend": p["backend"],
+            "device": p["device"],
+            "shards": int(shards[0]["value"]) if shards else 1,
+        }
+    return out
+
+
 class Telemetry:
     """Read-only serving views over one :class:`MetricsRegistry`.
 
     Every call reads the registry's current state (one
     :meth:`~MetricsRegistry.to_dict` dump, so a report is internally
     consistent) and projects it by label. The view keeps no
-    measurements — only its start time (for wall throughput) and the
-    per-plan baselines :meth:`reset_plans` rebases. ``metrics``
-    defaults to a fresh registry.
+    measurements — only its start time (for wall throughput).
+    ``metrics`` defaults to a fresh registry.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._started_at = time.monotonic()
-        self._lock = threading.Lock()
-        self._plan_base: dict[str, dict] = {}
 
     # -- projections over one registry dump ------------------------------
     def _summarize(
@@ -311,51 +252,6 @@ class Telemetry:
             if "session" in s["labels"]
         }
 
-    @staticmethod
-    def _plan_totals(doc: Mapping[str, dict]) -> dict[str, dict]:
-        """Lifetime per-plan traffic, before any :meth:`reset_plans`."""
-        plans: dict[str, dict] = {}
-        for field, name in _PLAN_COUNTERS:
-            for s in select(doc, name):
-                labels = s["labels"]
-                if not labels.get("plan"):
-                    continue
-                p = plans.setdefault(labels["plan"], {
-                    "requests": 0, "batches": 0, "launches": 0,
-                    "modelled_busy_s": 0.0,
-                    "backend": labels.get("backend", ""),
-                    "device": labels.get("device", ""),
-                })
-                p[field] += float(s["value"])
-        return plans
-
-    def _plans(self, doc: Mapping[str, dict]) -> dict[str, dict]:
-        """Per-plan traffic since each key's last :meth:`reset_plans`."""
-        with self._lock:
-            base = dict(self._plan_base)
-        out = {}
-        for key, p in self._plan_totals(doc).items():
-            b = base.get(key, {})
-            delta = {field: p[field] - b.get(field, 0) for field, _ in _PLAN_COUNTERS}
-            if delta["batches"] <= 0:
-                continue
-            plan = {"plan": key}
-            predicted = select(doc, names.PLAN_PREDICTED, plan)
-            shards = select(doc, names.PLAN_SHARDS, plan)
-            out[key] = {
-                "requests": int(delta["requests"]),
-                "batches": int(delta["batches"]),
-                "launches": int(delta["launches"]),
-                "modelled_busy_s": delta["modelled_busy_s"],
-                "predicted_time_s": (
-                    float(predicted[0]["value"]) if predicted else 0.0
-                ),
-                "backend": p["backend"],
-                "device": p["device"],
-                "shards": int(shards[0]["value"]) if shards else 1,
-            }
-        return out
-
     # -- the public views -------------------------------------------------
     def rejections(self, session: str | None = None) -> int:
         """Rejected requests for one session, or in total."""
@@ -375,50 +271,6 @@ class Telemetry:
     def backends(self) -> list[tuple[str, str]]:
         """Every ``(backend, device)`` pair that served at least one batch."""
         return self._pairs(self.metrics.to_dict())
-
-    def plans(self) -> list[str]:
-        """Every plan key that routed a batch since its last reset."""
-        return sorted(self._plans(self.metrics.to_dict()))
-
-    def reset_plans(self, keys: Iterable[str]) -> None:
-        """Restart the per-plan view of ``keys`` from zero (session and
-        backend views, and the registry's counters, are untouched). The
-        re-tuning scheduler calls this when a promotion *changes* a
-        key's plan: the old observations describe the replaced plan, so
-        regression decisions must restart from post-promotion traffic."""
-        totals = self._plan_totals(self.metrics.to_dict())
-        with self._lock:
-            for key in keys:
-                if key in totals:
-                    self._plan_base[key] = totals[key]
-
-    def snapshot(self) -> TelemetrySnapshot:
-        """Export the deterministic state as a :class:`TelemetrySnapshot`.
-
-        The snapshot carries exactly the values the rendered summary
-        tables show (minus the wall-clock columns) plus the per-plan
-        traffic breakdown — identical recorded batches always produce
-        an identical snapshot, so schedulers can compare fingerprints
-        across polls.
-        """
-        doc = self.metrics.to_dict()
-        total = _stable(self._summarize(doc, {}))
-        return TelemetrySnapshot(
-            requests=total["requests"],
-            sessions={
-                name: _stable(self._summarize(doc, {"session": name}))
-                for name in self._served(doc)
-            },
-            backends={
-                f"{backend}@{device}": _stable(self._summarize(
-                    doc, {"backend": backend, "device": device}
-                ))
-                for backend, device in self._pairs(doc)
-            },
-            plans=self._plans(doc),
-            rejections=self._rejections(doc),
-            total=total,
-        )
 
     def summary(self, session: str | None = None) -> LatencySummary:
         """Aggregate one session, or everything when ``session`` is None."""

@@ -19,12 +19,6 @@ class TestFamily:
         for cls in _error_classes():
             assert issubclass(cls, errors.ReproError), cls
 
-    def test_magicube_error_is_the_same_family(self):
-        # the pre-v1 base name still catches everything
-        assert errors.MagicubeError is errors.ReproError
-        for cls in _error_classes():
-            assert issubclass(cls, errors.MagicubeError), cls
-
     def test_catch_at_the_api_boundary(self, rng):
         from repro import api
 

@@ -1,8 +1,11 @@
-"""repro-autotune CLI: sweep / export / verify / diff."""
+"""repro-autotune CLI: sweep / export / verify / diff / watch."""
 
 import json
+from pathlib import Path
 
 from repro.autotune.cli import main
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def run_sweep_cli(tmp_path, *extra):
@@ -106,48 +109,51 @@ class TestWatch:
         import numpy as np
 
         from repro import api
+        from repro.obs.export import write_snapshot
         from tests.conftest import make_structured_sparse
 
         rng = np.random.default_rng(0)
         weights = make_structured_sparse(rng, 512, 512, 8, 0.9, bits=8)
-        path = tmp_path / "telemetry.json"
+        path = tmp_path / "metrics.json"
         with api.open_engine(device="A100") as client:
             for n in widths:
                 client.run(api.SpmmRequest(
                     lhs=weights, rhs=rng.integers(-128, 128, size=(512, n)),
                     session="ffn",
                 ))
-            client.telemetry.snapshot().save(path)
+            write_snapshot(client.metrics, path)
         return path
 
     def test_watch_ships_a_retuned_artifact(self, tmp_path, capsys):
         snapshot = self.export_snapshot(tmp_path)
-        out = tmp_path / "retuned" / "plans.json"
+        out = tmp_path / "retuned"
         rc = main(["watch", str(snapshot), "--out", str(out)])
         assert rc == 0
         text = capsys.readouterr().out
         assert "cold-miss" in text
-        assert out.exists()
+        plans = out / "retune-0001" / "plans.json"
+        assert plans.exists()
         manifest = json.loads(
-            (tmp_path / "retuned" / "plans.manifest.json").read_text()
+            (out / "retune-0001" / "plans.manifest.json").read_text()
         )
-        assert manifest["sweep"]["source"] == "retune-watch"
+        assert manifest["sweep"]["source"] == "retune"
         assert manifest["sweep"]["retune"]["snapshot"]
         assert manifest["plans"] >= 1
         # the shipped artifact passes its own drift check
-        assert main(["verify", str(out)]) == 0
+        assert main(["verify", str(plans)]) == 0
 
     def test_watch_with_warm_baseline_is_quiet(self, tmp_path, capsys):
         # two request classes: neither reaches a 100% hot share, so
         # only the cold-miss trigger is in play
         snapshot = self.export_snapshot(tmp_path, widths=(64, 128))
-        out1 = tmp_path / "first" / "plans.json"
+        out1 = tmp_path / "first"
         assert main(["watch", str(snapshot), "--out", str(out1),
                      "--hot-share", "1.0"]) == 0
         capsys.readouterr()
         # second run: the first artifact is the baseline, nothing is cold
-        out2 = tmp_path / "second" / "plans.json"
-        rc = main(["watch", str(snapshot), "--plans", str(out1),
+        out2 = tmp_path / "second"
+        rc = main(["watch", str(snapshot),
+                   "--plans", str(out1 / "retune-0001" / "plans.json"),
                    "--out", str(out2), "--hot-share", "1.0"])
         assert rc == 0
         assert "nothing to re-tune" in capsys.readouterr().out
@@ -155,25 +161,55 @@ class TestWatch:
 
     def test_watch_json_cycle_record(self, tmp_path, capsys):
         snapshot = self.export_snapshot(tmp_path)
-        out = tmp_path / "retuned" / "plans.json"
+        out = tmp_path / "retuned"
         rc = main(["watch", str(snapshot), "--out", str(out), "--json"])
         assert rc == 0
         record = json.loads(capsys.readouterr().out)
         assert record["promoted"] >= 1
         assert record["snapshot"]
-        assert record["artifact"] == str(out)
+        assert record["artifact"] == str(out / "retune-0001" / "plans.json")
 
     def test_missing_snapshot_is_a_clean_error(self, tmp_path, capsys):
         rc = main(["watch", str(tmp_path / "nope.json"),
-                   "--out", str(tmp_path / "out.json")])
+                   "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bench_report_is_not_a_metrics_file(self, tmp_path, capsys):
+        """A BENCH report carries ``"schema": 1`` too; watch must refuse
+        it as a typed error instead of reading it as no traffic."""
+        out = tmp_path / "out"
+        rc = main(["watch", str(REPO / "BENCH_serve.json"), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc != 0
+        assert "error:" in captured.err and "Traceback" not in captured.err
+        assert "nothing to re-tune" not in captured.out
+        assert not out.exists()
+
+    def test_committed_replay_metrics_ship_a_verified_artifact(
+        self, tmp_path, capsys
+    ):
+        """The one-format loop on a committed artifact: every plan key the
+        replay served is a cold miss, measured and shipped."""
+        from repro.obs.export import load_json
+        from repro.serve.telemetry import plan_traffic
+
+        metrics = REPO / "BENCH_serve.metrics.json"
+        served = plan_traffic(load_json(metrics.read_text()).to_dict())
+        out = tmp_path / "D"
+        rc = main(["watch", str(metrics), "--out", str(out), "--json"])
+        assert rc == 0
+        record = json.loads(capsys.readouterr().out)
+        assert {t["plan_key"] for t in record["triggers"]} == set(served)
+        assert {t["reason"] for t in record["triggers"]} == {"cold-miss"}
+        assert record["promoted"] == len(served)
+        assert main(["verify", str(out / "retune-0001" / "plans.json")]) == 0
+
     def test_multi_cycle_watch_cools_down_hot_keys(self, tmp_path, capsys):
-        """Polling an unchanged snapshot must not re-sweep the same hot
-        key on every cycle — the cooldown carries across cycles."""
+        """Polling an unchanged metrics file must not re-sweep the same
+        hot key on every cycle — the cooldown carries across cycles."""
         snapshot = self.export_snapshot(tmp_path)  # one key, 100% share
-        out = tmp_path / "retuned" / "plans.json"
+        out = tmp_path / "retuned"
         rc = main(["watch", str(snapshot), "--out", str(out),
                    "--cycles", "2", "--interval", "0"])
         assert rc == 0

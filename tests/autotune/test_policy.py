@@ -5,13 +5,12 @@ import pytest
 from repro.autotune.policy import (
     RetunePolicy,
     RetuneTrigger,
-    evaluate_snapshot,
+    evaluate_traffic,
     synthesize,
 )
 from repro.autotune.space import enumerate_space
 from repro.errors import ConfigError
 from repro.serve.planner import Objective, PlanKey
-from repro.serve.telemetry import TelemetrySnapshot
 
 
 def key_for(n=64, backend="magicube-emulation", device="A100",
@@ -23,14 +22,12 @@ def key_for(n=64, backend="magicube-emulation", device="A100",
     ))
 
 
-def snapshot_for(plans: dict, requests: int | None = None) -> TelemetrySnapshot:
+def traffic_for(plans: dict, requests: int | None = None) -> tuple[int, dict]:
+    """``(total requests, per-plan traffic)`` as the scheduler reads them."""
     total = requests if requests is not None else sum(
         p.get("requests", 0) for p in plans.values()
     )
-    return TelemetrySnapshot(
-        requests=total, sessions={}, backends={}, plans=plans,
-        rejections={}, total={"requests": total},
-    )
+    return total, plans
 
 
 def plan_stats(requests=10, launches=None, busy=None, predicted=1e-6,
@@ -61,45 +58,45 @@ class TestPolicyValidation:
 
 class TestEvaluate:
     def test_below_min_requests_is_quiet(self):
-        snap = snapshot_for({key_for(): plan_stats(requests=3)})
+        traffic = traffic_for({key_for(): plan_stats(requests=3)})
         policy = RetunePolicy(min_requests=10)
-        assert evaluate_snapshot(snap, policy) == []
+        assert evaluate_traffic(*traffic, policy) == []
 
     def test_hot_key_triggers_by_traffic_share(self):
         hot, cold = key_for(64), key_for(128)
-        snap = snapshot_for({
+        traffic = traffic_for({
             hot: plan_stats(requests=90),
             cold: plan_stats(requests=10),
         })
         policy = RetunePolicy(min_requests=1, hot_share=0.5,
                               retune_cold_misses=False)
-        triggers = evaluate_snapshot(snap, policy)
+        triggers = evaluate_traffic(*traffic, policy)
         assert [t.plan_key for t in triggers] == [hot]
         assert triggers[0].reason == "hot"
         assert triggers[0].share == pytest.approx(0.9)
 
     def test_cold_miss_vs_baseline(self):
         warm, missed = key_for(64), key_for(128)
-        snap = snapshot_for({
+        traffic = traffic_for({
             warm: plan_stats(requests=10),
             missed: plan_stats(requests=10),
         })
         policy = RetunePolicy(min_requests=1, hot_share=1.0)
-        triggers = evaluate_snapshot(
-            snap, policy, baseline_keys=frozenset({warm})
+        triggers = evaluate_traffic(
+            *traffic, policy, baseline_keys=frozenset({warm})
         )
         assert [t.plan_key for t in triggers] == [missed]
         assert triggers[0].reason == "cold-miss"
 
     def test_regression_vs_recorded_estimate(self):
         regressed, fine = key_for(64), key_for(128)
-        snap = snapshot_for({
+        traffic = traffic_for({
             regressed: plan_stats(requests=10, predicted=1e-6, busy=3e-5),
             fine: plan_stats(requests=10, predicted=1e-6),
         })
         policy = RetunePolicy(min_requests=1, hot_share=1.0,
                               regression_ratio=2.0, retune_cold_misses=False)
-        triggers = evaluate_snapshot(snap, policy)
+        triggers = evaluate_traffic(*traffic, policy)
         assert [t.plan_key for t in triggers] == [regressed]
         assert triggers[0].reason == "regression"
         assert "3.00x" in triggers[0].detail
@@ -108,53 +105,53 @@ class TestEvaluate:
         """An SDDMM dispatch sums item launches; observed per-launch time
         must not be mistaken for a regression."""
         key = key_for(64, op="sddmm")
-        snap = snapshot_for({
+        traffic = traffic_for({
             key: plan_stats(requests=8, batches=2, launches=8,
                             predicted=1e-6, busy=8e-6),
             key_for(128): plan_stats(requests=8, predicted=1e-6),
         })
         policy = RetunePolicy(min_requests=1, hot_share=1.0,
                               regression_ratio=1.5, retune_cold_misses=False)
-        assert evaluate_snapshot(snap, policy) == []
+        assert evaluate_traffic(*traffic, policy) == []
 
     def test_drift_marks_served_keys(self):
         keys = [key_for(64), key_for(128)]
-        snap = snapshot_for({k: plan_stats(requests=10) for k in keys})
+        traffic = traffic_for({k: plan_stats(requests=10) for k in keys})
         policy = RetunePolicy(min_requests=1, hot_share=1.0,
                               retune_cold_misses=False)
-        triggers = evaluate_snapshot(
-            snap, policy, baseline_keys=frozenset(keys),
+        triggers = evaluate_traffic(
+            *traffic, policy, baseline_keys=frozenset(keys),
             drift=["backend 'x' changed since the sweep"],
         )
         assert sorted(t.plan_key for t in triggers) == sorted(keys)
         assert {t.reason for t in triggers} == {"drift"}
-        no_drift = evaluate_snapshot(
-            snap, policy, baseline_keys=frozenset(keys)
+        no_drift = evaluate_traffic(
+            *traffic, policy, baseline_keys=frozenset(keys)
         )
         assert no_drift == []
 
     def test_exclude_implements_cooldown(self):
         key = key_for()
-        snap = snapshot_for({key: plan_stats(requests=10)})
+        traffic = traffic_for({key: plan_stats(requests=10)})
         policy = RetunePolicy(min_requests=1, hot_share=0.1)
-        assert evaluate_snapshot(snap, policy, exclude={key}) == []
+        assert evaluate_traffic(*traffic, policy, exclude={key}) == []
 
     def test_max_keys_caps_by_traffic_share(self):
         keys = {key_for(n): plan_stats(requests=10 * (i + 1))
                 for i, n in enumerate((32, 64, 128, 256))}
-        snap = snapshot_for(keys)
+        traffic = traffic_for(keys)
         policy = RetunePolicy(min_requests=1, hot_share=0.01, max_keys=2)
-        triggers = evaluate_snapshot(snap, policy)
+        triggers = evaluate_traffic(*traffic, policy)
         assert len(triggers) == 2
         shares = [t.share for t in triggers]
         assert shares == sorted(shares, reverse=True)
 
     def test_deterministic_ordering(self):
         keys = {key_for(n): plan_stats(requests=10) for n in (64, 128, 256)}
-        snap = snapshot_for(keys)
+        traffic = traffic_for(keys)
         policy = RetunePolicy(min_requests=1, hot_share=0.01)
-        a = evaluate_snapshot(snap, policy)
-        b = evaluate_snapshot(snap, policy)
+        a = evaluate_traffic(*traffic, policy)
+        b = evaluate_traffic(*traffic, policy)
         assert a == b
 
 
@@ -189,9 +186,9 @@ class TestSloBreachTrigger:
 
     def test_latency_breach_marks_served_keys(self):
         keys = [key_for(64), key_for(128)]
-        snap = snapshot_for({k: plan_stats(requests=10) for k in keys})
-        triggers = evaluate_snapshot(
-            snap, self._quiet_policy(), health=health_report("latency")
+        traffic = traffic_for({k: plan_stats(requests=10) for k in keys})
+        triggers = evaluate_traffic(
+            *traffic, self._quiet_policy(), health=health_report("latency")
         )
         assert sorted(t.plan_key for t in triggers) == sorted(keys)
         assert {t.reason for t in triggers} == {"slo-breach"}
@@ -199,48 +196,48 @@ class TestSloBreachTrigger:
 
     def test_healthy_report_triggers_nothing(self):
         # requests=100 keeps the key's share below hot_share
-        snap = snapshot_for({key_for(): plan_stats(requests=10)}, requests=100)
+        traffic = traffic_for({key_for(): plan_stats(requests=10)}, requests=100)
         report = health_report("latency", breaching=False)
         assert report.status == "healthy"
-        assert evaluate_snapshot(
-            snap, self._quiet_policy(), health=report
+        assert evaluate_traffic(
+            *traffic, self._quiet_policy(), health=report
         ) == []
 
     def test_non_latency_breach_does_not_retune(self):
         # a rejection-rate breach means admission pressure, not a stale
         # plan: re-sweeping would not help, so the trigger ignores it
-        snap = snapshot_for({key_for(): plan_stats(requests=10)}, requests=100)
+        traffic = traffic_for({key_for(): plan_stats(requests=10)}, requests=100)
         report = health_report("rejection_rate")
         assert report.status == "breach"
-        assert evaluate_snapshot(
-            snap, self._quiet_policy(), health=report
+        assert evaluate_traffic(
+            *traffic, self._quiet_policy(), health=report
         ) == []
 
     def test_toggle_off_suppresses_the_trigger(self):
-        snap = snapshot_for({key_for(): plan_stats(requests=10)}, requests=100)
+        traffic = traffic_for({key_for(): plan_stats(requests=10)}, requests=100)
         policy = self._quiet_policy(retune_on_slo_breach=False)
-        assert evaluate_snapshot(
-            snap, policy, health=health_report("latency")
+        assert evaluate_traffic(
+            *traffic, policy, health=health_report("latency")
         ) == []
 
     def test_regression_outranks_slo_breach(self):
         key = key_for()
-        snap = snapshot_for({
+        traffic = traffic_for({
             key: plan_stats(requests=10, predicted=1e-6, busy=3e-5),
         })
         policy = self._quiet_policy(regression_ratio=2.0)
-        (trigger,) = evaluate_snapshot(
-            snap, policy, health=health_report("latency")
+        (trigger,) = evaluate_traffic(
+            *traffic, policy, health=health_report("latency")
         )
         assert trigger.reason == "regression"
         assert "slo-breach" in trigger.detail  # still named in the detail
 
     def test_slo_breach_outranks_cold_miss(self):
         key = key_for()
-        snap = snapshot_for({key: plan_stats(requests=10)})
+        traffic = traffic_for({key: plan_stats(requests=10)})
         policy = RetunePolicy(min_requests=1, hot_share=1.0)
-        (trigger,) = evaluate_snapshot(
-            snap, policy, health=health_report("latency")
+        (trigger,) = evaluate_traffic(
+            *traffic, policy, health=health_report("latency")
         )
         assert trigger.reason == "slo-breach"
         assert "cold-miss" in trigger.detail

@@ -13,8 +13,11 @@ from repro.autotune import (
     SweepBudget,
     manifest_path,
 )
+from repro.autotune.artifact import _digest
 from repro.errors import RetuneError
-from repro.serve.telemetry import publish_batch
+from repro.obs import names
+from repro.obs.metrics import select
+from repro.serve.telemetry import plan_traffic, publish_batch
 from tests.conftest import make_structured_sparse
 
 
@@ -120,21 +123,20 @@ class TestCycles:
         traffic, while the registry's counters stay monotonic."""
         from dataclasses import replace
 
-        from repro.obs import names
-        from repro.obs.metrics import select
-
         with api.open_engine(device="A100", retune=quiet_policy()) as client:
             serve_widths(client, weights, (64,))
-            (key,) = client.telemetry.plans()
+            (key,) = plan_traffic(client.metrics.to_dict())
             # a stale live plan, so the re-sweep's plan differs from it
             live = client.planner.cache
             stale = live.peek(key)
             live.put(key, replace(stale, predicted_time_s=stale.predicted_time_s * 9))
             cycle = client.retune.run_once()
             assert key in cycle.promoted_keys and cycle.changed == 1
-            assert key not in client.telemetry.snapshot().plans
+            quiet = client.retune.run_once()  # reads the rebased view
+            assert quiet.triggers == []
             serve_widths(client, weights, (64,), per=1)
-            after = client.telemetry.snapshot().plans[key]
+            since = client.retune._plan_base
+            after = plan_traffic(client.metrics.to_dict(), since)[key]
             assert (after["requests"], after["batches"]) == (1, 1)
             served = select(client.metrics.to_dict(), names.REQUESTS, {"plan": key})
             assert sum(s["value"] for s in served) == 3
@@ -207,12 +209,15 @@ class TestProvenance:
             device="A100", retune=quiet_policy(artifact_dir=art_dir)
         ) as client:
             serve_widths(client, weights, (64,))
-            snap = client.telemetry.snapshot()
+            doc = client.metrics.to_dict()
             cycle = client.retune.run_once()
         assert cycle.artifact is not None and cycle.artifact.exists()
         manifest = ArtifactManifest.load(manifest_path(cycle.artifact))
         retune = manifest.sweep["retune"]
-        assert retune["snapshot"] == snap.fingerprint
+        requests = int(sum(s["value"] for s in select(doc, names.REQUESTS)))
+        assert retune["snapshot"] == cycle.snapshot_fingerprint == _digest(
+            {"requests": requests, "plans": plan_traffic(doc)}
+        )
         assert retune["cycle"] == 1
         assert [t["plan_key"] for t in retune["triggers"]] == [
             t.plan_key for t in cycle.triggers

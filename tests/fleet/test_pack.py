@@ -102,3 +102,19 @@ class TestIntegrity:
         manifest.write_text(json.dumps(doc))
         with pytest.raises(FleetError, match="schema"):
             FleetPack.load(tmp_path / "pack")
+
+
+class TestCli:
+    def test_build_then_check(self, artifacts, tmp_path, capsys):
+        from repro.fleet.cli import main
+
+        root = tmp_path / "pack"
+        assert main([
+            "pack", *map(str, artifacts), "--out", str(root), "--version", "v1",
+        ]) == 0
+        assert "packed 2 artifact(s)" in capsys.readouterr().out
+        assert main(["pack", "--check", str(root)]) == 0
+        victim = root / "spmm-a.json"
+        victim.write_text(victim.read_text()[: len(victim.read_text()) // 2])
+        assert main(["pack", "--check", str(root)]) == 1
+        assert "spmm-a" in capsys.readouterr().err

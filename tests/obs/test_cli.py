@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,15 @@ class TestSummary:
     def test_missing_snapshot_falls_back_to_contract(self, tmp_path, capsys):
         assert main(["summary", "--metrics", str(tmp_path / "nope.json")]) == 0
         assert "standard contract" in capsys.readouterr().out
+
+    def test_bench_report_is_a_clean_error(self, capsys):
+        """``BENCH_serve.json`` carries ``"schema": 1`` but is a report,
+        not its metrics export: a one-line typed error, no traceback."""
+        report = Path(__file__).resolve().parents[2] / "BENCH_serve.json"
+        assert main(["summary", "--metrics", str(report)]) != 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestExport:

@@ -47,6 +47,16 @@ class TestJsonSnapshot:
         with pytest.raises(ConfigError):
             load_json(json.dumps({"schema": 99, "metrics": {}}))
 
+    @pytest.mark.parametrize("text", [
+        json.dumps({"schema": EXPORT_SCHEMA, "results": {}}),  # a BENCH report
+        json.dumps({"schema": EXPORT_SCHEMA, "metrics": [1, 2]}),
+        json.dumps([EXPORT_SCHEMA]),
+        "not json",
+    ])
+    def test_non_metrics_document_raises(self, text):
+        with pytest.raises(ConfigError):
+            load_json(text)
+
     def test_write_snapshot_atomic_and_readable(self, tmp_path):
         path = write_snapshot(_populated(), tmp_path / "m.json")
         assert load_json(path.read_text()).names() == _populated().names()

@@ -6,9 +6,10 @@ import pytest
 import repro
 from repro import api
 from repro.obs import names
+from repro.obs.export import load_json, render_json, write_snapshot
 from repro.obs.metrics import merge_histograms, select
 from repro.serve.batcher import BatchPolicy
-from repro.serve.telemetry import Telemetry, publish_batch
+from repro.serve.telemetry import Telemetry, plan_traffic, publish_batch
 
 
 def _reject(t: Telemetry, session: str, count: int = 1) -> None:
@@ -117,7 +118,8 @@ class TestEngineIntegration:
 
 
 class TestSnapshot:
-    """TelemetrySnapshot: the re-tuning scheduler's input contract."""
+    """plan_traffic: the re-tuning scheduler's per-plan input, read from
+    a live registry or from the metrics file it exports to."""
 
     KEY = "spmm|512x512|n=64|v=8|s=0.900|magicube-emulation@A100|latency[L8-16,R8-16]"
 
@@ -130,48 +132,46 @@ class TestSnapshot:
                        plan_key=self.KEY, predicted_time_s=9e-4)
         _reject(t, "ffn", 2)
 
+    @staticmethod
+    def traffic(t: Telemetry) -> dict:
+        return plan_traffic(t.metrics.to_dict())
+
     def test_identical_recordings_produce_identical_snapshots(self):
         a, b = Telemetry(), Telemetry()
         self.record(a)
         self.record(b)
-        assert a.snapshot() == b.snapshot()
-        assert a.snapshot().fingerprint == b.snapshot().fingerprint
+        assert self.traffic(a) == self.traffic(b)
+        assert render_json(a.metrics) == render_json(b.metrics)
 
     def test_snapshot_is_stable_across_time(self):
-        """Wall-clock fields are excluded: snapshotting the same state
-        twice (later) yields the same snapshot."""
+        """No wall-clock field: reading the same state twice (later)
+        yields the same per-plan traffic."""
         import time
 
         t = Telemetry()
         self.record(t)
-        first = t.snapshot()
+        first = self.traffic(t)
         time.sleep(0.01)
-        assert t.snapshot() == first
+        assert self.traffic(t) == first
 
     def test_json_round_trip(self):
-        from repro.serve.telemetry import TelemetrySnapshot
-
         t = Telemetry()
         self.record(t)
-        snap = t.snapshot()
-        again = TelemetrySnapshot.from_json(snap.to_json())
-        assert again == snap
-        assert again.fingerprint == snap.fingerprint
-        assert again.plans[self.KEY]["requests"] == 3
+        again = load_json(render_json(t.metrics))
+        assert plan_traffic(again.to_dict()) == self.traffic(t)
+        assert plan_traffic(again.to_dict())[self.KEY]["requests"] == 3
 
     def test_save_load_round_trip(self, tmp_path):
-        from repro.serve.telemetry import TelemetrySnapshot
-
         t = Telemetry()
         self.record(t)
-        path = t.snapshot().save(tmp_path / "telemetry.json")
-        assert TelemetrySnapshot.load(path) == t.snapshot()
+        path = write_snapshot(t.metrics, tmp_path / "metrics.json")
+        loaded = load_json(path.read_text())
+        assert plan_traffic(loaded.to_dict()) == self.traffic(t)
 
     def test_plan_stats_feed_the_scheduler(self):
         t = Telemetry()
         self.record(t)
-        snap = t.snapshot()
-        stats = snap.plans[self.KEY]
+        stats = self.traffic(t)[self.KEY]
         assert stats["requests"] == 3
         assert stats["batches"] == 2
         assert stats["launches"] == 2
@@ -179,7 +179,7 @@ class TestSnapshot:
         assert stats["predicted_time_s"] == pytest.approx(9e-4)
         assert stats["backend"] == "magicube-emulation"
         assert stats["device"] == "A100"
-        assert t.plans() == [self.KEY]
+        assert list(self.traffic(t)) == [self.KEY]
 
     def test_sddmm_launch_accounting(self):
         """Item-by-item dispatches record their launch count so observed
@@ -188,34 +188,32 @@ class TestSnapshot:
         publish_batch(t.metrics, "att", 4e-3, [0.0] * 4,
                        backend="magicube-emulation", device="A100",
                        plan_key="k", predicted_time_s=1e-3, launches=4)
-        stats = t.snapshot().plans["k"]
+        stats = self.traffic(t)["k"]
         assert stats["launches"] == 4
         assert stats["modelled_busy_s"] / stats["launches"] == pytest.approx(1e-3)
 
     def test_snapshot_matches_rendered_summary_tables(self):
-        """The snapshot's numbers are exactly the render()/summary()
-        numbers (minus the wall-clock columns)."""
+        """A registry re-loaded from its metrics file renders the same
+        summary numbers and table cells as the live one (minus the
+        wall-clock columns)."""
         t = Telemetry()
         self.record(t)
-        snap = t.snapshot()
+        loaded = Telemetry(load_json(render_json(t.metrics)))
+        for live, again in (
+            (t.summary("ffn"), loaded.summary("ffn")),
+            (t.summary(), loaded.summary()),
+            (t.backend_summary("magicube-emulation", "A100"),
+             loaded.backend_summary("magicube-emulation", "A100")),
+        ):
+            assert (live.requests, live.batches) == (again.requests, again.batches)
+            assert [live.p50_ms, live.p95_ms, live.p99_ms] == [
+                again.p50_ms, again.p95_ms, again.p99_ms
+            ]
+            assert live.modelled_throughput_rps == again.modelled_throughput_rps
+        assert loaded.rejections() == t.rejections() == 2
         summary = t.summary("ffn")
-        assert snap.sessions["ffn"]["requests"] == summary.requests
-        assert snap.sessions["ffn"]["batches"] == summary.batches
-        assert snap.sessions["ffn"]["p50_ms"] == summary.p50_ms
-        assert snap.sessions["ffn"]["p95_ms"] == summary.p95_ms
-        assert snap.sessions["ffn"]["p99_ms"] == summary.p99_ms
-        assert snap.sessions["ffn"]["modelled_throughput_rps"] == (
-            summary.modelled_throughput_rps
-        )
         backend = t.backend_summary("magicube-emulation", "A100")
-        key = "magicube-emulation@A100"
-        assert snap.backends[key]["requests"] == backend.requests
-        assert snap.backends[key]["p99_ms"] == backend.p99_ms
-        assert snap.rejections == {"ffn": 2}
-        assert snap.total["requests"] == t.summary().requests
-        assert "wall_s" not in snap.total
-        # and the rendered table carries the same cells
-        text = t.render()
+        text = loaded.render()
         assert f"{summary.p50_ms:.4f}" in text
         assert f"{backend.p99_ms:.4f}" in text
 
@@ -230,21 +228,26 @@ class TestSnapshot:
                 lhs=weights, rhs=rng.integers(-8, 8, size=(64, 16)),
                 session="ffn",
             ))
-        snap = client.telemetry.snapshot()
-        assert len(snap.plans) == 1
-        (key,), (stats,) = snap.plans.keys(), snap.plans.values()
+        plans = plan_traffic(client.metrics.to_dict())
+        assert len(plans) == 1
+        (key,), (stats,) = plans.keys(), plans.values()
         assert key.startswith("spmm|64x64|n=16")
         assert stats["predicted_time_s"] > 0
         assert stats["requests"] == 1
 
-    def test_reset_plans_drops_only_the_named_keys(self):
+    def test_rebase_drops_only_the_named_keys(self):
         t = Telemetry()
         self.record(t)
         publish_batch(t.metrics, "att", 1e-3, [0.0], plan_key="other")
-        t.reset_plans([self.KEY, "never-seen"])
-        assert t.plans() == ["other"]
-        # session/backend views are untouched
-        assert t.summary("ffn").requests == 3
+        lifetime = self.traffic(t)
+        since = {self.KEY: lifetime[self.KEY]}
+        assert list(plan_traffic(t.metrics.to_dict(), since)) == ["other"]
+        # traffic after the rebase counts from zero
+        publish_batch(t.metrics, "ffn", 1e-3, [0.0], plan_key=self.KEY)
+        after = plan_traffic(t.metrics.to_dict(), since)[self.KEY]
+        assert (after["requests"], after["batches"]) == (1, 1)
+        # session views and the registry's counters are untouched
+        assert t.summary("ffn").requests == 4
 
 
 class TestOneStore:
@@ -337,10 +340,10 @@ class TestOneStore:
             assert not any(w.is_alive() for w in workers)
         finally:
             sys.setswitchinterval(old)
-        snap = t.snapshot()
-        assert snap.total["batches"] == threads * per
-        assert snap.total["requests"] == 2 * threads * per
-        assert snap.plans["k"]["launches"] == threads * per
+        total = t.summary()
+        assert total.batches == threads * per
+        assert total.requests == 2 * threads * per
+        assert plan_traffic(t.metrics.to_dict())["k"]["launches"] == threads * per
         latency = merge_histograms(
             select(t.metrics.to_dict(), names.REQUEST_MODELLED)
         )

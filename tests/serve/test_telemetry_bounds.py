@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.obs.export import render_json
 from repro.serve.telemetry import Telemetry, publish_batch
 
 
@@ -26,9 +27,9 @@ class TestTelemetryBounded:
         for batch in range(2990):
             publish_batch(t.metrics, "s", 1e-6, [1e-5, 2e-5], backend="b", device="d")
         assert _series_shape(t) == shape
-        snap = t.snapshot()
-        assert snap.total["requests"] == 6000
-        assert snap.total["batches"] == 3000
+        total = t.summary()
+        assert total.requests == 6000
+        assert total.batches == 3000
 
     def test_snapshot_fingerprint_stable_past_the_cap(self):
         def build() -> Telemetry:
@@ -39,4 +40,4 @@ class TestTelemetryBounded:
                 )
             return t
 
-        assert build().snapshot().fingerprint == build().snapshot().fingerprint
+        assert render_json(build().metrics) == render_json(build().metrics)

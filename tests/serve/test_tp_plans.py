@@ -15,7 +15,7 @@ from repro.errors import ConfigError
 from repro.runtime.backend import Problem
 from repro.runtime.magicube import TP_CANDIDATES, MagicubeEmulationBackend
 from repro.serve.planner import ExecutionPlanner, Plan
-from repro.serve.telemetry import Telemetry, publish_batch
+from repro.serve.telemetry import Telemetry, plan_traffic, publish_batch
 
 SMALL = Problem("spmm", 64, 64, 64, 8, 0.7)
 LARGE = Problem("spmm", 8192, 8192, 128, 8, 0.7)
@@ -105,7 +105,7 @@ class TestTelemetryShards:
         t = Telemetry()
         publish_batch(t.metrics, "s", 1e-3, [0.0], plan_key="sharded", shards=4)
         publish_batch(t.metrics, "s", 1e-3, [0.0], plan_key="plain")
-        plans = t.snapshot().plans
+        plans = plan_traffic(t.metrics.to_dict())
         assert plans["sharded"]["shards"] == 4
         assert plans["plain"]["shards"] == 1
 

@@ -12,6 +12,7 @@ import pytest
 import repro
 from repro import api
 from repro.errors import ConfigError
+from repro.serve.telemetry import plan_traffic
 
 SPEC = dict(seq_len=64, d_model=32, num_heads=2, num_layers=1)
 
@@ -76,10 +77,8 @@ class TestTransformerSession:
         ids = make_ids()
         with api.open_engine() as client:
             client.run(api.TransformerRequest(ids=ids, session="xf", **SPEC))
-            snap = client.telemetry.snapshot()
-        session = snap.sessions["xf"]
-        assert session["requests"] == 1
-        plans = snap.plans
+            assert client.telemetry.summary("xf").requests == 1
+            plans = plan_traffic(client.metrics.to_dict())
         assert any("s=0." in key for key in plans), plans
 
     def test_mode_validation(self):
