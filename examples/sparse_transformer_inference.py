@@ -14,7 +14,8 @@ Run:  python examples/sparse_transformer_inference.py
 
 import numpy as np
 
-from repro.transformer.attention import MultiHeadAttention
+from repro.runtime import get_backend
+from repro.transformer.attention import KernelPipeline, MultiHeadAttention
 from repro.transformer.inference import (
     ALL_BACKENDS,
     DenseOOM,
@@ -32,7 +33,9 @@ print("attention mask:", mask_statistics(mask))
 
 x = rng.normal(size=(1, seq_len, d_model)).astype(np.float32)
 ref = attn.forward(x, mask_to_additive(mask))
-quant = attn.forward_quantized(x, mask, softmax_bits=16, qkv_bits=8, use_kernels=True)
+# the pipeline names the backend whose kernels run the launches
+kernels = KernelPipeline(get_backend("magicube-emulation"))
+quant = attn.forward_quantized(x, mask, softmax_bits=16, qkv_bits=8, kernels=kernels)
 rel_err = float(np.abs(quant - ref).mean() / np.abs(ref).mean())
 print(f"kernel pipeline vs float attention: mean relative error {rel_err:.4f}")
 assert rel_err < 0.05

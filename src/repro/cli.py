@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 
 from repro.version import __version__
@@ -92,7 +93,16 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
     module = importlib.import_module(_COMMANDS[command][0])
-    return module.main(rest)
+    try:
+        return module.main(rest)
+    except BrokenPipeError:
+        # the reader went away (``repro obs summary | head``): not an
+        # error. Point stdout at devnull so the exit-time flush of what
+        # is still buffered does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -36,8 +36,8 @@ class FastpathSDDMM(MagicubeSDDMM):
     """Drop-in :class:`~repro.kernels.sddmm.MagicubeSDDMM` with the strip
     and slice loops replaced by one batched matmul per strip bucket.
 
-    Validation, cost accounting, output formats and the strict path are
-    inherited unchanged.
+    Validation, cost accounting and output formats are inherited
+    unchanged.
     """
 
     def _accum_dtype(self, k: int) -> np.dtype:
@@ -51,10 +51,8 @@ class FastpathSDDMM(MagicubeSDDMM):
         return np.dtype(np.float64)
 
     def _products(
-        self, a3: np.ndarray, b3: np.ndarray, mask: BCRSMatrix, strict: bool
+        self, a3: np.ndarray, b3: np.ndarray, mask: BCRSMatrix
     ) -> np.ndarray:
-        if strict:
-            return super()._products(a3, b3, mask, strict)
         plan = bcrs_plan(mask)
         slices, _, k = a3.shape
         v = mask.vector_length

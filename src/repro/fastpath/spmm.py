@@ -48,9 +48,9 @@ class FastpathSpMM(MagicubeSpMM):
     """Drop-in :class:`~repro.kernels.spmm.MagicubeSpMM` with the strip
     and slice loops replaced by one batched matmul per strip bucket.
 
-    Validation, the fused dequantization, cost accounting and the
-    strict (digit-decomposition) path are inherited unchanged — only the
-    arithmetic hot path differs, and only in speed.
+    Validation, the fused dequantization and cost accounting are
+    inherited unchanged — only the arithmetic hot path differs, and only
+    in speed.
     """
 
     def _accum_dtype(self, max_nnz_row: int) -> np.dtype:
@@ -64,12 +64,7 @@ class FastpathSpMM(MagicubeSpMM):
             return np.dtype(np.float32)
         return np.dtype(np.float64)
 
-    def _products(
-        self, lhs: SRBCRSMatrix, rhs3: np.ndarray, strict: bool
-    ) -> np.ndarray:
-        if strict:
-            # verification path: the fragment-level algebra is the point
-            return super()._products(lhs, rhs3, strict)
+    def _products(self, lhs: SRBCRSMatrix, rhs3: np.ndarray) -> np.ndarray:
         plan = spmm_plan(lhs)
         dtype = self._accum_dtype(plan.max_nnz_row)
         slices, k, n = rhs3.shape

@@ -9,8 +9,8 @@ what makes the two's-complement emulation of Sec. IV-D work).
 Two entry points:
 
 - :func:`mma_sync` operates on packed per-thread register fragments,
-  exactly as the hardware instruction does — used by the strict
-  (fragment-level) kernel mode and the layout tests.
+  exactly as the hardware instruction does — used by the fragment-level
+  executors (:mod:`repro.kernels.strict`) and the layout tests.
 - :func:`mma_tile` operates on small integer tiles directly (a fused
   distribute -> mma_sync -> collect) — the fast path used inside kernels.
 

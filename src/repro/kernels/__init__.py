@@ -9,6 +9,10 @@
 - :mod:`repro.kernels.sddmm` — Magicube SDDMM (Sec. IV-C).
 - :mod:`repro.kernels.softmax` — fp16 softmax with fused (de)quantization
   for the end-to-end attention layer (Fig. 16).
+
+Both kernels compute strip by strip; ``StrictSpMM`` / ``StrictSDDMM``
+override only the per-strip product with the digit-decomposition
+algebra (:func:`emulated_matmul`) — the ``magicube-strict`` kernels.
 """
 
 from repro.kernels.emulation import (
@@ -18,8 +22,8 @@ from repro.kernels.emulation import (
     stack_factor,
     supported_pairs,
 )
-from repro.kernels.spmm import MagicubeSpMM, SpMMConfig, SpMMResult
-from repro.kernels.sddmm import MagicubeSDDMM, SDDMMConfig, SDDMMResult
+from repro.kernels.spmm import MagicubeSpMM, SpMMConfig, SpMMResult, StrictSpMM
+from repro.kernels.sddmm import MagicubeSDDMM, SDDMMConfig, SDDMMResult, StrictSDDMM
 from repro.kernels.transpose import (
     online_transpose_int8,
     online_transpose_int4,
@@ -35,9 +39,11 @@ __all__ = [
     "MagicubeSpMM",
     "SpMMConfig",
     "SpMMResult",
+    "StrictSpMM",
     "MagicubeSDDMM",
     "SDDMMConfig",
     "SDDMMResult",
+    "StrictSDDMM",
     "online_transpose_int8",
     "online_transpose_int4",
     "transpose_bitop_cost",

@@ -104,14 +104,12 @@ class MagicubeSDDMM:
         a: np.ndarray,
         b: np.ndarray,
         mask: BCRSMatrix,
-        strict: bool = False,
     ) -> SDDMMResult:
         """Compute ``C = (A @ B) sampled at mask`` and account the cost.
 
         ``a`` is (M, K) row-major, ``b`` (K, N) (the kernel reads it
         column-major); ``mask`` supplies the output topology (its values
-        are ignored). ``strict`` routes every strip through the
-        digit-decomposition algebra.
+        are ignored).
 
         A leading slice axis — ``a`` (S, M, K), ``b`` (S, K, N) — makes
         one grouped launch over S slices that share ``mask``: the
@@ -124,7 +122,7 @@ class MagicubeSDDMM:
         self._validate(a, b, mask)
         grouped = a.ndim == 3
         a3, b3 = (a, b) if grouped else (a[None], b[None])
-        values = self._products(a3, b3, mask, strict)
+        values = self._products(a3, b3, mask)
         out = mask.with_values(values if grouped else values[0])
         result: BCRSMatrix | SRBCRSMatrix = out
         if cfg.output_format == "srbcrs":
@@ -136,18 +134,17 @@ class MagicubeSDDMM:
         return SDDMMResult(output=result, stats=stats)
 
     def _products(
-        self, a3: np.ndarray, b3: np.ndarray, mask: BCRSMatrix, strict: bool
+        self, a3: np.ndarray, b3: np.ndarray, mask: BCRSMatrix
     ) -> np.ndarray:
         """``(S, num_vectors, V)`` int64 sampled products, computed slice
         by slice and strip by strip (the oracle for faster overrides)."""
         return np.stack([
-            self._slice_products(a, b, mask, strict) for a, b in zip(a3, b3)
+            self._slice_products(a, b, mask) for a, b in zip(a3, b3)
         ])
 
     def _slice_products(
-        self, a: np.ndarray, b: np.ndarray, mask: BCRSMatrix, strict: bool
+        self, a: np.ndarray, b: np.ndarray, mask: BCRSMatrix
     ) -> np.ndarray:
-        cfg = self.config
         # dtype promotions and pointer reads hoisted out of the strip
         # loop; one (V, max_vectors) accumulator is reused per strip
         a64 = np.asarray(a, dtype=np.int64)
@@ -165,18 +162,16 @@ class MagicubeSDDMM:
             cols = mask.col_indices[lo:hi]
             a_strip = a64[r * v : (r + 1) * v]  # (V, K)
             b_cols = b64[:, cols]  # (K, nvec)
-            if strict:
-                prod = emulated_matmul(
-                    a_strip,
-                    b_cols,
-                    self.plan,
-                    a_signed=cfg.l_signed,
-                    b_signed=cfg.r_signed,
-                )
-            else:
-                prod = np.matmul(a_strip, b_cols, out=acc[:, : hi - lo])
+            prod = self._strip_product(a_strip, b_cols, acc[:, : hi - lo])
             values[lo:hi] = prod.T  # vector-major
         return values
+
+    def _strip_product(
+        self, a: np.ndarray, b: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """One strip's exact ``a @ b``, written into and returned as
+        ``out`` — the arithmetic that :class:`StrictSDDMM` replaces."""
+        return np.matmul(a, b, out=out)
 
     def _stats(
         self, a_shape: tuple[int, int], b_shape: tuple[int, int], mask: BCRSMatrix
@@ -273,3 +268,19 @@ class MagicubeSDDMM:
             "padded_vectors": padded_vecs,
         }
         return stats
+
+
+class StrictSDDMM(MagicubeSDDMM):
+    """SDDMM whose every strip product runs the digit-decomposition
+    algebra (:func:`~repro.kernels.emulation.emulated_matmul`) instead of
+    a direct matmul — the ``magicube-strict`` kernel (slow; for
+    verification). Everything else is inherited."""
+
+    def _strip_product(
+        self, a: np.ndarray, b: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        cfg = self.config
+        out[...] = emulated_matmul(
+            a, b, self.plan, a_signed=cfg.l_signed, b_signed=cfg.r_signed
+        )
+        return out

@@ -12,8 +12,9 @@ Algorithm 1 prefetches the next RHS block behind the current MMAs.
 Execution here is *functional + accounted*: the true integer result is
 computed (vectorized per strip), and a :class:`KernelStats` records the
 exact MMA, traffic, shared-memory and epilogue costs of the configured
-variant for the cost model. ``strict=True`` additionally routes every
-tile through the bit-accurate fragment-level MMA path.
+variant for the cost model. :class:`StrictSpMM` computes every strip
+through the digit-decomposition algebra instead (the ``magicube-strict``
+backend's kernel).
 """
 
 from __future__ import annotations
@@ -116,15 +117,12 @@ class MagicubeSpMM:
         lhs: SRBCRSMatrix,
         rhs: np.ndarray,
         scale: "float | np.ndarray | None" = None,
-        strict: bool = False,
     ) -> SpMMResult:
         """Compute ``C = lhs @ rhs`` and account the kernel's costs.
 
         ``rhs`` is the dense (K, N) integer-code matrix, row-major.
         ``scale`` (product of the operands' quantization scales) enables
-        the fused dequantization epilogue. ``strict`` computes every
-        strip through the digit-decomposition algebra instead of a
-        direct matmul (slow; for verification).
+        the fused dequantization epilogue.
 
         A grouped ``lhs`` (S slices over one layout) with an
         ``(S, K, N)`` ``rhs`` makes one grouped launch: the output is
@@ -135,7 +133,7 @@ class MagicubeSpMM:
         rhs = np.asarray(rhs)
         self._validate(lhs, rhs)
         grouped = rhs.ndim == 3
-        out = self._products(lhs, rhs if grouped else rhs[None], strict)
+        out = self._products(lhs, rhs if grouped else rhs[None])
         stats = self._stats(lhs, rhs.shape[-1])
         if grouped:
             stats = stats.repeated(len(rhs))
@@ -149,21 +147,18 @@ class MagicubeSpMM:
             deq = (out * factor).astype(np.float32)
         return SpMMResult(output=out, stats=stats, dequantized=deq)
 
-    def _products(
-        self, lhs: SRBCRSMatrix, rhs3: np.ndarray, strict: bool
-    ) -> np.ndarray:
+    def _products(self, lhs: SRBCRSMatrix, rhs3: np.ndarray) -> np.ndarray:
         """``(S, M, N)`` int64 products, computed slice by slice and strip
         by strip (the oracle for faster overrides)."""
         values = np.asarray(lhs.values).reshape(len(rhs3), -1)
         return np.stack([
-            self._slice_products(lhs, vals, rhs, strict)
+            self._slice_products(lhs, vals, rhs)
             for vals, rhs in zip(values, rhs3)
         ])
 
     def _slice_products(
-        self, lhs: SRBCRSMatrix, values: np.ndarray, rhs: np.ndarray, strict: bool
+        self, lhs: SRBCRSMatrix, values: np.ndarray, rhs: np.ndarray
     ) -> np.ndarray:
-        cfg = self.config
         m, _ = lhs.shape
         n = rhs.shape[1]
         v = lhs.vector_length
@@ -193,17 +188,15 @@ class MagicubeSpMM:
             # a transpose-reshape view beats concatenating group tiles
             tiles = values[start * v : (start + npad) * v].reshape(-1, v, stride)
             lhs_strip = tiles.transpose(1, 0, 2).reshape(v, npad)  # (V, npad)
-            if strict:
-                out[r * v : (r + 1) * v] = emulated_matmul(
-                    lhs_strip,
-                    gathered,
-                    self.plan,
-                    a_signed=cfg.l_signed,
-                    b_signed=cfg.r_signed,
-                )
-            else:
-                np.matmul(lhs_strip, gathered, out=out[r * v : (r + 1) * v])
+            self._strip_product(lhs_strip, gathered, out[r * v : (r + 1) * v])
         return out
+
+    def _strip_product(
+        self, a: np.ndarray, b: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """One strip's exact ``a @ b``, written into and returned as
+        ``out`` — the arithmetic that :class:`StrictSpMM` replaces."""
+        return np.matmul(a, b, out=out)
 
     def _stats(self, lhs: SRBCRSMatrix, n: int) -> KernelStats:
         """The cost accounting of one slice (a fresh object per call)."""
@@ -315,3 +308,19 @@ class MagicubeSpMM:
         if cfg.index_shuffle and self.plan.native_bits == 4:
             parts.append("col-index-shuffling")
         return " + ".join(parts)
+
+
+class StrictSpMM(MagicubeSpMM):
+    """SpMM whose every strip product runs the digit-decomposition
+    algebra (:func:`~repro.kernels.emulation.emulated_matmul`) instead of
+    a direct matmul — the ``magicube-strict`` kernel (slow; for
+    verification). Everything else is inherited."""
+
+    def _strip_product(
+        self, a: np.ndarray, b: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        cfg = self.config
+        out[...] = emulated_matmul(
+            a, b, self.plan, a_signed=cfg.l_signed, b_signed=cfg.r_signed
+        )
+        return out

@@ -20,8 +20,8 @@ the nibble columns and lands the rows back in their **original** order —
 8 bitwise ops per 16 values instead of per-nibble shuffling.
 
 These functions execute the real bit manipulations on packed ``uint32``
-arrays; the SpMM kernel uses them in strict mode, and the fast path is
-verified against them.
+arrays; the fragment-level executors in :mod:`repro.kernels.strict` use
+them, and the fast path is verified against them.
 """
 
 from __future__ import annotations

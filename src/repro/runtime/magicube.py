@@ -1,11 +1,13 @@
 """Magicube execution backends: emulation (oracle) and strict (bit-level).
 
 Both wrap the :mod:`repro.kernels` SpMM/SDDMM implementations behind the
-:class:`~repro.runtime.backend.Backend` protocol. ``magicube-emulation``
-computes strip by strip with integer matmuls (the oracle the default
-``fastpath-vectorized`` backend is tested against);
-``magicube-strict`` routes every tile through the fragment-level
-digit-decomposition algebra (orders of magnitude slower; the ground
+:class:`~repro.runtime.backend.Backend` protocol, and a backend's kernel
+classes are the only switch on how a launch computes.
+``magicube-emulation`` runs ``MagicubeSpMM`` / ``MagicubeSDDMM``, strip
+by strip with integer matmuls (the oracle the default
+``fastpath-vectorized`` backend is tested against); ``magicube-strict``
+runs ``StrictSpMM`` / ``StrictSDDMM``, which route every strip through
+the digit-decomposition algebra (orders of magnitude slower; the ground
 truth the fast path is tested against). Their *cost accounting is
 identical* — both model the same CUDA kernel — so the strict backend
 shares the emulation backend's planning hook.
@@ -24,9 +26,9 @@ from repro.errors import ConfigError, ShapeError
 from repro.formats.bcrs import BCRSMatrix
 from repro.formats.srbcrs import SRBCRSMatrix
 from repro.kernels.emulation import plan_for, supported_pairs
-from repro.kernels.sddmm import MagicubeSDDMM, SDDMMConfig
+from repro.kernels.sddmm import MagicubeSDDMM, SDDMMConfig, StrictSDDMM
 from repro.kernels.softmax import SoftmaxResult, sparse_softmax_quantized
-from repro.kernels.spmm import MagicubeSpMM, SpMMConfig
+from repro.kernels.spmm import MagicubeSpMM, SpMMConfig, StrictSpMM
 from repro.runtime.backend import (
     Backend,
     BackendCapabilities,
@@ -68,7 +70,6 @@ class MagicubeEmulationBackend(Backend):
     name = "magicube-emulation"
     priority = 10
     library_profile = "magicube"
-    strict = False
     spmm_kernel: type[MagicubeSpMM] = MagicubeSpMM
     sddmm_kernel: type[MagicubeSDDMM] = MagicubeSDDMM
 
@@ -139,7 +140,7 @@ class MagicubeEmulationBackend(Backend):
         prepared = self.prepare(lhs, op="spmm", config=kern.config)
         if not isinstance(prepared, SRBCRSMatrix) and not hasattr(prepared, "stride"):
             raise ShapeError("spmm lhs must be a SparseMatrix or SRBCRSMatrix")
-        res = kern(prepared, rhs, scale=scale, strict=self.strict)
+        res = kern(prepared, rhs, scale=scale)
         cm = self.cost(device, op="spmm")
         output = res.dequantized if res.dequantized is not None else res.output
         return ExecutionResult(
@@ -270,13 +271,14 @@ class MagicubeEmulationBackend(Backend):
 
 
 class MagicubeStrictBackend(MagicubeEmulationBackend):
-    """Fragment-level bit-accurate execution (verification path).
+    """Digit-decomposition execution (verification path).
 
-    Same kernels, same accounting, same plans — every strip is computed
+    Same accounting, same plans — its kernels compute every strip
     through the digit-decomposition algebra instead of a direct matmul.
     Registered at low priority so it is only chosen when pinned.
     """
 
     name = "magicube-strict"
     priority = 90
-    strict = True
+    spmm_kernel = StrictSpMM
+    sddmm_kernel = StrictSDDMM

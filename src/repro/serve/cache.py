@@ -8,12 +8,9 @@ through JSON so tuned plans survive process restarts.
 
 The JSON file is shared *across processes*: :meth:`save` writes through
 a temporary sibling and an atomic ``os.replace`` so a reader never
-observes a torn file, and the payload carries a schema version.
-Version 2 added the ``backend@device`` runtime segment to plan keys;
-v1 files still load — v1 plans could only have meant the Magicube
-kernels, so their keys are migrated onto the default backend (whose
-modelled costs are the Magicube kernels'), and entries that cannot be
-migrated are dropped rather than served under a stale key.
+observes a torn file, and the payload carries a schema version
+(2: plan keys carry a ``backend@device`` runtime segment). A file of
+any other version is refused like a corrupt one.
 """
 
 from __future__ import annotations
@@ -32,8 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner uses us)
 
 #: current schema: plan keys carry a ``backend@device`` segment
 _FORMAT_VERSION = 2
-#: oldest schema :meth:`PlanCache.load` can migrate
-_OLDEST_SUPPORTED_VERSION = 1
 
 
 class PlanCache:
@@ -184,8 +179,7 @@ class PlanCache:
     def load(self, path: str | Path, strict: bool = True) -> int:
         """Merge plans from a JSON file; returns how many were loaded.
 
-        Accepts the current schema and every migratable older one
-        (see :func:`_migrate_v1`). A corrupt, truncated or
+        Accepts the current schema only. A corrupt, truncated or
         wrong-schema file raises the typed
         :class:`~repro.errors.PlanCacheError` (also a ``ValueError``)
         when ``strict``; with ``strict=False`` it is reported via
@@ -217,19 +211,14 @@ class PlanCache:
                 f"plan cache {path} holds {type(payload).__name__}, not an object"
             )
         version = payload.get("version")
-        if (
-            not isinstance(version, int)
-            or not _OLDEST_SUPPORTED_VERSION <= version <= _FORMAT_VERSION
-        ):
+        if not isinstance(version, int) or version != _FORMAT_VERSION:
             raise PlanCacheError(
                 f"unsupported plan-cache version {version!r} "
-                f"(supported: {_OLDEST_SUPPORTED_VERSION}..{_FORMAT_VERSION})"
+                f"(supported: {_FORMAT_VERSION})"
             )
         raw = payload.get("plans")
         if not isinstance(raw, dict):
             raise PlanCacheError(f"plan cache {path} has no 'plans' object")
-        if version < 2:
-            raw = _migrate_v1(raw)
         try:
             plans = {k: Plan.from_dict(d) for k, d in raw.items()}
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -240,33 +229,3 @@ class PlanCache:
             self._plans.update(plans)
         self._publish_entries()
         return len(plans)
-
-
-def _migrate_v1(raw: dict) -> dict:
-    """Re-key v1 plan dicts onto the runtime (``backend@device``) schema.
-
-    v1 keys look like ``op|MxK|n=N|v=V|s=S|device|objective`` and could
-    only have meant the Magicube emulation path on that device; the
-    migration inserts the default backend into the key and stamps the
-    plan dict's ``backend``/``device`` fields. Keys that do not match
-    the v1 shape are dropped — an unmappable cached decision must be
-    re-planned, not guessed at.
-    """
-    from repro.runtime import DEFAULT_BACKEND
-
-    migrated: dict = {}
-    for key, plan_dict in raw.items():
-        parts = key.split("|")
-        if len(parts) != 7 or "@" in parts[5] or "x" not in parts[1]:
-            continue  # not a v1 plan key: invalidate
-        device = parts[5]
-        new_key = "|".join(
-            parts[:5] + [f"{DEFAULT_BACKEND}@{device}"] + parts[6:]
-        )
-        migrated[new_key] = {
-            **plan_dict,
-            "key": new_key,
-            "backend": plan_dict.get("backend", DEFAULT_BACKEND),
-            "device": plan_dict.get("device", device),
-        }
-    return migrated

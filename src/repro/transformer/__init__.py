@@ -12,9 +12,11 @@ per Fig. 16 (int SDDMM -> fp16 softmax -> int SpMM with fused
   ``banded``) behind :func:`~repro.transformer.masks.build_mask`.
 - :mod:`repro.transformer.layers` — NumPy layers with manual backprop.
 - :mod:`repro.transformer.attention` — dense, masked-sparse, and
-  quantized sparse multi-head attention (with
-  :class:`~repro.transformer.attention.KernelPipeline` backend/config
-  injection for planned serving launches).
+  quantized sparse multi-head attention;
+  :func:`~repro.transformer.attention.plan_pipeline` builds the
+  :class:`~repro.transformer.attention.KernelPipeline` (a Magicube
+  backend + planned tile configs) that served forwards launch and the
+  Fig. 17 latency model prices.
 - :mod:`repro.transformer.model` — encoder + classifier.
 - :mod:`repro.transformer.training` — training loop and post-training
   quantization for the Table V accuracy study.

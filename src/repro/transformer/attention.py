@@ -7,18 +7,22 @@ Three execution paths over the same weights:
 - ``forward_quantized`` — the Fig. 16 inference pipeline functionally:
   Q/K/V quantized to ``qkv_bits``, integer SDDMM with fused dequantize,
   fp16 softmax with fused quantize to ``softmax_bits`` (unsigned),
-  integer SpMM with fused dequantize. Runs either as dense fake-quant
-  math (fast; used for the Table V accuracy study) or through the real
-  Magicube kernels (``use_kernels=True``; exercised by integration
-  tests — identical results up to fp16 rounding). The kernel path makes
-  one grouped launch per op over every (batch, head) slice: the slices
-  share the mask, so its indices and SR-BCRS layout are derived once.
+  integer SpMM with fused dequantize. With no ``kernels`` it runs as
+  dense fake-quant math (fast; used for the Table V accuracy study);
+  given a :class:`KernelPipeline` it launches that backend's Magicube
+  kernels (identical results up to fp16 rounding), one grouped launch
+  per op over every (batch, head) slice: the slices share the mask, so
+  its indices and SR-BCRS layout are derived once.
+
+:func:`plan_pipeline` builds the pipeline for one attention topology —
+the served forwards and the Fig. 17 latency model both take their
+kernels from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,33 +30,84 @@ from repro.errors import ShapeError
 from repro.formats.bcrs import BCRSMatrix
 from repro.formats.convert import bcrs_to_srbcrs
 from repro.kernels.sddmm import MagicubeSDDMM, SDDMMConfig
-from repro.kernels.softmax import sparse_softmax_quantized
 from repro.kernels.spmm import MagicubeSpMM, SpMMConfig
 from repro.lowp.quantize import int_range, symmetric_quantize_slices
 from repro.transformer.layers import Layer, Linear, softmax, softmax_backward
 
+if TYPE_CHECKING:  # pragma: no cover - runtime imports the kernels
+    from repro.runtime.magicube import MagicubeEmulationBackend
+
 
 @dataclass(frozen=True)
 class KernelPipeline:
-    """Injected kernels + configs for the Fig. 16 launches.
+    """The Fig. 16 launch stack: a Magicube backend + plan configs.
 
-    The serving layer resolves a backend (whose ``sddmm_kernel`` /
-    ``spmm_kernel`` classes and ``softmax`` may be fastpath variants)
-    and a plan (whose tile knobs ride in the configs); injecting them
-    here makes the model's attention launches use exactly that stack.
-    Tile knobs never change the integer numerics — the bit-critical
-    fields are re-pinned per launch — so a planned forward stays
-    bit-identical to the default pipeline. ``softmax`` of ``None`` is
-    the emulation softmax; ``strict`` routes the SDDMM and SpMM through
-    the digit-decomposition algebra (the ``magicube-strict`` oracle).
+    The backend's ``sddmm_kernel`` / ``spmm_kernel`` classes and its
+    ``softmax`` run the launches; a plan's tile knobs ride in the
+    configs. :meth:`sddmm` / :meth:`spmm` re-pin the bit-critical fields
+    of each launch (bits, signedness, ``fuse_dequant``), so an injected
+    plan config can never change the numerics.
     """
 
-    sddmm_cls: type[MagicubeSDDMM] = MagicubeSDDMM
-    spmm_cls: type[MagicubeSpMM] = MagicubeSpMM
+    backend: "MagicubeEmulationBackend"
     sddmm_config: SDDMMConfig | None = None
     spmm_config: SpMMConfig | None = None
-    softmax: Callable | None = None
-    strict: bool = False
+
+    def sddmm(self, qkv_bits: int) -> MagicubeSDDMM:
+        """The ``Q K^T`` launch: signed ``qkv_bits`` operands."""
+        cfg = replace(
+            self.sddmm_config or SDDMMConfig(),
+            l_bits=qkv_bits, r_bits=qkv_bits, l_signed=True, r_signed=True,
+        )
+        return self.backend.sddmm_kernel(cfg)
+
+    def spmm(self, softmax_bits: int, qkv_bits: int) -> MagicubeSpMM:
+        """The ``P V`` launch: unsigned probabilities x signed V, fused
+        dequantization."""
+        cfg = replace(
+            self.spmm_config or SpMMConfig(),
+            l_bits=softmax_bits, r_bits=qkv_bits,
+            l_signed=False, r_signed=True, fuse_dequant=True,
+        )
+        return self.backend.spmm_kernel(cfg)
+
+
+def plan_pipeline(
+    backend: str | None,
+    scheme: tuple[int, int],
+    seq_len: int,
+    d_head: int,
+    vector_length: int,
+    sparsity: float,
+    planner=None,
+) -> tuple[KernelPipeline, tuple]:
+    """The launch stack for one ``(seq_len, d_head)`` attention topology.
+
+    ``backend`` names a Magicube runtime backend (default
+    :data:`~repro.runtime.DEFAULT_BACKEND`); ``scheme`` is
+    ``(softmax_bits, qkv_bits)``. With a ``planner`` both launches are
+    priced through its cached search, pinned to that backend, and their
+    tile knobs ride along. Returns ``(pipeline, plans)``; ``plans`` is
+    the (sddmm, spmm) plan pair, empty without a planner.
+    """
+    from repro.runtime import DEFAULT_BACKEND, get_backend
+
+    name = backend if backend is not None else DEFAULT_BACKEND
+    resolved = get_backend(name)
+    if planner is None:
+        return KernelPipeline(resolved), ()
+    from repro.serve.planner import Objective
+
+    softmax_bits, qkv_bits = scheme
+    shape = (seq_len, seq_len, d_head, vector_length, sparsity)
+    sd = planner.plan_sddmm(
+        *shape, Objective.fixed(qkv_bits, qkv_bits), backend=name
+    )
+    sp = planner.plan_spmm(
+        *shape, Objective.fixed(softmax_bits, qkv_bits), backend=name
+    )
+    pipeline = KernelPipeline(resolved, sd.sddmm_config(), sp.spmm_config())
+    return pipeline, (sd, sp)
 
 
 class MultiHeadAttention(Layer):
@@ -119,18 +174,15 @@ class MultiHeadAttention(Layer):
         mask: BCRSMatrix,
         softmax_bits: int = 16,
         qkv_bits: int = 8,
-        use_kernels: bool = False,
         kernels: KernelPipeline | None = None,
     ) -> np.ndarray:
         """Quantized sparse attention.
 
         ``mask`` is the (L, L) BCRS attention topology. ``softmax_bits``
-        / ``qkv_bits`` are the Fig. 17 ``xb-yb`` knobs. ``kernels``
-        (implies ``use_kernels``) injects the kernel classes and
-        plan-derived configs the launches should use.
+        / ``qkv_bits`` are the Fig. 17 ``xb-yb`` knobs. ``kernels`` of
+        ``None`` runs the dense fake-quant math; a pipeline launches its
+        backend's kernels with its plan-derived configs.
         """
-        if kernels is not None:
-            use_kernels = True
         l = x.shape[1]
         if mask.shape != (l, l):
             raise ShapeError(f"mask {mask.shape} does not match sequence {l}")
@@ -138,7 +190,7 @@ class MultiHeadAttention(Layer):
         k = self._split_heads(self.wk.forward(x))
         v = self._split_heads(self.wv.forward(x))
         scale = 1.0 / np.sqrt(self.d_head)
-        if use_kernels:
+        if kernels is not None:
             ctx = self._attend_kernels(
                 q, k, v, mask, scale, softmax_bits, qkv_bits, kernels
             )
@@ -162,18 +214,22 @@ class MultiHeadAttention(Layer):
         dense fake-quant math, with per-(batch, head) symmetric scales
         as the kernels use — numerically identical to the kernel path
         up to the fp16 softmax rounding.
+
+        The integer codes are held in float64 so both products run on
+        BLAS: every partial sum is an integer below 2^53, hence exact in
+        any summation order — the same bits as an ``int64`` product.
         """
         qmin, qmax = int_range(qkv_bits, signed=True)
 
         def quant(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             amax = np.abs(t).max(axis=(2, 3), keepdims=True)
             s = np.where(amax > 0, amax / qmax, 1.0)
-            return np.clip(np.rint(t / s), qmin, qmax).astype(np.int64), s
+            return np.clip(np.rint(t / s), qmin, qmax).astype(np.float64), s
 
         qq, qs = quant(q)
         kq, ks = quant(k)
         vq, vs = quant(v)
-        scores = np.einsum("bhid,bhjd->bhij", qq, kq)
+        scores = qq @ np.swapaxes(kq, 2, 3)
         score_scale = qs * np.swapaxes(ks, 2, 3) * scale  # (b,h,1,1)
         logits = np.where(
             dense_keep, (scores * score_scale).astype(np.float32), -np.inf
@@ -181,8 +237,8 @@ class MultiHeadAttention(Layer):
         probs = softmax(logits, axis=-1).astype(np.float16).astype(np.float32)
         probs = probs * dense_keep
         _, pmax = int_range(softmax_bits, signed=False)
-        probs_q = np.clip(np.rint(probs * pmax), 0, pmax).astype(np.int64)
-        ctx = np.einsum("bhij,bhjd->bhid", probs_q, vq)
+        probs_q = np.clip(np.rint(probs * pmax), 0, pmax).astype(np.float64)
+        ctx = probs_q @ vq
         return (ctx * (vs / pmax)).astype(np.float32)
 
     def _attend_kernels(
@@ -194,7 +250,7 @@ class MultiHeadAttention(Layer):
         scale: float,
         softmax_bits: int,
         qkv_bits: int,
-        kernels: KernelPipeline | None = None,
+        kernels: KernelPipeline,
     ) -> np.ndarray:
         """The real kernel pipeline: SDDMM -> softmax -> SpMM, each one
         grouped launch over the G = batch x heads slices.
@@ -202,33 +258,16 @@ class MultiHeadAttention(Layer):
         Every slice keeps its own symmetric Q/K/V scales, so slice g is
         bit-identical to running the pipeline on (batch, head) g alone.
         """
-        pipe = kernels or KernelPipeline()
         b, h, l, d = q.shape
         # quantize Q, K, V per slice (Fig. 16 top row)
         qq, q_scale = symmetric_quantize_slices(q.reshape(-1, l, d), qkv_bits)
         kq, k_scale = symmetric_quantize_slices(k.reshape(-1, l, d), qkv_bits)
         vq, v_scale = symmetric_quantize_slices(v.reshape(-1, l, d), qkv_bits)
 
-        sddmm_cfg = pipe.sddmm_config or SDDMMConfig()
-        # tile knobs ride along; the bit-critical fields are re-pinned
-        # so an injected plan config can never change the numerics
-        sddmm_cfg = replace(sddmm_cfg, l_bits=qkv_bits, r_bits=qkv_bits)
-        sddmm = pipe.sddmm_cls(sddmm_cfg)
         # BCRS of integer scores, one slice per (batch, head)
-        scores = sddmm(qq, kq.transpose(0, 2, 1), mask, strict=pipe.strict).output
-        softmax_fn = pipe.softmax or sparse_softmax_quantized
-        sm = softmax_fn(scores, q_scale * k_scale * scale, softmax_bits)
-        spmm_cfg = pipe.spmm_config or SpMMConfig()
-        spmm_cfg = replace(
-            spmm_cfg,
-            l_bits=softmax_bits,
-            r_bits=qkv_bits,
-            l_signed=False,
-            fuse_dequant=True,
-        )
-        spmm = pipe.spmm_cls(spmm_cfg)
+        scores = kernels.sddmm(qkv_bits)(qq, kq.transpose(0, 2, 1), mask).output
+        sm = kernels.backend.softmax(scores, q_scale * k_scale * scale, softmax_bits)
+        spmm = kernels.spmm(softmax_bits, qkv_bits)
         probs_sr = bcrs_to_srbcrs(sm.output, stride=spmm.required_stride)
-        res = spmm(
-            probs_sr, vq, scale=sm.params.scale * v_scale, strict=pipe.strict
-        )
+        res = spmm(probs_sr, vq, scale=sm.params.scale * v_scale)
         return res.dequantized.reshape(b, h, l, d).astype(q.dtype, copy=False)

@@ -30,6 +30,7 @@ from repro.gpu.memory import TrafficCounter
 from repro.gpu.timing import KernelStats
 from repro.gpu.warp import LaunchGrid, ThreadBlock
 from repro.serve.topology import UniformBCRSMask, UniformSRBCRS
+from repro.transformer.attention import plan_pipeline
 
 
 class DenseOOM(Exception):
@@ -231,38 +232,19 @@ def _sparse_attention_time_vectorsparse(cfg: InferenceConfig) -> float:
 def _sparse_attention_time_magicube(
     cfg: InferenceConfig, backend: Backend, planner=None, plan_backend=None
 ) -> float:
-    from repro.kernels.sddmm import MagicubeSDDMM, SDDMMConfig
-    from repro.kernels.spmm import MagicubeSpMM, SpMMConfig
-
     cm = cost_model_for("magicube", cfg.device)
     bh = cfg.batch * cfg.num_heads
     l, dh = cfg.seq_len, cfg.d_head
     sm_bits, qkv_bits = backend.softmax_bits, backend.qkv_bits
-    if planner is not None:
-        # serving path: kernel configs come from the planner's cached
-        # search (same precision scheme; the tile knobs are tuned). The
-        # planner should be built for ``cfg.device``. The search is
-        # pinned to a Magicube runtime backend — this path models the
-        # Magicube attention pipeline specifically.
-        from repro.runtime import DEFAULT_BACKEND
-        from repro.serve.planner import Objective
-
-        pinned = plan_backend if plan_backend is not None else DEFAULT_BACKEND
-        sd_plan = planner.plan_sddmm(
-            l, l, dh, cfg.vector_length, cfg.sparsity,
-            Objective.fixed(qkv_bits, qkv_bits),
-            backend=pinned,
-        )
-        sp_plan = planner.plan_spmm(
-            l, l, dh, cfg.vector_length, cfg.sparsity,
-            Objective.fixed(sm_bits, qkv_bits),
-            backend=pinned,
-        )
-        sddmm = MagicubeSDDMM(sd_plan.sddmm_config())
-        spmm = MagicubeSpMM(sp_plan.spmm_config(l_signed=False))
-    else:
-        sddmm = MagicubeSDDMM(SDDMMConfig(l_bits=qkv_bits, r_bits=qkv_bits))
-        spmm = MagicubeSpMM(SpMMConfig(l_bits=sm_bits, r_bits=qkv_bits, l_signed=False))
+    # the served forwards' launch stack: with a planner (the serving
+    # path, built for ``cfg.device``) the tile knobs come from its cached
+    # search, pinned to the Magicube runtime backend ``plan_backend``
+    pipe, _ = plan_pipeline(
+        plan_backend, (sm_bits, qkv_bits), l, dh, cfg.vector_length,
+        cfg.sparsity, planner,
+    )
+    sddmm = pipe.sddmm(qkv_bits)
+    spmm = pipe.spmm(sm_bits, qkv_bits)
     t = 0.0
     # Q/K/V quantization is fused into the projection epilogues and the
     # dequantizations into SDDMM/SpMM (the Fig. 16 "kernel fusion"

@@ -117,7 +117,8 @@ class SparseTransformerClassifier(Layer):
         """Logits for a batch of token-id sequences (B, L).
 
         ``quantized`` switches attention to the Fig. 16 path: a dict of
-        ``forward_quantized`` kwargs (mask, softmax_bits, qkv_bits).
+        ``forward_quantized`` kwargs (mask, softmax_bits, qkv_bits,
+        kernels) — see :func:`make_quantized_kwargs`.
         """
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[1] != self.cfg.seq_len:
@@ -154,21 +155,17 @@ def make_quantized_kwargs(
     mask: BCRSMatrix,
     softmax_bits: int,
     qkv_bits: int,
-    use_kernels: bool = False,
     kernels=None,
 ) -> dict:
     """The ``quantized=`` dict for one Fig. 17 precision scheme.
 
-    ``kernels`` optionally injects a
-    :class:`~repro.transformer.attention.KernelPipeline` (resolved
-    backend kernel classes + plan-derived configs) into the launches.
+    ``kernels`` of ``None`` evaluates as fake-quant math; a
+    :class:`~repro.transformer.attention.KernelPipeline` launches its
+    backend's kernels with its plan-derived configs.
     """
-    out = {
+    return {
         "mask": mask,
         "softmax_bits": softmax_bits,
         "qkv_bits": qkv_bits,
-        "use_kernels": use_kernels,
+        "kernels": kernels,
     }
-    if kernels is not None:
-        out["kernels"] = kernels
-    return out

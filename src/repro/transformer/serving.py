@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.transformer.attention import KernelPipeline
+from repro.transformer.attention import plan_pipeline
 from repro.transformer.inference import (
     Backend,
     InferenceConfig,
@@ -120,53 +120,6 @@ class PreparedTransformer:
         one grouped SpMM per layer, whatever the batch and head count."""
         return 2 * self.spec.num_layers
 
-    def kernel_pipeline(
-        self,
-        backend: str | None,
-        scheme: tuple[int, int],
-        planner=None,
-    ) -> tuple[KernelPipeline, tuple]:
-        """Resolve the launch stack: backend kernel classes + plan configs.
-
-        Returns ``(pipeline, plans)``; ``plans`` is the (sddmm, spmm)
-        plan pair when a planner priced the launches, else empty.
-        """
-        from repro.runtime import DEFAULT_BACKEND, get_backend
-
-        name = backend if backend is not None else DEFAULT_BACKEND
-        resolved = get_backend(name)
-        softmax_bits, qkv_bits = scheme
-        sddmm_cfg = spmm_cfg = None
-        plans: tuple = ()
-        if planner is not None:
-            from repro.serve.planner import Objective
-
-            spec = self.spec
-            l, dh, v = spec.seq_len, spec.d_head, spec.vector_length
-            s = self.realized_sparsity
-            sd = planner.plan_sddmm(
-                l, l, dh, v, s,
-                Objective.fixed(qkv_bits, qkv_bits),
-                backend=name,
-            )
-            sp = planner.plan_spmm(
-                l, l, dh, v, s,
-                Objective.fixed(softmax_bits, qkv_bits),
-                backend=name,
-            )
-            sddmm_cfg = sd.sddmm_config()
-            spmm_cfg = sp.spmm_config(l_signed=False)
-            plans = (sd, sp)
-        pipeline = KernelPipeline(
-            sddmm_cls=resolved.sddmm_kernel,
-            spmm_cls=resolved.spmm_kernel,
-            sddmm_config=sddmm_cfg,
-            spmm_config=spmm_cfg,
-            softmax=resolved.softmax,
-            strict=resolved.strict,
-        )
-        return pipeline, plans
-
     def forward(
         self,
         ids: np.ndarray,
@@ -176,13 +129,19 @@ class PreparedTransformer:
     ) -> tuple[np.ndarray, tuple]:
         """Logits for ``ids`` via the planned quantized kernel path.
 
-        Bit-identical to ``SparseTransformerClassifier.forward`` with
-        ``use_kernels=True`` and the same mask/scheme: the injected plan
-        configs only carry tile knobs, never numerics.
+        Returns ``(logits, plans)``; ``plans`` is the (sddmm, spmm) plan
+        pair when a planner priced the launches, else empty. Bit-identical
+        to ``SparseTransformerClassifier.forward`` with an unplanned
+        pipeline on the same backend, mask and scheme: the plan configs
+        only carry tile knobs, never numerics.
         """
-        pipeline, plans = self.kernel_pipeline(backend, scheme, planner)
+        spec = self.spec
+        pipeline, plans = plan_pipeline(
+            backend, scheme, spec.seq_len, spec.d_head, spec.vector_length,
+            self.realized_sparsity, planner,
+        )
         quantized = make_quantized_kwargs(
-            self.mask, scheme[0], scheme[1], use_kernels=True, kernels=pipeline
+            self.mask, scheme[0], scheme[1], kernels=pipeline
         )
         logits = self.model.forward(np.asarray(ids), quantized=quantized)
         return logits, plans

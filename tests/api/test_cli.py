@@ -63,3 +63,44 @@ class TestModuleEntrypoint:
             with pytest.raises(SystemExit) as exc:
                 runpy.run_module("repro", run_name="__main__")
         assert exc.value.code == 0
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_exits_quietly(self):
+        """``repro obs summary | head -1``: the reader closes after one
+        line while the command still has output to write."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        try:
+            import fcntl
+
+            # one page of pipe buffer: the ~13 kB summary cannot fit, so
+            # the writer is still writing when the reader goes away
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        except (ImportError, AttributeError, OSError):
+            pass
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "obs", "summary",
+             "--metrics", str(root / "BENCH_serve.metrics.json")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=root,
+        )
+        os.close(write_end)
+        line = b""
+        while not line.endswith(b"\n"):
+            chunk = os.read(read_end, 1)
+            if not chunk:
+                break
+            line += chunk
+        os.close(read_end)
+        _, stderr = proc.communicate(timeout=60)
+        assert line.startswith(b"# metrics from")
+        assert stderr == b""
+        assert proc.returncode == 0

@@ -21,9 +21,9 @@ from repro.fastpath import (
 from repro.errors import ShapeError
 from repro.formats.convert import dense_to_bcrs
 from repro.formats.srbcrs import PAD_INDEX, SRBCRSMatrix
-from repro.kernels.sddmm import MagicubeSDDMM, SDDMMConfig
+from repro.kernels.sddmm import MagicubeSDDMM, SDDMMConfig, StrictSDDMM
 from repro.kernels.softmax import sparse_softmax_quantized
-from repro.kernels.spmm import MagicubeSpMM, SpMMConfig
+from repro.kernels.spmm import MagicubeSpMM, SpMMConfig, StrictSpMM
 from repro.lowp.quantize import int_range
 
 SPMM_PAIRS = [(16, 16), (16, 8), (8, 8), (16, 4), (12, 4), (8, 4), (4, 4)]
@@ -98,7 +98,7 @@ class TestSpmmEquivalence:
     def test_strict_routes_through_emulation_algebra(self):
         lhs, rhs = _spmm_operands(8, 4, 64, 64, 2, 0.6)
         cfg = SpMMConfig(l_bits=8, r_bits=4)
-        strict = FastpathSpMM(cfg)(lhs, rhs, strict=True)
+        strict = StrictSpMM(cfg)(lhs, rhs)
         fast = FastpathSpMM(cfg)(lhs, rhs)
         np.testing.assert_array_equal(strict.output, fast.output)
 
@@ -152,7 +152,7 @@ class TestSddmmEquivalence:
         a = rng.integers(-8, 8, size=(64, 32), dtype=np.int64)
         b = rng.integers(-8, 8, size=(32, 64), dtype=np.int64)
         cfg = SDDMMConfig(l_bits=4, r_bits=4)
-        strict = FastpathSDDMM(cfg)(a, b, mask, strict=True)
+        strict = StrictSDDMM(cfg)(a, b, mask)
         fast = FastpathSDDMM(cfg)(a, b, mask)
         np.testing.assert_array_equal(
             np.asarray(strict.output.values), np.asarray(fast.output.values)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigError, PrecisionError, ShapeError
 from repro.formats import SRBCRSMatrix, dense_to_bcrs
-from repro.kernels import MagicubeSDDMM, SDDMMConfig
+from repro.kernels import MagicubeSDDMM, SDDMMConfig, StrictSDDMM
 from tests.conftest import make_structured_sparse
 
 
@@ -49,12 +49,12 @@ class TestCorrectness:
         np.testing.assert_array_equal(res.output.to_dense(), reference(a, b, mask))
 
     def test_strict_matches_fast(self, rng):
-        kern = MagicubeSDDMM(SDDMMConfig(l_bits=16, r_bits=16))
+        cfg = SDDMMConfig(l_bits=16, r_bits=16)
         a = rng.integers(-(1 << 15), 1 << 15, size=(16, 32))
         b = rng.integers(-(1 << 15), 1 << 15, size=(32, 32))
         mask = make_mask(rng, 16, 32, 8, 0.5)
-        fast = kern(a, b, mask).output.to_dense()
-        strict = kern(a, b, mask, strict=True).output.to_dense()
+        fast = MagicubeSDDMM(cfg)(a, b, mask).output.to_dense()
+        strict = StrictSDDMM(cfg)(a, b, mask).output.to_dense()
         np.testing.assert_array_equal(fast, strict)
 
     def test_topology_preserved(self, rng):

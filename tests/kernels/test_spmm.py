@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, PrecisionError, ShapeError
 from repro.formats import dense_to_srbcrs
-from repro.kernels import MagicubeSpMM, SpMMConfig
+from repro.kernels import MagicubeSpMM, SpMMConfig, StrictSpMM
 from tests.conftest import make_structured_sparse
 
 
@@ -38,12 +38,13 @@ class TestCorrectness:
         np.testing.assert_array_equal(res.output, dense.astype(np.int64) @ rhs)
 
     def test_strict_mode_matches_fast(self, rng):
-        kern = MagicubeSpMM(SpMMConfig(l_bits=16, r_bits=4))
+        cfg = SpMMConfig(l_bits=16, r_bits=4)
+        kern = MagicubeSpMM(cfg)
         dense = make_structured_sparse(rng, 16, 64, 8, 0.6, bits=16)
         lhs = dense_to_srbcrs(dense, 8, kern.required_stride)
         rhs = rng.integers(-8, 8, size=(64, 32))
         fast = kern(lhs, rhs).output
-        strict = kern(lhs, rhs, strict=True).output
+        strict = StrictSpMM(cfg)(lhs, rhs).output
         np.testing.assert_array_equal(fast, strict)
 
     def test_empty_matrix(self, rng):

@@ -75,11 +75,7 @@ def test_fastpath_bit_exact_vs_emulation(seed, seq_len, variant, scheme):
     x = rng.normal(size=(1, seq_len, 64)).astype(np.float32)
     outs = {}
     for name in ("magicube-emulation", "fastpath-vectorized"):
-        be = get_backend(name)
-        pipe = KernelPipeline(
-            sddmm_cls=be.sddmm_kernel, spmm_cls=be.spmm_kernel,
-            softmax=be.softmax,
-        )
+        pipe = KernelPipeline(get_backend(name))
         outs[name] = attn.forward_quantized(
             x, mask, softmax_bits=sm_bits, qkv_bits=qkv_bits, kernels=pipe
         )
@@ -148,7 +144,8 @@ class TestServedLogitsExact:
             TransformerSpec(mask_variant=variant, **self.SPEC)
         )
         quantized = make_quantized_kwargs(
-            prepared.mask, 16, 8, use_kernels=True
+            prepared.mask, 16, 8,
+            kernels=KernelPipeline(get_backend("magicube-emulation")),
         )
         direct = prepared.model.forward(ids, quantized=quantized)
         np.testing.assert_array_equal(

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.errors import PlanCacheError
 from repro.runtime import DEFAULT_BACKEND
 from repro.serve.cache import PlanCache
 from repro.serve.planner import Plan
@@ -130,45 +131,25 @@ _V2_KEY = (
 
 
 class TestV1Migration:
-    def _v1_payload(self, extra_plans: dict | None = None) -> dict:
+    """There is no v1 migration: a v1 file is refused like any other
+    unsupported schema."""
+
+    def test_v1_file_is_refused(self, tmp_path):
         plan = {
             "op": "spmm", "l_bits": 4, "r_bits": 4, "config": {"bsn": 64},
             "predicted_time_s": 1.5e-6, "key": _V1_KEY,
         }
-        plans = {_V1_KEY: plan, **(extra_plans or {})}
-        return {"version": 1, "plans": plans}
-
-    def test_v1_keys_migrate_to_default_backend(self, tmp_path):
         path = tmp_path / "plans.json"
-        path.write_text(json.dumps(self._v1_payload()))
+        path.write_text(json.dumps({"version": 1, "plans": {_V1_KEY: plan}}))
+        with pytest.raises(PlanCacheError, match="version 1"):
+            PlanCache().load(path)
         cache = PlanCache()
-        assert cache.load(path) == 1
-        plan = cache.peek(_V2_KEY)
-        assert plan is not None
-        assert plan.backend == DEFAULT_BACKEND
-        assert plan.device == "A100"
-        assert plan.key == _V2_KEY
-        assert cache.peek(_V1_KEY) is None  # old key no longer served
-
-    def test_migrated_plan_matches_new_planner_keys(self, tmp_path):
-        """A migrated v1 cache is *hit* by a v2 planner, not re-planned."""
-        from repro.serve.planner import ExecutionPlanner, Objective
-
-        path = tmp_path / "plans.json"
-        path.write_text(json.dumps(self._v1_payload()))
-        cache = PlanCache(path)
-        planner = ExecutionPlanner(device="A100", cache=cache)
-        plan = planner.plan_spmm(256, 512, 64, 8, 0.9, Objective.latency())
-        assert cache.hits == 1 and cache.misses == 0
-        assert plan.predicted_time_s == 1.5e-6  # the stored decision
-
-    def test_unmigratable_v1_keys_are_invalidated(self, tmp_path):
-        bogus = {"not-a-plan-key": {"op": "spmm", "l_bits": 8, "r_bits": 8}}
-        path = tmp_path / "plans.json"
-        path.write_text(json.dumps(self._v1_payload(bogus)))
-        cache = PlanCache()
-        assert cache.load(path) == 1  # bogus entry dropped
-        assert cache.keys() == [_V2_KEY]
+        cache.put("a", make_plan("a"))
+        with pytest.warns(RuntimeWarning, match="version 1"):
+            assert cache.load(path, strict=False) == 0
+        assert cache.keys() == ["a"]  # unchanged
+        with pytest.warns(RuntimeWarning, match="version 1"):
+            assert len(PlanCache(path)) == 0  # auto-load starts cold
 
     def test_v2_round_trip_preserves_backend_fields(self, tmp_path):
         from repro.serve.planner import Plan
@@ -219,8 +200,6 @@ class TestCorruptFiles:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_strict_load_raises_typed_error(self, tmp_path, name):
-        from repro.errors import PlanCacheError
-
         path = tmp_path / "plans.json"
         path.write_text(self.CASES[name])
         with pytest.raises(PlanCacheError):
@@ -255,8 +234,6 @@ class TestCorruptFiles:
         assert PlanCache(path).peek("a") is not None
 
     def test_missing_file_still_raises_typed_error(self, tmp_path):
-        from repro.errors import PlanCacheError
-
         with pytest.raises(PlanCacheError):
             PlanCache().load(tmp_path / "nope.json")
 

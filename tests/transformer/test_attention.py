@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.transformer.attention import MultiHeadAttention
+from repro.runtime import get_backend
+from repro.transformer.attention import KernelPipeline, MultiHeadAttention
 from repro.transformer.layers import softmax
 from repro.transformer.masks import mask_to_additive, random_vector_mask
 
@@ -106,8 +107,11 @@ class TestQuantizedPath:
         rng = np.random.default_rng(18)
         mask = random_vector_mask(16, 0.3, vector_length=8, seed=19)
         x = rng.normal(size=(1, 16, 16)).astype(np.float32)
-        fake = attn.forward_quantized(x, mask, 16, 8, use_kernels=False)
-        real = attn.forward_quantized(x, mask, 16, 8, use_kernels=True)
+        fake = attn.forward_quantized(x, mask, 16, 8)
+        real = attn.forward_quantized(
+            x, mask, 16, 8,
+            kernels=KernelPipeline(get_backend("magicube-emulation")),
+        )
         np.testing.assert_allclose(real, fake, rtol=1e-3, atol=1e-3)
 
     @pytest.mark.parametrize("sm,qkv", [(16, 8), (8, 8), (8, 4), (4, 4)])
@@ -117,3 +121,61 @@ class TestQuantizedPath:
         x = np.random.default_rng(22).normal(size=(1, 16, 16)).astype(np.float32)
         out = attn.forward_quantized(x, mask, sm, qkv)
         assert np.isfinite(out).all()
+
+
+def int64_fake_quant(q, k, v, dense_keep, scale, softmax_bits, qkv_bits):
+    """The fake-quant pipeline with ``int64`` einsum products: the
+    reference the float64 BLAS products must match bit for bit."""
+    from repro.lowp.quantize import int_range
+
+    qmin, qmax = int_range(qkv_bits, signed=True)
+
+    def quant(t):
+        amax = np.abs(t).max(axis=(2, 3), keepdims=True)
+        s = np.where(amax > 0, amax / qmax, 1.0)
+        return np.clip(np.rint(t / s), qmin, qmax).astype(np.int64), s
+
+    qq, qs = quant(q)
+    kq, ks = quant(k)
+    vq, vs = quant(v)
+    scores = np.einsum("bhid,bhjd->bhij", qq, kq)
+    score_scale = qs * np.swapaxes(ks, 2, 3) * scale
+    logits = np.where(
+        dense_keep, (scores * score_scale).astype(np.float32), -np.inf
+    )
+    probs = softmax(logits, axis=-1).astype(np.float16).astype(np.float32)
+    probs = probs * dense_keep
+    _, pmax = int_range(softmax_bits, signed=False)
+    probs_q = np.clip(np.rint(probs * pmax), 0, pmax).astype(np.int64)
+    ctx = np.einsum("bhij,bhjd->bhid", probs_q, vq)
+    return (ctx * (vs / pmax)).astype(np.float32)
+
+
+class TestFakeQuantExact:
+    """Every partial sum of the fake-quant products is an integer below
+    2^53, so the float64 BLAS path equals the int64 reference exactly."""
+
+    @pytest.mark.parametrize(
+        "batch,heads,seq,d_head,scheme",
+        [
+            (3, 2, 64, 32, (16, 8)),
+            (3, 2, 64, 32, (8, 8)),
+            (3, 2, 64, 32, (8, 4)),
+            (1, 2, 1024, 32, (16, 8)),
+        ],
+    )
+    def test_bit_identical_to_int64_einsum(self, batch, heads, seq, d_head, scheme):
+        sm_bits, qkv_bits = scheme
+        attn = make_attn(d_model=heads * d_head, heads=heads, seed=seq)
+        rng = np.random.default_rng(seq + sm_bits + qkv_bits)
+        q, k, v = (
+            rng.normal(size=(batch, heads, seq, d_head)).astype(np.float32)
+            for _ in range(3)
+        )
+        keep = random_vector_mask(seq, 0.5, vector_length=8, seed=1).to_dense() != 0
+        scale = 1.0 / np.sqrt(d_head)
+        got = attn._attend_batched_fake_quant(
+            q, k, v, keep, scale, sm_bits, qkv_bits
+        )
+        want = int64_fake_quant(q, k, v, keep, scale, sm_bits, qkv_bits)
+        np.testing.assert_array_equal(got, want)

@@ -48,11 +48,7 @@ def per_head_reference(q, k, v, mask, scale, softmax_bits, qkv_bits):
 
 
 def pipeline(name: str) -> KernelPipeline:
-    be = get_backend(name)
-    return KernelPipeline(
-        sddmm_cls=be.sddmm_kernel, spmm_cls=be.spmm_kernel,
-        softmax=be.softmax, strict=be.strict,
-    )
+    return KernelPipeline(get_backend(name))
 
 
 def qkv(batch, heads, seed):

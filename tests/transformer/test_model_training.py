@@ -69,7 +69,7 @@ class TestModel:
         model = SparseTransformerClassifier(SMALL, seed=0)
         mask = random_vector_mask(32, 0.3, vector_length=8, seed=1)
         ids = np.random.default_rng(2).integers(0, 8, size=(2, 32))
-        q = {"mask": mask, "softmax_bits": 8, "qkv_bits": 8, "use_kernels": False}
+        q = {"mask": mask, "softmax_bits": 8, "qkv_bits": 8}
         out = model.forward(ids, quantized=q)
         assert np.isfinite(out).all()
 
