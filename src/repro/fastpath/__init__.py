@@ -10,6 +10,15 @@ bucket runs as one batched matmul over every slice — SpMM
 (:mod:`.spmm`), SDDMM (:mod:`.sddmm`) and the quantized softmax
 (:mod:`.softmax`). NumPy is the only dependency.
 
+A kernel constructed with ``workspace=`` (a
+:class:`~repro.core.workspace.Workspace`) stages its operand copies,
+gathers and accumulators in that workspace's buffers instead of
+allocating them per call; a served transformer forward hands its
+launches the one workspace it leased, so the staging memory is bounded
+by the model's pool size times one workspace's bytes. Results never
+alias the workspace: every output is a fresh array. Without a
+workspace the kernels allocate per call.
+
 The ``fastpath-vectorized`` backend
 (:class:`.backend.FastpathVectorizedBackend`) exposes them through the
 runtime registry and is :data:`repro.runtime.DEFAULT_BACKEND`: engines,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fastpath.plans import bcrs_plan
-from repro.fastpath.spmm import _GATHER_BYTES
+from repro.fastpath.spmm import _GATHER_BYTES, _scratch
 from repro.formats.bcrs import BCRSMatrix
 from repro.gpu.timing import KernelStats
 from repro.kernels.sddmm import MagicubeSDDMM
@@ -54,27 +54,43 @@ class FastpathSDDMM(MagicubeSDDMM):
         self, a3: np.ndarray, b3: np.ndarray, mask: BCRSMatrix
     ) -> np.ndarray:
         plan = bcrs_plan(mask)
-        slices, _, k = a3.shape
+        slices, m, k = a3.shape
         v = mask.vector_length
         dtype = self._accum_dtype(k)
-        a4 = a3.astype(dtype).reshape(slices, -1, v, k)  # (S, strips, V, K)
+        ws = self.workspace
+        a4 = _scratch(ws, "sddmm.lhs", (slices, m // v, v, k), dtype)  # (S, strips, V, K)
+        np.copyto(a4, a3.reshape(a4.shape))
         # C-contiguous (S, N, K): a plain transpose view would make the
         # row gather below strided
-        bt = np.swapaxes(b3, 1, 2).astype(dtype, order="C")
+        bt = _scratch(ws, "sddmm.rhs", (slices, b3.shape[2], k), dtype)
+        np.copyto(bt, np.swapaxes(b3, 1, 2))
         # one scratch row past the vectors takes the padded slots
-        vals = np.empty((slices, mask.num_vectors + 1, v), dtype=dtype)
+        vals = _scratch(ws, "sddmm.values", (slices, mask.num_vectors + 1, v), dtype)
         # strips per matmul: keeps the gathered B rows cache-resident
         row_bytes = slices * k * dtype.itemsize
         for strips, positions, cols in plan.buckets:
             step = max(1, _GATHER_BYTES // (row_bytes * cols.shape[1]))
             for lo in range(0, len(strips), step):
                 part = slice(lo, lo + step)
-                # (S, B, L, K) @ (S, B, K, V) -> (S, B, L, V); the column
-                # indices are in range, so "clip" only skips the bounds check
-                vals[:, positions[part]] = np.matmul(
-                    bt.take(cols[part], axis=1, mode="clip"),
-                    np.swapaxes(a4[:, strips[part]], -1, -2),
+                width, count = cols[part].shape
+                # the indices are in range, so "clip" only skips the
+                # bounds check (and the buffered copy)
+                gathered = _scratch(
+                    ws, "sddmm.gathered", (slices, width, count, k), dtype
                 )
+                np.take(bt, cols[part], axis=1, out=gathered, mode="clip")
+                picked = _scratch(ws, "sddmm.picked", (slices, width, v, k), dtype)
+                np.take(a4, strips[part], axis=1, out=picked, mode="clip")
+                # (S, B, L, K) @ (S, B, K, V) -> (S, B, L, V)
+                products = _scratch(
+                    ws, "sddmm.products", (slices, width, count, v), dtype
+                )
+                np.matmul(gathered, np.swapaxes(picked, -1, -2), out=products)
+                vals[:, positions[part]] = products
+                # without a workspace these are fresh arrays: free them
+                # before the next bucket allocates its own, or the heap
+                # grows past its trim threshold and every call faults
+                del gathered, picked, products
         # every product is an exactly represented integer
         return vals[:, :-1].astype(np.int64)
 

@@ -44,6 +44,14 @@ _F32_EXACT_BOUND = float(2**24)
 _GATHER_BYTES = 512 * 1024
 
 
+def _scratch(workspace, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A staging array: workspace buffer ``name`` when the kernel carries
+    a workspace, else a fresh allocation."""
+    if workspace is None:
+        return np.empty(shape, dtype=dtype)
+    return workspace.take(name, shape, dtype)
+
+
 class FastpathSpMM(MagicubeSpMM):
     """Drop-in :class:`~repro.kernels.spmm.MagicubeSpMM` with the strip
     and slice loops replaced by one batched matmul per strip bucket.
@@ -69,13 +77,19 @@ class FastpathSpMM(MagicubeSpMM):
         dtype = self._accum_dtype(plan.max_nnz_row)
         slices, k, n = rhs3.shape
         v, stride = lhs.vector_length, lhs.stride
+        ws = self.workspace
         # row k is zero: the padding slots' gather target
-        rhs = np.empty((slices, k + 1, n), dtype=dtype)
+        rhs = _scratch(ws, "spmm.rhs", (slices, k + 1, n), dtype)
         rhs[:, :k] = rhs3
         rhs[:, k] = 0
-        tiles = lhs.values.reshape(slices, -1, v, stride).astype(dtype)
+        values = np.asarray(lhs.values)
+        tiles = _scratch(
+            ws, "spmm.tiles", (slices, values.size // (slices * v * stride), v, stride),
+            dtype,
+        )
+        np.copyto(tiles, values.reshape(tiles.shape))
         # results land in bucket order; one casting scatter places them
-        acc = np.empty((slices, len(plan.order), v, n), dtype=dtype)
+        acc = _scratch(ws, "spmm.acc", (slices, len(plan.order), v, n), dtype)
         done = 0
         # strips per matmul: keeps the gathered RHS rows cache-resident
         row_bytes = slices * n * dtype.itemsize
@@ -83,15 +97,33 @@ class FastpathSpMM(MagicubeSpMM):
             step = max(1, _GATHER_BYTES // (row_bytes * rows.shape[1]))
             for lo in range(0, len(strips), step):
                 part = slice(lo, lo + step)
-                # (S, B, groups, V, stride) -> (S, B, V, groups*stride)
-                strip_lhs = tiles[:, groups[part]].transpose(0, 1, 3, 2, 4)
-                strip_lhs = strip_lhs.reshape(slices, -1, v, rows.shape[1])
-                # padding targets row k, so "clip" never clips: it only
-                # skips the bounds check
-                gathered = rhs.take(rows[part], axis=1, mode="clip")
-                width = strip_lhs.shape[1]
-                np.matmul(strip_lhs, gathered, out=acc[:, done : done + width])
+                width, count = groups[part].shape
+                # (S, B, groups, V, stride) -> (S, B, V, groups*stride);
+                # the indices are in range, so "clip" never clips: it
+                # only skips the bounds check (and the buffered copy)
+                picked = _scratch(
+                    ws, "spmm.picked", (slices, width, count, v, stride), dtype
+                )
+                np.take(tiles, groups[part], axis=1, out=picked, mode="clip")
+                strip_lhs = _scratch(
+                    ws, "spmm.lhs", (slices, width, v, count, stride), dtype
+                )
+                np.copyto(strip_lhs, picked.transpose(0, 1, 3, 2, 4))
+                # padding targets row k, which is in range too
+                gathered = _scratch(
+                    ws, "spmm.gathered", (slices, width, rows.shape[1], n), dtype
+                )
+                np.take(rhs, rows[part], axis=1, out=gathered, mode="clip")
+                np.matmul(
+                    strip_lhs.reshape(slices, width, v, rows.shape[1]),
+                    gathered,
+                    out=acc[:, done : done + width],
+                )
                 done += width
+                # without a workspace these are fresh arrays: free them
+                # before the next bucket allocates its own, or the heap
+                # grows past its trim threshold and every call faults
+                del picked, strip_lhs, gathered
         # every partial sum is an exactly represented integer
         out = np.zeros((slices, lhs.num_strips, v, n), dtype=np.int64)
         out[:, plan.order] = acc

@@ -100,8 +100,14 @@ class SpMMResult:
 class MagicubeSpMM:
     """The Magicube SpMM kernel for one precision configuration."""
 
-    def __init__(self, config: SpMMConfig | None = None, **kwargs) -> None:
+    def __init__(
+        self, config: SpMMConfig | None = None, *, workspace=None, **kwargs
+    ) -> None:
         self.config = config if config is not None else SpMMConfig(**kwargs)
+        #: optional :class:`~repro.core.workspace.Workspace` a faster
+        #: override stages its temporaries in (this oracle ignores it);
+        #: results never alias it
+        self.workspace = workspace
         self.plan: EmulationPlan = plan_for(
             self.config.l_bits, self.config.r_bits, op="spmm"
         )

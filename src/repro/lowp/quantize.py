@@ -70,25 +70,46 @@ def symmetric_quantize(x: np.ndarray, bits: int) -> tuple[np.ndarray, QuantParam
     return q, QuantParams(scale=scale, bits=bits, signed=True)
 
 
+def _code_dtype(bits: int) -> np.dtype:
+    """The narrowest signed integer dtype holding ``bits``-wide codes."""
+    return np.dtype(np.int8 if bits <= 8 else np.int16 if bits <= 16 else np.int32)
+
+
 def symmetric_quantize_slices(
-    x: np.ndarray, bits: int
+    x: np.ndarray, bits: int, workspace=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`symmetric_quantize` of every slice along ``x``'s leading
     axis at once, each with its own scale.
 
-    Returns ``(q, scales)``: int32 codes shaped like ``x`` and the
-    float64 per-slice scales. Slice ``i`` is bit-identical to
+    Returns ``(q, scales)``: codes shaped like ``x`` in the narrowest
+    signed integer dtype (int8 up to 8 bits) and the float64 per-slice
+    scales. Slice ``i`` holds the same codes and scale as
     ``symmetric_quantize(x[i], bits)``, including the 1.0 scale of an
     all-zero slice and the smallest-normal floor of a subnormal amax.
+
+    One float64 staging buffer takes ``|x|`` (the amax pass), then the
+    quotient, rounded and clipped in place. With a
+    :class:`~repro.core.workspace.Workspace` the staging buffer and the
+    codes are its ``quantize.*`` buffers — the codes are then scratch,
+    valid until the workspace's next quantize.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     qmin, qmax = int_range(bits, signed=True)
-    amax = np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
+    if workspace is None:
+        staged = np.empty(x.shape, dtype=np.float64)
+        q = np.empty(x.shape, dtype=_code_dtype(bits))
+    else:
+        staged = workspace.take("quantize.staging", x.shape, np.float64)
+        q = workspace.take("quantize.codes", x.shape, _code_dtype(bits))
+    amax = np.abs(x, out=staged).max(axis=tuple(range(1, x.ndim)), initial=0.0)
     scales = np.where(
         amax > 0, np.maximum(amax / qmax, np.finfo(np.float64).tiny), 1.0
     )
     per_slice = scales.reshape((-1,) + (1,) * (x.ndim - 1))
-    q = np.clip(np.rint(x / per_slice), qmin, qmax).astype(np.int32)
+    np.divide(x, per_slice, out=staged)
+    np.rint(staged, out=staged)
+    np.clip(staged, qmin, qmax, out=staged)
+    np.copyto(q, staged, casting="unsafe")
     return q, scales
 
 

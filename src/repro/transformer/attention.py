@@ -17,6 +17,18 @@ Three execution paths over the same weights:
 :func:`plan_pipeline` builds the pipeline for one attention topology —
 the served forwards and the Fig. 17 latency model both take their
 kernels from it.
+
+``forward_quantized`` is inference and stages its intermediates in a
+:class:`~repro.core.workspace.Workspace`: Q, K and V come from one GEMM
+over the concatenated projection weights (rebuilt from the live
+parameters every call), are split into heads by one copy and quantized
+by one :func:`~repro.lowp.quantize.symmetric_quantize_slices` call, and
+the kernels stage their operands in the same workspace. A served
+forward leases one workspace per forward from its model's
+:class:`~repro.core.workspace.WorkspacePool`, so the memory is bounded
+by the pool size (the peak number of concurrent forwards) times one
+workspace's bytes. The result never aliases workspace memory unless the
+caller passes that memory as ``out``.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.workspace import Workspace
 from repro.errors import ShapeError
 from repro.formats.bcrs import BCRSMatrix
 from repro.formats.convert import bcrs_to_srbcrs
@@ -53,23 +66,28 @@ class KernelPipeline:
     sddmm_config: SDDMMConfig | None = None
     spmm_config: SpMMConfig | None = None
 
-    def sddmm(self, qkv_bits: int) -> MagicubeSDDMM:
-        """The ``Q K^T`` launch: signed ``qkv_bits`` operands."""
+    def sddmm(
+        self, qkv_bits: int, workspace: Workspace | None = None
+    ) -> MagicubeSDDMM:
+        """The ``Q K^T`` launch: signed ``qkv_bits`` operands, staged in
+        ``workspace`` by kernels that stage."""
         cfg = replace(
             self.sddmm_config or SDDMMConfig(),
             l_bits=qkv_bits, r_bits=qkv_bits, l_signed=True, r_signed=True,
         )
-        return self.backend.sddmm_kernel(cfg)
+        return self.backend.sddmm_kernel(cfg, workspace=workspace)
 
-    def spmm(self, softmax_bits: int, qkv_bits: int) -> MagicubeSpMM:
+    def spmm(
+        self, softmax_bits: int, qkv_bits: int, workspace: Workspace | None = None
+    ) -> MagicubeSpMM:
         """The ``P V`` launch: unsigned probabilities x signed V, fused
-        dequantization."""
+        dequantization, staged in ``workspace`` by kernels that stage."""
         cfg = replace(
             self.spmm_config or SpMMConfig(),
             l_bits=softmax_bits, r_bits=qkv_bits,
             l_signed=False, r_signed=True, fuse_dequant=True,
         )
-        return self.backend.spmm_kernel(cfg)
+        return self.backend.spmm_kernel(cfg, workspace=workspace)
 
 
 def plan_pipeline(
@@ -175,30 +193,63 @@ class MultiHeadAttention(Layer):
         softmax_bits: int = 16,
         qkv_bits: int = 8,
         kernels: KernelPipeline | None = None,
+        workspace: Workspace | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Quantized sparse attention.
 
         ``mask`` is the (L, L) BCRS attention topology. ``softmax_bits``
         / ``qkv_bits`` are the Fig. 17 ``xb-yb`` knobs. ``kernels`` of
         ``None`` runs the dense fake-quant math; a pipeline launches its
-        backend's kernels with its plan-derived configs.
+        backend's kernels with its plan-derived configs. Intermediates
+        are staged in ``workspace`` (a private one when ``None``); the
+        result is written into ``out`` when given, else a fresh array.
         """
-        l = x.shape[1]
+        b, l, _ = x.shape
         if mask.shape != (l, l):
             raise ShapeError(f"mask {mask.shape} does not match sequence {l}")
-        q = self._split_heads(self.wq.forward(x))
-        k = self._split_heads(self.wk.forward(x))
-        v = self._split_heads(self.wv.forward(x))
+        if workspace is None:
+            workspace = Workspace()
+        heads = self._project_heads(x, workspace)
         scale = 1.0 / np.sqrt(self.d_head)
         if kernels is not None:
             ctx = self._attend_kernels(
-                q, k, v, mask, scale, softmax_bits, qkv_bits, kernels
+                heads, mask, scale, softmax_bits, qkv_bits, kernels, workspace
             )
         else:
             ctx = self._attend_batched_fake_quant(
-                q, k, v, mask.to_dense() != 0, scale, softmax_bits, qkv_bits
+                *heads, mask.to_dense() != 0, scale, softmax_bits, qkv_bits
             )
-        return self.wo.forward(self._merge_heads(ctx))
+        merged = workspace.take("attention.context", (b, l, self.d_model), ctx.dtype)
+        np.copyto(merged.reshape(b, l, self.num_heads, self.d_head), ctx.swapaxes(1, 2))
+        if out is None:
+            out = np.empty((b, l, self.d_model), np.result_type(merged, self.wo.w.value))
+        return self.wo.forward(merged, out=out)
+
+    def _project_heads(self, x: np.ndarray, workspace: Workspace) -> np.ndarray:
+        """Q, K, V stacked as ``(3, B, H, L, d_head)``: one GEMM over the
+        concatenated projection weights, then one head-splitting copy.
+
+        The weights are concatenated from the live parameters on every
+        call — never cached, because training updates them in place.
+        """
+        b, l, d = x.shape
+        projections = (self.wq, self.wk, self.wv)
+        w = workspace.take("attention.wqkv", (d, 3 * d), self.wq.w.value.dtype)
+        np.concatenate([p.w.value for p in projections], axis=1, out=w)
+        bias = workspace.take("attention.bqkv", (3 * d,), self.wq.b.value.dtype)
+        np.concatenate([p.b.value for p in projections], out=bias)
+        qkv = workspace.take("attention.qkv", (b, l, 3 * d), np.result_type(x, w))
+        np.matmul(x, w, out=qkv)
+        qkv += bias
+        heads = workspace.take(
+            "attention.heads", (3, b, self.num_heads, l, self.d_head), qkv.dtype
+        )
+        np.copyto(
+            heads,
+            qkv.reshape(b, l, 3, self.num_heads, self.d_head).transpose(2, 0, 3, 1, 4),
+        )
+        return heads
 
     def _attend_batched_fake_quant(
         self,
@@ -222,9 +273,16 @@ class MultiHeadAttention(Layer):
         qmin, qmax = int_range(qkv_bits, signed=True)
 
         def quant(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            amax = np.abs(t).max(axis=(2, 3), keepdims=True)
+            # one float64 staging buffer: |t| for the amax, then the
+            # quotient in t's precision, rounded and clipped in place
+            staged = np.empty(t.shape, dtype=np.float64)
+            amax = np.abs(t, out=staged).max(axis=(2, 3), keepdims=True)
+            amax = amax.astype(t.dtype)
             s = np.where(amax > 0, amax / qmax, 1.0)
-            return np.clip(np.rint(t / s), qmin, qmax).astype(np.float64), s
+            np.divide(t, s, out=staged, dtype=np.result_type(t, s))
+            np.rint(staged, out=staged)
+            np.clip(staged, qmin, qmax, out=staged)
+            return staged, s
 
         qq, qs = quant(q)
         kq, ks = quant(k)
@@ -243,31 +301,36 @@ class MultiHeadAttention(Layer):
 
     def _attend_kernels(
         self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
+        heads: np.ndarray,
         mask: BCRSMatrix,
         scale: float,
         softmax_bits: int,
         qkv_bits: int,
         kernels: KernelPipeline,
+        workspace: Workspace | None = None,
     ) -> np.ndarray:
         """The real kernel pipeline: SDDMM -> softmax -> SpMM, each one
-        grouped launch over the G = batch x heads slices.
+        grouped launch over the G = batch x heads slices of ``heads``
+        (Q, K, V stacked as ``(3, B, H, L, d_head)``).
 
         Every slice keeps its own symmetric Q/K/V scales, so slice g is
         bit-identical to running the pipeline on (batch, head) g alone.
+        The kernels stage their operands in ``workspace``; the returned
+        context is a fresh array.
         """
-        b, h, l, d = q.shape
-        # quantize Q, K, V per slice (Fig. 16 top row)
-        qq, q_scale = symmetric_quantize_slices(q.reshape(-1, l, d), qkv_bits)
-        kq, k_scale = symmetric_quantize_slices(k.reshape(-1, l, d), qkv_bits)
-        vq, v_scale = symmetric_quantize_slices(v.reshape(-1, l, d), qkv_bits)
+        _, b, h, l, d = heads.shape
+        # quantize Q, K, V per slice in one pass (Fig. 16 top row)
+        codes, scales = symmetric_quantize_slices(
+            heads.reshape(-1, l, d), qkv_bits, workspace
+        )
+        qq, kq, vq = codes.reshape(3, b * h, l, d)
+        q_scale, k_scale, v_scale = scales.reshape(3, b * h)
 
         # BCRS of integer scores, one slice per (batch, head)
-        scores = kernels.sddmm(qkv_bits)(qq, kq.transpose(0, 2, 1), mask).output
+        sddmm = kernels.sddmm(qkv_bits, workspace)
+        scores = sddmm(qq, kq.transpose(0, 2, 1), mask).output
         sm = kernels.backend.softmax(scores, q_scale * k_scale * scale, softmax_bits)
-        spmm = kernels.spmm(softmax_bits, qkv_bits)
+        spmm = kernels.spmm(softmax_bits, qkv_bits, workspace)
         probs_sr = bcrs_to_srbcrs(sm.output, stride=spmm.required_stride)
         res = spmm(probs_sr, vq, scale=sm.params.scale * v_scale)
-        return res.dequantized.reshape(b, h, l, d).astype(q.dtype, copy=False)
+        return res.dequantized.reshape(b, h, l, d).astype(heads.dtype, copy=False)

@@ -5,6 +5,11 @@ layer caches what its backward pass needs, ``backward`` returns the
 input gradient and accumulates parameter gradients, and ``Adam`` applies
 updates. Float32 throughout (training); the quantized paths live in
 :mod:`repro.transformer.attention`.
+
+Inference: a ``forward`` given ``out=`` writes its result into ``out``
+(in place when ``out`` is the input, for :class:`ReLU`) and keeps no
+backward state. The quantized model forward runs every layer that way,
+so a served forward allocates no activation and leaves no cache behind.
 """
 
 from __future__ import annotations
@@ -51,7 +56,11 @@ class Linear(Layer):
         self.b = Parameter(np.zeros(d_out))
         self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is not None:
+            np.matmul(x, self.w.value, out=out)
+            out += self.b.value
+            return out
         self._x = x
         return x @ self.w.value + self.b.value
 
@@ -75,8 +84,19 @@ class LayerNorm(Layer):
         self.eps = eps
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         mu = x.mean(axis=-1, keepdims=True)
+        if out is not None:
+            # np.var's arithmetic with the mean taken once; ``out`` holds
+            # the squared deviations, then the centred values
+            np.subtract(x, mu, out=out)
+            np.multiply(out, out, out=out)
+            inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + self.eps)
+            np.subtract(x, mu, out=out)
+            out *= inv
+            out *= self.gamma.value
+            out += self.beta.value
+            return out
         var = x.var(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mu) * inv
@@ -105,7 +125,10 @@ class ReLU(Layer):
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is not None:
+            # x * (x > 0), not np.maximum: negatives become -0.0 as before
+            return np.multiply(x, x > 0, out=out)
         self._mask = x > 0
         return x * self._mask
 
@@ -122,7 +145,16 @@ class Embedding(Layer):
         self.table = Parameter(rng.normal(0.0, 0.02, size=(vocab, dim)))
         self._ids: np.ndarray | None = None
 
-    def forward(self, ids: np.ndarray) -> np.ndarray:
+    def forward(self, ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is not None:
+            ids = np.asarray(ids)
+            vocab = len(self.table.value)
+            # the bounds of ``table[ids]``; "wrap" then only maps the
+            # negative ids, as indexing does, and skips the buffered copy
+            # a bounds-checking take makes of ``out``
+            if ids.size and (ids.min() < -vocab or ids.max() >= vocab):
+                raise IndexError(f"token ids must lie in [-{vocab}, {vocab})")
+            return np.take(self.table.value, ids, axis=0, out=out, mode="wrap")
         self._ids = np.asarray(ids)
         return self.table.value[self._ids]
 

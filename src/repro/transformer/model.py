@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.workspace import Workspace
 from repro.errors import ConfigError, MaskError, ShapeError
 from repro.formats.bcrs import BCRSMatrix
 from repro.transformer.attention import MultiHeadAttention
@@ -73,21 +74,34 @@ class EncoderLayer(Layer):
         self.relu = ReLU()
         self.ff2 = Linear(cfg.d_ff, cfg.d_model, rng)
 
-    def forward(
-        self,
-        x: np.ndarray,
-        additive_mask: np.ndarray | None,
-        quantized: dict | None = None,
-    ) -> np.ndarray:
+    def forward(self, x: np.ndarray, additive_mask: np.ndarray | None) -> np.ndarray:
         h = self.ln1.forward(x)
-        if quantized is None:
-            a = self.attn.forward(h, additive_mask)
-        else:
-            a = self.attn.forward_quantized(h, **quantized)
-        x = x + a
+        x = x + self.attn.forward(h, additive_mask)
         h2 = self.ln2.forward(x)
         f = self.ff2.forward(self.relu.forward(self.ff1.forward(h2)))
         return x + f
+
+    def add_quantized(
+        self, x: np.ndarray, quantized: dict, workspace: Workspace
+    ) -> np.ndarray:
+        """Inference: add both residual branches into ``x`` in place,
+        attention on the Fig. 16 path (``quantized`` holds the
+        ``forward_quantized`` kwargs). Every activation lives in
+        ``workspace``; no layer keeps backward state."""
+        norm = workspace.take("model.norm", x.shape, x.dtype)
+        branch = workspace.take("model.branch", x.shape, x.dtype)
+        h = self.ln1.forward(x, out=norm)
+        x += self.attn.forward_quantized(
+            h, **quantized, workspace=workspace, out=branch
+        )
+        h = self.ln2.forward(x, out=norm)
+        hidden = workspace.take(
+            "model.hidden", x.shape[:-1] + self.ff1.b.value.shape, x.dtype
+        )
+        self.ff1.forward(h, out=hidden)
+        self.relu.forward(hidden, out=hidden)
+        x += self.ff2.forward(hidden, out=branch)
+        return x
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         df = self.ff1.backward(self.relu.backward(self.ff2.backward(dy)))
@@ -113,25 +127,46 @@ class SparseTransformerClassifier(Layer):
         ids: np.ndarray,
         additive_mask: np.ndarray | None = None,
         quantized: dict | None = None,
+        workspace: Workspace | None = None,
     ) -> np.ndarray:
         """Logits for a batch of token-id sequences (B, L).
 
         ``quantized`` switches attention to the Fig. 16 path: a dict of
         ``forward_quantized`` kwargs (mask, softmax_bits, qkv_bits,
-        kernels) — see :func:`make_quantized_kwargs`.
+        kernels) — see :func:`make_quantized_kwargs`. That path is
+        inference: it keeps no backward state and stages every
+        activation in ``workspace`` (a private one when ``None``); the
+        logits are a fresh array all the same.
         """
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[1] != self.cfg.seq_len:
             raise ShapeError(f"ids must be (B, {self.cfg.seq_len}), got {ids.shape}")
+        if quantized is not None:
+            if workspace is None:
+                workspace = Workspace()
+            return self._forward_quantized(ids, quantized, workspace)
         x = self.embed.forward(ids) + self.pos.value
         for layer in self.layers:
-            x = layer.forward(x, additive_mask, quantized)
+            x = layer.forward(x, additive_mask)
         self._seq_cache = x.shape[1]
         pooled = x.mean(axis=1)
+        # per-row head products, as on the served path below
+        return self.head.forward(pooled[:, None, :])[:, 0]
+
+    def _forward_quantized(
+        self, ids: np.ndarray, quantized: dict, workspace: Workspace
+    ) -> np.ndarray:
+        b, l = ids.shape
+        x = workspace.take("model.residual", (b, l, self.cfg.d_model), np.float32)
+        self.embed.forward(ids, out=x)
+        x += self.pos.value
+        for layer in self.layers:
+            layer.add_quantized(x, quantized, workspace)
         # one (1, d) @ (d, C) product per row: a 2-D (B, d) matmul rounds
         # a row differently at B == 1 than at B > 1, and a served row's
         # logits must not depend on which riders share its launch
-        return self.head.forward(pooled[:, None, :])[:, 0]
+        logits = np.empty((b, 1, self.cfg.num_classes), dtype=np.float32)
+        return self.head.forward(x.mean(axis=1)[:, None, :], out=logits)[:, 0]
 
     def backward(self, dlogits: np.ndarray) -> None:
         l = self._seq_cache

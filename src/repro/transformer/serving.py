@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from repro.core.workspace import WorkspacePool
 from repro.errors import ConfigError
 from repro.transformer.attention import plan_pipeline
 from repro.transformer.inference import (
@@ -98,10 +99,21 @@ class TransformerSpec:
 
 
 class PreparedTransformer:
-    """A seeded model + zoo mask, ready to serve forwards."""
+    """A seeded model + zoo mask, ready to serve forwards.
+
+    Each :meth:`forward` leases one :class:`~repro.core.workspace.Workspace`
+    from :attr:`workspaces` and stages every activation and kernel
+    operand in it, so a steady-state forward allocates no large array.
+    Sequential forwards share one workspace and concurrent forwards each
+    lease their own: the pool holds at most as many workspaces as there
+    were concurrent forwards, and its memory is that count times the
+    bytes of one workspace (``Workspace.nbytes``). The logits never
+    alias workspace memory.
+    """
 
     def __init__(self, spec: TransformerSpec) -> None:
         self.spec = spec
+        self.workspaces = WorkspacePool()
         self.config = spec.model_config()
         self.model = SparseTransformerClassifier(self.config, seed=spec.seed)
         self.mask = self.config.attention_mask(
@@ -143,7 +155,10 @@ class PreparedTransformer:
         quantized = make_quantized_kwargs(
             self.mask, scheme[0], scheme[1], kernels=pipeline
         )
-        logits = self.model.forward(np.asarray(ids), quantized=quantized)
+        with self.workspaces.lease() as workspace:
+            logits = self.model.forward(
+                np.asarray(ids), quantized=quantized, workspace=workspace
+            )
         return logits, plans
 
 

@@ -114,7 +114,7 @@ class TestSymmetricQuantizeSlices:
             :, None, None
         ]
         q, scales = symmetric_quantize_slices(x, 8)
-        assert q.dtype == np.int32 and scales.shape == (5,)
+        assert q.dtype == np.int8 and scales.shape == (5,)
         for i in range(5):
             qi, pi = symmetric_quantize(x[i], 8)
             np.testing.assert_array_equal(q[i], qi)

@@ -70,7 +70,7 @@ def test_grouped_matches_per_head(variant, scheme, batch, heads):
     expected = per_head_reference(q, k, v, mask, scale, sm_bits, qkv_bits)
     for name in ("magicube-emulation", "fastpath-vectorized"):
         got = attn._attend_kernels(
-            q, k, v, mask, scale, sm_bits, qkv_bits, pipeline(name)
+            np.stack((q, k, v)), mask, scale, sm_bits, qkv_bits, pipeline(name)
         )
         np.testing.assert_array_equal(
             got, expected, err_msg=f"{name} {variant} {scheme}"
@@ -94,7 +94,7 @@ def test_zero_and_subnormal_amax_slices(scheme):
     expected = per_head_reference(q, k, v, mask, scale, sm_bits, qkv_bits)
     for name in ("magicube-emulation", "fastpath-vectorized"):
         got = attn._attend_kernels(
-            q, k, v, mask, scale, sm_bits, qkv_bits, pipeline(name)
+            np.stack((q, k, v)), mask, scale, sm_bits, qkv_bits, pipeline(name)
         )
         np.testing.assert_array_equal(got, expected, err_msg=name)
 
