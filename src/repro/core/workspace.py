@@ -5,7 +5,9 @@ activations and kernel operands of 100-800 KiB each. Allocated afresh on
 every call, each one is new memory the process faults in page by page;
 reused, it is already resident. :class:`Workspace` keeps those buffers
 between calls and :class:`WorkspacePool` hands one workspace to one
-caller at a time.
+caller at a time. :func:`scratch` is the one fallback for "no
+workspace": a stage that may run without one takes its buffers there
+and then gets fresh arrays.
 
 Rules every user of a workspace keeps:
 
@@ -26,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["Workspace", "WorkspacePool"]
+__all__ = ["Workspace", "WorkspacePool", "scratch"]
 
 
 class Workspace:
@@ -58,6 +60,20 @@ class Workspace:
     def nbytes(self) -> int:
         """Bytes held: the sum of every buffer's high-water mark."""
         return sum(buf.nbytes for buf in self.buffers())
+
+
+def scratch(
+    workspace: Workspace | None, name: str, shape: tuple[int, ...], dtype
+) -> np.ndarray:
+    """A staging array: ``workspace.take(name, shape, dtype)``, or a
+    fresh (uninitialized) array when there is no workspace.
+
+    Every stage that may run with or without a workspace takes its
+    buffers here, so "no workspace" always means "allocate per call".
+    """
+    if workspace is None:
+        return np.empty(shape, dtype=dtype)
+    return workspace.take(name, shape, dtype)
 
 
 class WorkspacePool:

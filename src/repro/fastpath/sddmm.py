@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.workspace import scratch
 from repro.fastpath.plans import bcrs_plan
-from repro.fastpath.spmm import _GATHER_BYTES, _scratch
+from repro.fastpath.spmm import _GATHER_BYTES
 from repro.formats.bcrs import BCRSMatrix
 from repro.gpu.timing import KernelStats
 from repro.kernels.sddmm import MagicubeSDDMM
@@ -58,14 +59,14 @@ class FastpathSDDMM(MagicubeSDDMM):
         v = mask.vector_length
         dtype = self._accum_dtype(k)
         ws = self.workspace
-        a4 = _scratch(ws, "sddmm.lhs", (slices, m // v, v, k), dtype)  # (S, strips, V, K)
+        a4 = scratch(ws, "sddmm.lhs", (slices, m // v, v, k), dtype)  # (S, strips, V, K)
         np.copyto(a4, a3.reshape(a4.shape))
         # C-contiguous (S, N, K): a plain transpose view would make the
         # row gather below strided
-        bt = _scratch(ws, "sddmm.rhs", (slices, b3.shape[2], k), dtype)
+        bt = scratch(ws, "sddmm.rhs", (slices, b3.shape[2], k), dtype)
         np.copyto(bt, np.swapaxes(b3, 1, 2))
         # one scratch row past the vectors takes the padded slots
-        vals = _scratch(ws, "sddmm.values", (slices, mask.num_vectors + 1, v), dtype)
+        vals = scratch(ws, "sddmm.values", (slices, mask.num_vectors + 1, v), dtype)
         # strips per matmul: keeps the gathered B rows cache-resident
         row_bytes = slices * k * dtype.itemsize
         for strips, positions, cols in plan.buckets:
@@ -75,14 +76,14 @@ class FastpathSDDMM(MagicubeSDDMM):
                 width, count = cols[part].shape
                 # the indices are in range, so "clip" only skips the
                 # bounds check (and the buffered copy)
-                gathered = _scratch(
+                gathered = scratch(
                     ws, "sddmm.gathered", (slices, width, count, k), dtype
                 )
                 np.take(bt, cols[part], axis=1, out=gathered, mode="clip")
-                picked = _scratch(ws, "sddmm.picked", (slices, width, v, k), dtype)
+                picked = scratch(ws, "sddmm.picked", (slices, width, v, k), dtype)
                 np.take(a4, strips[part], axis=1, out=picked, mode="clip")
                 # (S, B, L, K) @ (S, B, K, V) -> (S, B, L, V)
-                products = _scratch(
+                products = scratch(
                     ws, "sddmm.products", (slices, width, count, v), dtype
                 )
                 np.matmul(gathered, np.swapaxes(picked, -1, -2), out=products)

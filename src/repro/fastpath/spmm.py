@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.workspace import scratch
 from repro.fastpath.plans import spmm_plan
 from repro.formats.srbcrs import SRBCRSMatrix
 from repro.gpu.timing import KernelStats
@@ -42,14 +43,6 @@ __all__ = ["FastpathSpMM"]
 _F32_EXACT_BOUND = float(2**24)
 #: gathered RHS bytes per matmul, sized to stay in a core's L2 cache
 _GATHER_BYTES = 512 * 1024
-
-
-def _scratch(workspace, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A staging array: workspace buffer ``name`` when the kernel carries
-    a workspace, else a fresh allocation."""
-    if workspace is None:
-        return np.empty(shape, dtype=dtype)
-    return workspace.take(name, shape, dtype)
 
 
 class FastpathSpMM(MagicubeSpMM):
@@ -79,17 +72,17 @@ class FastpathSpMM(MagicubeSpMM):
         v, stride = lhs.vector_length, lhs.stride
         ws = self.workspace
         # row k is zero: the padding slots' gather target
-        rhs = _scratch(ws, "spmm.rhs", (slices, k + 1, n), dtype)
+        rhs = scratch(ws, "spmm.rhs", (slices, k + 1, n), dtype)
         rhs[:, :k] = rhs3
         rhs[:, k] = 0
         values = np.asarray(lhs.values)
-        tiles = _scratch(
+        tiles = scratch(
             ws, "spmm.tiles", (slices, values.size // (slices * v * stride), v, stride),
             dtype,
         )
         np.copyto(tiles, values.reshape(tiles.shape))
         # results land in bucket order; one casting scatter places them
-        acc = _scratch(ws, "spmm.acc", (slices, len(plan.order), v, n), dtype)
+        acc = scratch(ws, "spmm.acc", (slices, len(plan.order), v, n), dtype)
         done = 0
         # strips per matmul: keeps the gathered RHS rows cache-resident
         row_bytes = slices * n * dtype.itemsize
@@ -101,16 +94,16 @@ class FastpathSpMM(MagicubeSpMM):
                 # (S, B, groups, V, stride) -> (S, B, V, groups*stride);
                 # the indices are in range, so "clip" never clips: it
                 # only skips the bounds check (and the buffered copy)
-                picked = _scratch(
+                picked = scratch(
                     ws, "spmm.picked", (slices, width, count, v, stride), dtype
                 )
                 np.take(tiles, groups[part], axis=1, out=picked, mode="clip")
-                strip_lhs = _scratch(
+                strip_lhs = scratch(
                     ws, "spmm.lhs", (slices, width, v, count, stride), dtype
                 )
                 np.copyto(strip_lhs, picked.transpose(0, 1, 3, 2, 4))
                 # padding targets row k, which is in range too
-                gathered = _scratch(
+                gathered = scratch(
                     ws, "spmm.gathered", (slices, width, rows.shape[1], n), dtype
                 )
                 np.take(rhs, rows[part], axis=1, out=gathered, mode="clip")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.workspace import scratch
 from repro.errors import QuantizationError
 
 
@@ -91,17 +92,18 @@ def symmetric_quantize_slices(
     quotient, rounded and clipped in place. With a
     :class:`~repro.core.workspace.Workspace` the staging buffer and the
     codes are its ``quantize.*`` buffers — the codes are then scratch,
-    valid until the workspace's next quantize.
+    valid until the workspace's next quantize; without one both are
+    fresh arrays.
     """
     x = np.asarray(x)
     qmin, qmax = int_range(bits, signed=True)
-    if workspace is None:
-        staged = np.empty(x.shape, dtype=np.float64)
-        q = np.empty(x.shape, dtype=_code_dtype(bits))
-    else:
-        staged = workspace.take("quantize.staging", x.shape, np.float64)
-        q = workspace.take("quantize.codes", x.shape, _code_dtype(bits))
-    amax = np.abs(x, out=staged).max(axis=tuple(range(1, x.ndim)), initial=0.0)
+    staged = scratch(workspace, "quantize.staging", x.shape, np.float64)
+    q = scratch(workspace, "quantize.codes", x.shape, _code_dtype(bits))
+    # |x| in float64 for every input dtype: an integer abs would wrap
+    # (int8 |-128| is -128) and understate the amax
+    amax = np.abs(x, out=staged, dtype=np.float64).max(
+        axis=tuple(range(1, x.ndim)), initial=0.0
+    )
     scales = np.where(
         amax > 0, np.maximum(amax / qmax, np.finfo(np.float64).tiny), 1.0
     )

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.workspace import Workspace
+from repro.core.workspace import Workspace, scratch
 from repro.errors import ShapeError
 from repro.formats.bcrs import BCRSMatrix
 from repro.formats.convert import bcrs_to_srbcrs
@@ -202,14 +202,12 @@ class MultiHeadAttention(Layer):
         / ``qkv_bits`` are the Fig. 17 ``xb-yb`` knobs. ``kernels`` of
         ``None`` runs the dense fake-quant math; a pipeline launches its
         backend's kernels with its plan-derived configs. Intermediates
-        are staged in ``workspace`` (a private one when ``None``); the
+        are staged in ``workspace`` (fresh arrays when ``None``); the
         result is written into ``out`` when given, else a fresh array.
         """
         b, l, _ = x.shape
         if mask.shape != (l, l):
             raise ShapeError(f"mask {mask.shape} does not match sequence {l}")
-        if workspace is None:
-            workspace = Workspace()
         heads = self._project_heads(x, workspace)
         scale = 1.0 / np.sqrt(self.d_head)
         if kernels is not None:
@@ -220,13 +218,15 @@ class MultiHeadAttention(Layer):
             ctx = self._attend_batched_fake_quant(
                 *heads, mask.to_dense() != 0, scale, softmax_bits, qkv_bits
             )
-        merged = workspace.take("attention.context", (b, l, self.d_model), ctx.dtype)
+        merged = scratch(workspace, "attention.context", (b, l, self.d_model), ctx.dtype)
         np.copyto(merged.reshape(b, l, self.num_heads, self.d_head), ctx.swapaxes(1, 2))
         if out is None:
             out = np.empty((b, l, self.d_model), np.result_type(merged, self.wo.w.value))
         return self.wo.forward(merged, out=out)
 
-    def _project_heads(self, x: np.ndarray, workspace: Workspace) -> np.ndarray:
+    def _project_heads(
+        self, x: np.ndarray, workspace: Workspace | None
+    ) -> np.ndarray:
         """Q, K, V stacked as ``(3, B, H, L, d_head)``: one GEMM over the
         concatenated projection weights, then one head-splitting copy.
 
@@ -235,15 +235,16 @@ class MultiHeadAttention(Layer):
         """
         b, l, d = x.shape
         projections = (self.wq, self.wk, self.wv)
-        w = workspace.take("attention.wqkv", (d, 3 * d), self.wq.w.value.dtype)
+        w = scratch(workspace, "attention.wqkv", (d, 3 * d), self.wq.w.value.dtype)
         np.concatenate([p.w.value for p in projections], axis=1, out=w)
-        bias = workspace.take("attention.bqkv", (3 * d,), self.wq.b.value.dtype)
+        bias = scratch(workspace, "attention.bqkv", (3 * d,), self.wq.b.value.dtype)
         np.concatenate([p.b.value for p in projections], out=bias)
-        qkv = workspace.take("attention.qkv", (b, l, 3 * d), np.result_type(x, w))
+        qkv = scratch(workspace, "attention.qkv", (b, l, 3 * d), np.result_type(x, w))
         np.matmul(x, w, out=qkv)
         qkv += bias
-        heads = workspace.take(
-            "attention.heads", (3, b, self.num_heads, l, self.d_head), qkv.dtype
+        heads = scratch(
+            workspace, "attention.heads", (3, b, self.num_heads, l, self.d_head),
+            qkv.dtype,
         )
         np.copyto(
             heads,

@@ -6,10 +6,12 @@ input gradient and accumulates parameter gradients, and ``Adam`` applies
 updates. Float32 throughout (training); the quantized paths live in
 :mod:`repro.transformer.attention`.
 
-Inference: a ``forward`` given ``out=`` writes its result into ``out``
-(in place when ``out`` is the input, for :class:`ReLU`) and keeps no
-backward state. The quantized model forward runs every layer that way,
-so a served forward allocates no activation and leaves no cache behind.
+Each ``forward`` has one body. Given ``out=`` it writes its result
+into ``out`` (which may be the input, for :class:`ReLU`) and keeps no
+backward state: that is inference, and the quantized model forward runs
+every layer that way, so a served forward allocates no activation and
+leaves no cache behind. Without ``out`` it allocates the result and
+keeps what ``backward`` needs.
 """
 
 from __future__ import annotations
@@ -57,12 +59,14 @@ class Linear(Layer):
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is not None:
-            np.matmul(x, self.w.value, out=out)
-            out += self.b.value
-            return out
-        self._x = x
-        return x @ self.w.value + self.b.value
+        if out is None:
+            self._x = x
+            out = np.empty(
+                x.shape[:-1] + self.b.value.shape, np.result_type(x, self.w.value)
+            )
+        np.matmul(x, self.w.value, out=out)
+        out += self.b.value
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
@@ -85,23 +89,20 @@ class LayerNorm(Layer):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # np.var's arithmetic with the mean taken once: ``xhat`` holds
+        # the squared deviations, then the normalized values
+        xhat = np.empty_like(x) if out is None else out
         mu = x.mean(axis=-1, keepdims=True)
-        if out is not None:
-            # np.var's arithmetic with the mean taken once; ``out`` holds
-            # the squared deviations, then the centred values
-            np.subtract(x, mu, out=out)
-            np.multiply(out, out, out=out)
-            inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + self.eps)
-            np.subtract(x, mu, out=out)
-            out *= inv
-            out *= self.gamma.value
-            out += self.beta.value
-            return out
-        var = x.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu) * inv
-        self._cache = (xhat, inv)
-        return xhat * self.gamma.value + self.beta.value
+        np.subtract(x, mu, out=xhat)
+        np.multiply(xhat, xhat, out=xhat)
+        inv = 1.0 / np.sqrt(xhat.mean(axis=-1, keepdims=True) + self.eps)
+        np.subtract(x, mu, out=xhat)
+        xhat *= inv
+        if out is None:
+            self._cache = (xhat, inv)
+        out = np.multiply(xhat, self.gamma.value, out=out)
+        out += self.beta.value
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -126,11 +127,11 @@ class ReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is not None:
-            # x * (x > 0), not np.maximum: negatives become -0.0 as before
-            return np.multiply(x, x > 0, out=out)
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        if out is None:
+            self._mask = mask
+        # x * (x > 0), not np.maximum: negatives become -0.0
+        return np.multiply(x, mask, out=out)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -146,17 +147,16 @@ class Embedding(Layer):
         self._ids: np.ndarray | None = None
 
     def forward(self, ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is not None:
-            ids = np.asarray(ids)
-            vocab = len(self.table.value)
-            # the bounds of ``table[ids]``; "wrap" then only maps the
-            # negative ids, as indexing does, and skips the buffered copy
-            # a bounds-checking take makes of ``out``
-            if ids.size and (ids.min() < -vocab or ids.max() >= vocab):
-                raise IndexError(f"token ids must lie in [-{vocab}, {vocab})")
-            return np.take(self.table.value, ids, axis=0, out=out, mode="wrap")
-        self._ids = np.asarray(ids)
-        return self.table.value[self._ids]
+        ids = np.asarray(ids)
+        if out is None:
+            self._ids = ids
+        vocab = len(self.table.value)
+        # the bounds of ``table[ids]``; "wrap" then only maps the
+        # negative ids, as indexing does, and skips the buffered copy a
+        # bounds-checking take makes of ``out``
+        if ids.size and (ids.min() < -vocab or ids.max() >= vocab):
+            raise IndexError(f"token ids must lie in [-{vocab}, {vocab})")
+        return np.take(self.table.value, ids, axis=0, out=out, mode="wrap")
 
     def backward(self, dy: np.ndarray) -> None:
         if self._ids is None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.workspace import Workspace
+from repro.core.workspace import Workspace, scratch
 from repro.errors import ConfigError, MaskError, ShapeError
 from repro.formats.bcrs import BCRSMatrix
 from repro.transformer.attention import MultiHeadAttention
@@ -81,22 +81,19 @@ class EncoderLayer(Layer):
         f = self.ff2.forward(self.relu.forward(self.ff1.forward(h2)))
         return x + f
 
-    def add_quantized(
-        self, x: np.ndarray, quantized: dict, workspace: Workspace
-    ) -> np.ndarray:
+    def add_quantized(self, x: np.ndarray, quantized: dict) -> np.ndarray:
         """Inference: add both residual branches into ``x`` in place,
         attention on the Fig. 16 path (``quantized`` holds the
-        ``forward_quantized`` kwargs). Every activation lives in
-        ``workspace``; no layer keeps backward state."""
-        norm = workspace.take("model.norm", x.shape, x.dtype)
-        branch = workspace.take("model.branch", x.shape, x.dtype)
+        ``forward_quantized`` kwargs). Every activation is staged in
+        the dict's ``workspace``; no layer keeps backward state."""
+        workspace = quantized.get("workspace")
+        norm = scratch(workspace, "model.norm", x.shape, x.dtype)
+        branch = scratch(workspace, "model.branch", x.shape, x.dtype)
         h = self.ln1.forward(x, out=norm)
-        x += self.attn.forward_quantized(
-            h, **quantized, workspace=workspace, out=branch
-        )
+        x += self.attn.forward_quantized(h, **quantized, out=branch)
         h = self.ln2.forward(x, out=norm)
-        hidden = workspace.take(
-            "model.hidden", x.shape[:-1] + self.ff1.b.value.shape, x.dtype
+        hidden = scratch(
+            workspace, "model.hidden", x.shape[:-1] + self.ff1.b.value.shape, x.dtype
         )
         self.ff1.forward(h, out=hidden)
         self.relu.forward(hidden, out=hidden)
@@ -127,45 +124,39 @@ class SparseTransformerClassifier(Layer):
         ids: np.ndarray,
         additive_mask: np.ndarray | None = None,
         quantized: dict | None = None,
-        workspace: Workspace | None = None,
     ) -> np.ndarray:
         """Logits for a batch of token-id sequences (B, L).
 
-        ``quantized`` switches attention to the Fig. 16 path: a dict of
+        ``quantized`` switches to the Fig. 16 path: a dict of
         ``forward_quantized`` kwargs (mask, softmax_bits, qkv_bits,
-        kernels) — see :func:`make_quantized_kwargs`. That path is
-        inference: it keeps no backward state and stages every
-        activation in ``workspace`` (a private one when ``None``); the
-        logits are a fresh array all the same.
+        kernels, workspace) — see :func:`make_quantized_kwargs`. That
+        path is inference: it keeps no backward state and stages every
+        activation in the dict's workspace (fresh arrays without one);
+        the logits are a fresh array all the same.
         """
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[1] != self.cfg.seq_len:
             raise ShapeError(f"ids must be (B, {self.cfg.seq_len}), got {ids.shape}")
-        if quantized is not None:
-            if workspace is None:
-                workspace = Workspace()
-            return self._forward_quantized(ids, quantized, workspace)
-        x = self.embed.forward(ids) + self.pos.value
-        for layer in self.layers:
-            x = layer.forward(x, additive_mask)
-        self._seq_cache = x.shape[1]
-        pooled = x.mean(axis=1)
-        # per-row head products, as on the served path below
-        return self.head.forward(pooled[:, None, :])[:, 0]
-
-    def _forward_quantized(
-        self, ids: np.ndarray, quantized: dict, workspace: Workspace
-    ) -> np.ndarray:
         b, l = ids.shape
-        x = workspace.take("model.residual", (b, l, self.cfg.d_model), np.float32)
-        self.embed.forward(ids, out=x)
-        x += self.pos.value
-        for layer in self.layers:
-            layer.add_quantized(x, quantized, workspace)
+        if quantized is None:
+            x = self.embed.forward(ids) + self.pos.value
+            for layer in self.layers:
+                x = layer.forward(x, additive_mask)
+            self._seq_cache = l
+            logits = None  # the head allocates them and keeps its input
+        else:
+            x = scratch(
+                quantized.get("workspace"), "model.residual",
+                (b, l, self.cfg.d_model), np.float32,
+            )
+            self.embed.forward(ids, out=x)
+            x += self.pos.value
+            for layer in self.layers:
+                layer.add_quantized(x, quantized)
+            logits = np.empty((b, 1, self.cfg.num_classes), dtype=np.float32)
         # one (1, d) @ (d, C) product per row: a 2-D (B, d) matmul rounds
         # a row differently at B == 1 than at B > 1, and a served row's
         # logits must not depend on which riders share its launch
-        logits = np.empty((b, 1, self.cfg.num_classes), dtype=np.float32)
         return self.head.forward(x.mean(axis=1)[:, None, :], out=logits)[:, 0]
 
     def backward(self, dlogits: np.ndarray) -> None:
@@ -191,16 +182,20 @@ def make_quantized_kwargs(
     softmax_bits: int,
     qkv_bits: int,
     kernels=None,
+    workspace: Workspace | None = None,
 ) -> dict:
     """The ``quantized=`` dict for one Fig. 17 precision scheme.
 
     ``kernels`` of ``None`` evaluates as fake-quant math; a
     :class:`~repro.transformer.attention.KernelPipeline` launches its
-    backend's kernels with its plan-derived configs.
+    backend's kernels with its plan-derived configs. ``workspace``
+    stages the forward's activations and kernel operands; without one
+    they are fresh arrays.
     """
     return {
         "mask": mask,
         "softmax_bits": softmax_bits,
         "qkv_bits": qkv_bits,
         "kernels": kernels,
+        "workspace": workspace,
     }

@@ -152,13 +152,12 @@ class PreparedTransformer:
             backend, scheme, spec.seq_len, spec.d_head, spec.vector_length,
             self.realized_sparsity, planner,
         )
-        quantized = make_quantized_kwargs(
-            self.mask, scheme[0], scheme[1], kernels=pipeline
-        )
         with self.workspaces.lease() as workspace:
-            logits = self.model.forward(
-                np.asarray(ids), quantized=quantized, workspace=workspace
+            quantized = make_quantized_kwargs(
+                self.mask, scheme[0], scheme[1], kernels=pipeline,
+                workspace=workspace,
             )
+            logits = self.model.forward(np.asarray(ids), quantized=quantized)
         return logits, plans
 
 

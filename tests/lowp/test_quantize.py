@@ -121,3 +121,15 @@ class TestSymmetricQuantizeSlices:
             assert scales[i] == pi.scale
         assert scales[1] == 1.0  # all-zero slice
         assert scales[2] == np.finfo(np.float64).tiny  # subnormal amax floor
+
+    def test_integer_input_takes_a_float_amax(self):
+        # int8 |-128| wraps to -128: the amax must be taken in float64
+        x = np.array([[[-128, 5], [3, 127]], [[-128, 0], [0, 0]], [[1, -2], [0, 0]]],
+                     dtype=np.int8)
+        for bits in (8, 4):
+            q, scales = symmetric_quantize_slices(x, bits)
+            for i in range(len(x)):
+                qi, pi = symmetric_quantize(x[i], bits)
+                np.testing.assert_array_equal(q[i], qi)
+                assert scales[i] == pi.scale
+        assert scales[0] == 128 / 7 and scales[1] == 128 / 7

@@ -1,6 +1,7 @@
 """Gradient checks for the manual-backprop layers."""
 
 import numpy as np
+import pytest
 
 from repro.transformer.layers import (
     Adam,
@@ -92,6 +93,68 @@ class TestLayerNorm:
         dx = ln.backward(dy)
         num = numerical_grad(lambda: float((ln.forward(x) * dy).sum()), x)
         np.testing.assert_allclose(dx, num, atol=1e-4)
+
+
+class TestInferenceForward:
+    """``forward(x, out=buf)`` is the training forward's bits, written
+    into ``buf``, with no backward state kept."""
+
+    SHAPES = ((4, 128, 64), (3, 7), (2, 5, 33), (1, 1, 64))
+
+    def test_layernorm_matches_np_var_and_training_forward(self):
+        rng = np.random.default_rng(12)
+        for shape in self.SHAPES:
+            for loc, scale in ((0.0, 1.0), (3.0, 5.0), (1e3, 1e-2)):
+                ln = LayerNorm(shape[-1])
+                ln.gamma.value[:] = rng.normal(1.0, 0.1, size=shape[-1])
+                ln.beta.value[:] = rng.normal(0.0, 0.1, size=shape[-1])
+                x = rng.normal(loc, scale, size=shape).astype(np.float32)
+                # the layer's earlier body: np.var takes the mean again
+                mu = x.mean(axis=-1, keepdims=True)
+                inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + ln.eps)
+                want = (x - mu) * inv * ln.gamma.value + ln.beta.value
+                trained = ln.forward(x)
+                xhat, cached_inv = ln._cache
+                np.testing.assert_array_equal(xhat, (x - mu) * inv)
+                np.testing.assert_array_equal(cached_inv, inv)
+                ln._cache = None
+                buf = np.full(shape, np.nan, dtype=np.float32)
+                assert ln.forward(x, out=buf) is buf
+                assert ln._cache is None
+                for got in (trained, buf):
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
+
+    def test_linear_relu_embedding_out_matches_training_forward(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(2, 5, 4)).astype(np.float32)
+        lin = Linear(4, 3, rng)
+        want = lin.forward(x)
+        lin._x = None
+        buf = np.full((2, 5, 3), np.nan, dtype=np.float32)
+        assert lin.forward(x, out=buf) is buf and lin._x is None
+        np.testing.assert_array_equal(buf, want)
+        np.testing.assert_array_equal(want, x @ lin.w.value + lin.b.value)
+
+        relu = ReLU()
+        want = relu.forward(x)
+        relu._mask = None
+        buf = x.copy()
+        assert relu.forward(buf, out=buf) is buf and relu._mask is None
+        np.testing.assert_array_equal(buf, want)
+        np.testing.assert_array_equal(np.signbit(buf), np.signbit(x * (x > 0)))
+
+        emb = Embedding(10, 4, rng)
+        ids = np.array([[1, -2], [9, 0]])
+        want = emb.forward(ids)
+        np.testing.assert_array_equal(want, emb.table.value[ids])
+        emb._ids = None
+        buf = np.full((2, 2, 4), np.nan, dtype=np.float32)
+        assert emb.forward(ids, out=buf) is buf and emb._ids is None
+        np.testing.assert_array_equal(buf, want)
+        for bad in (np.array([[10]]), np.array([[-11]])):
+            with pytest.raises(IndexError):
+                emb.forward(bad)
 
 
 class TestActivationsAndLoss:
