@@ -9,7 +9,8 @@ four stages, in order:
    precision parameters), or take the injected config verbatim;
 2. **device resolve** — :meth:`repro.runtime.Device.resolve` turns the
    name into a validated Table-II handle (raising
-   :class:`~repro.errors.DeviceError`);
+   :class:`~repro.errors.DeviceError`); with a planner it must be the
+   planner's device;
 3. **backend resolve** — the :mod:`repro.runtime` registry pins a named
    backend or walks the priority-ordered fallback chain;
 4. **plan lookup / injection** — with a planner (the serving path) the
@@ -95,12 +96,6 @@ class Resolution:
     config: "SpMMConfig | SDDMMConfig | None"
     plan: "Plan | None"
     precision: str
-
-    @property
-    def device_label(self) -> str:
-        """The device token results/telemetry are recorded under — the
-        plan's winning device when a plan routed the request."""
-        return self.plan.device if self.plan is not None else self.device.name
 
 
 # -- stage 0: operand normalization ------------------------------------
@@ -222,10 +217,19 @@ def resolve(
     request's own ``device`` / ``backend`` fields win when set. With a
     ``planner`` the request class is planned and memoized (the serving
     path); without one the request must carry enough to build a
-    concrete config (the one-shot path).
+    concrete config (the one-shot path). A planner prices every plan on
+    its own device: it is the default device, and a request for another
+    one is refused.
     """
     request = normalize(request)
-    dev = Device.resolve(request.device or device or "A100")
+    home = planner.device if planner is not None else "A100"
+    dev = Device.resolve(request.device or device or home)
+    if planner is not None and dev.name != planner.device:
+        raise ConfigError(
+            f"request device {dev.name!r} differs from the planner's "
+            f"device {planner.device!r}; plans are priced on the "
+            f"planner's device only"
+        )
     if isinstance(request, SpmmRequest):
         return _resolve_spmm(request, dev, planner, backend)
     if isinstance(request, SddmmRequest):
@@ -397,27 +401,16 @@ def execute(
         the_rhs = rhs if rhs is not None else request.rhs
         if the_rhs is None:
             raise ConfigError("SpmmRequest.rhs is required to execute")
-        if res.config is not None:
-            r = _timed_execute(
-                res, metrics, profiler, config=res.config,
-                lhs=request.lhs, rhs=the_rhs, scale=request.scale,
-            )
-        else:
-            # non-Magicube plans (vector-sparse on V100, a pinned
-            # baseline...) take no Magicube kernel knobs
-            r = _timed_execute(res, metrics, profiler, lhs=request.lhs, rhs=the_rhs)
+        r = _timed_execute(
+            res, metrics, profiler,
+            lhs=request.lhs, rhs=the_rhs, scale=request.scale,
+        )
     elif res.op == "sddmm":
         if request.a is None or request.b is None:
             raise ConfigError("SddmmRequest.a and .b are required to execute")
-        if res.config is not None:
-            r = _timed_execute(
-                res, metrics, profiler, config=res.config,
-                a=request.a, b=request.b, mask=request.mask,
-            )
-        else:
-            r = _timed_execute(
-                res, metrics, profiler, a=request.a, b=request.b, mask=request.mask
-            )
+        r = _timed_execute(
+            res, metrics, profiler, a=request.a, b=request.b, mask=request.mask
+        )
     elif res.op == "transformer":
         return _execute_transformer(
             res, request, ids=ids, batch=batch, planner=planner
@@ -431,7 +424,7 @@ def execute(
         stats=r.stats,
         plan=res.plan,
         backend=res.backend,
-        device=res.device_label,
+        device=res.device.name,
         precision=res.precision,
     )
 
@@ -442,6 +435,8 @@ def _timed_execute(res: Resolution, metrics, profiler=None, **operands):
     ``repro_kernel_wall_seconds`` is the *measured* counterpart of the
     modelled ``repro_request_modelled_seconds`` — it is what makes a
     faster backend (e.g. ``fastpath-vectorized``) visible in telemetry.
+    The backend receives ``config=res.config``: the Magicube kernel
+    config, or ``None`` for a baseline, which takes no kernel knobs.
     The histogram uses the sub-microsecond ``KERNEL_WALL_BUCKETS_S``
     layout (passed here because the one-shot path's registry may never
     have seen ``declare_standard``): fastpath kernels finish in
@@ -452,12 +447,13 @@ def _timed_execute(res: Resolution, metrics, profiler=None, **operands):
     from repro.obs.metrics import get_registry
     from repro.obs.names import KERNEL_WALL, KERNEL_WALL_BUCKETS_S
 
+    execute = get_backend(res.backend).execute
     t0 = perf_counter()
     if profiler:
         with profiler.sample("backend-execute"):
-            r = get_backend(res.backend).execute(res.op, res.device, **operands)
+            r = execute(res.op, res.device, config=res.config, **operands)
     else:
-        r = get_backend(res.backend).execute(res.op, res.device, **operands)
+        r = execute(res.op, res.device, config=res.config, **operands)
     wall = perf_counter() - t0
     registry = metrics if metrics is not None else get_registry()
     registry.histogram(
@@ -510,7 +506,7 @@ def _execute_attention(
             time_s=dist["total_s"],
             stats=dist,
             backend=res.backend,
-            device=res.device_label,
+            device=res.device.name,
             precision=res.precision,
         )
     lat = estimate_latency(cfg, ib, planner=planner, plan_backend=res.backend)
@@ -519,7 +515,7 @@ def _execute_attention(
         time_s=lat.total_s,
         stats=lat,
         backend=res.backend,
-        device=res.device_label,
+        device=res.device.name,
         precision=res.precision,
     )
 
@@ -548,7 +544,7 @@ def _execute_transformer(
             time_s=lat.total_s,
             stats=lat,
             backend=res.backend,
-            device=res.device_label,
+            device=res.device.name,
             precision=res.precision,
         )
     the_ids = ids if ids is not None else req.ids
@@ -572,7 +568,7 @@ def _execute_transformer(
         # SDDMM plan shares its key topology)
         plan=plans[1] if plans else None,
         backend=res.backend,
-        device=res.device_label,
+        device=res.device.name,
         precision=res.precision,
         batch_size=int(the_ids.shape[0]),
     )

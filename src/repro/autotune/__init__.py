@@ -19,7 +19,7 @@ reproducible:
   loaded into.
 
 Serving picks the artifact up through ``Engine(warm_start=...)`` /
-``ExecutionPlanner(warm_start=...)``; ``repro-autotune`` (also
+``ExecutionPlanner.warm_start(...)``; ``repro-autotune`` (also
 ``python -m repro.autotune``) drives sweeps from the command line, and
 ``python -m repro.bench autotune`` reports the cold-vs-warm win.
 

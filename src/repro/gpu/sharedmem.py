@@ -30,7 +30,9 @@ def conflict_degree(word_addresses: np.ndarray) -> int:
     if addrs.size == 0 or addrs.size > 32:
         raise ConfigError(f"a warp access has 1..32 lanes, got {addrs.size}")
     # distinct words per bank; the busiest bank sets the serialization
-    return int(np.bincount(np.unique(addrs) % NUM_BANKS).max())
+    # (distinct via bincount: NumPy's first np.unique imports numpy.ma)
+    words = np.flatnonzero(np.bincount(addrs))
+    return int(np.bincount(words % NUM_BANKS).max())
 
 
 @dataclass(frozen=True)

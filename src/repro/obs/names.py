@@ -34,11 +34,10 @@ BATCHES = "repro_batches_total"
 LAUNCHES = "repro_launches_total"
 MODELLED_BUSY = "repro_modelled_busy_seconds_total"
 PLAN_PREDICTED = "repro_plan_predicted_time"
-PLAN_SHARDS = "repro_plan_shards"
 #: gauges that describe a plan, not a load: every worker serving a plan
 #: key publishes the same value, so merging registries takes the max
 #: (summing would double them per worker)
-MAX_MERGED_GAUGES = frozenset({PLAN_PREDICTED, PLAN_SHARDS})
+MAX_MERGED_GAUGES = frozenset({PLAN_PREDICTED})
 REJECTIONS = "repro_rejections_total"
 QUEUE_DEPTH = "repro_queue_depth"
 REQUEST_WALL = "repro_request_wall_seconds"
@@ -102,9 +101,6 @@ STANDARD_METRICS: tuple[tuple[str, str, str, tuple[float, ...] | None], ...] = (
      "backend, device and plan.", None),
     (PLAN_PREDICTED, "gauge",
      "The serving plan's predicted per-launch time in seconds, by plan.",
-     None),
-    (PLAN_SHARDS, "gauge",
-     "The serving plan's tensor-parallel width (1 = unsharded), by plan.",
      None),
     (REJECTIONS, "counter",
      "Requests shed by admission control, by session.", None),

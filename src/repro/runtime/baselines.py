@@ -114,12 +114,51 @@ class VectorSparseBackend(_BaselineBackend):
         return [Candidate("fp16", 16, 16, {}, cm.time(stats))]
 
 
-class SputnikBackend(_BaselineBackend):
+class _CsrBackend(_BaselineBackend):
+    """Shared body of the scalar-CSR SpMM libraries on CUDA cores.
+
+    Subclasses name their ``kernel`` class; conversion, execution and
+    the planning hook (whose candidate carries the kernel's precision)
+    are identical.
+    """
+
+    kernel: type
+
+    def prepare(self, operand, op="spmm", config=None):
+        from repro.formats.csr import CSRMatrix
+
+        if isinstance(operand, CSRMatrix):
+            return operand
+        return CSRMatrix.from_dense(_dense_of(operand))
+
+    def execute(self, op, device, config=None, **operands) -> ExecutionResult:
+        if op != "spmm":
+            self._reject_op(op)
+        dev = Device.resolve(device)
+        lhs = self.prepare(operands["lhs"], op)
+        return self._result(dev, self.kernel()(lhs, operands["rhs"]))
+
+    def plan_candidates(self, problem: Problem, device, admits=None):
+        from repro.serve.topology import UniformBCRSMask
+
+        if problem.op != "spmm" or (admits is not None and not admits(16, 16)):
+            return []
+        dev = Device.resolve(device)
+        topo = UniformBCRSMask(
+            problem.rows, problem.cols, problem.vector_length, problem.sparsity
+        )
+        kern = self.kernel()
+        stats = kern._account(topo, problem.inner)
+        return [Candidate(kern.precision, 16, 16, {}, self.cost(dev).time(stats))]
+
+
+class SputnikBackend(_CsrBackend):
     """Sputnik (SC'20): fine-grained CSR SpMM on CUDA cores."""
 
     name = "sputnik"
     priority = 75
     library_profile = "sputnik"
+    kernel = SputnikSpMM
 
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
@@ -130,39 +169,14 @@ class SputnikBackend(_BaselineBackend):
             tensor_cores=False,
         )
 
-    def prepare(self, operand, op="spmm", config=None):
-        from repro.formats.csr import CSRMatrix
 
-        if isinstance(operand, CSRMatrix):
-            return operand
-        return CSRMatrix.from_dense(_dense_of(operand))
-
-    def execute(self, op, device, config=None, **operands) -> ExecutionResult:
-        if op != "spmm":
-            self._reject_op(op)
-        dev = Device.resolve(device)
-        lhs = self.prepare(operands["lhs"], op)
-        return self._result(dev, SputnikSpMM()(lhs, operands["rhs"]))
-
-    def plan_candidates(self, problem: Problem, device, admits=None):
-        from repro.serve.topology import UniformBCRSMask
-
-        if problem.op != "spmm" or (admits is not None and not admits(16, 16)):
-            return []
-        dev = Device.resolve(device)
-        topo = UniformBCRSMask(
-            problem.rows, problem.cols, problem.vector_length, problem.sparsity
-        )
-        stats = SputnikSpMM()._account(topo, problem.inner)
-        return [Candidate("fp32", 16, 16, {}, self.cost(dev).time(stats))]
-
-
-class CusparseCsrBackend(_BaselineBackend):
+class CusparseCsrBackend(_CsrBackend):
     """cuSPARSE scalar-CSR SpMM (CUDA cores, fp16 storage)."""
 
     name = "cusparse-csr"
     priority = 80
     library_profile = "cusparse_csr"
+    kernel = CusparseCsrSpMM
 
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
@@ -172,32 +186,6 @@ class CusparseCsrBackend(_BaselineBackend):
             dl_friendly=False,
             tensor_cores=False,
         )
-
-    def prepare(self, operand, op="spmm", config=None):
-        from repro.formats.csr import CSRMatrix
-
-        if isinstance(operand, CSRMatrix):
-            return operand
-        return CSRMatrix.from_dense(_dense_of(operand))
-
-    def execute(self, op, device, config=None, **operands) -> ExecutionResult:
-        if op != "spmm":
-            self._reject_op(op)
-        dev = Device.resolve(device)
-        lhs = self.prepare(operands["lhs"], op)
-        return self._result(dev, CusparseCsrSpMM()(lhs, operands["rhs"]))
-
-    def plan_candidates(self, problem: Problem, device, admits=None):
-        from repro.serve.topology import UniformBCRSMask
-
-        if problem.op != "spmm" or (admits is not None and not admits(16, 16)):
-            return []
-        dev = Device.resolve(device)
-        topo = UniformBCRSMask(
-            problem.rows, problem.cols, problem.vector_length, problem.sparsity
-        )
-        stats = CusparseCsrSpMM()._account(topo, problem.inner)
-        return [Candidate("fp16", 16, 16, {}, self.cost(dev).time(stats))]
 
 
 class CusparseBlockedEllBackend(_BaselineBackend):

@@ -42,13 +42,6 @@ from repro.runtime.device import Device
 BSN_CANDIDATES = (32, 64, 96, 128)
 #: SDDMM warps-per-block searched (each warp owns 8 output columns)
 WARP_CANDIDATES = (2, 4, 8)
-#: tensor-parallel widths the planning hook prices alongside the
-#: single-device point (1 = unsharded). The sharded variants split the
-#: contraction dimension and pay a ring all-reduce on the output
-#: (:func:`repro.transformer.distributed.allreduce_time`), so the 12 us
-#: collective floor keeps small problems on one device and only
-#: genuinely bandwidth-bound shapes elect a ``{"tp": g}`` plan.
-TP_CANDIDATES = (1, 2, 4)
 
 
 def _pair_labels() -> tuple[str, ...]:
@@ -177,13 +170,8 @@ class MagicubeEmulationBackend(Backend):
         self, problem: Problem, device: Device | str, admits=None
     ) -> list[Candidate]:
         # imported here: repro.serve.topology is a leaf module shared
-        # with the Fig. 17 latency model, and transformer.distributed
-        # would cycle back through the registry at module import time
+        # with the Fig. 17 latency model
         from repro.serve.topology import UniformBCRSMask, UniformSRBCRS
-        from repro.transformer.distributed import (
-            NVLINK_BANDWIDTH_GBS,
-            allreduce_time,
-        )
 
         dev = Device.resolve(device)
         cm = self.cost(dev, op=problem.op)
@@ -194,40 +182,25 @@ class MagicubeEmulationBackend(Backend):
             plan = plan_for(l_bits, r_bits, op=problem.op)
             if not dev.supports(f"int{plan.native_bits}"):
                 continue
+            precision = f"L{l_bits}-R{r_bits}"
             if problem.op == "spmm":
-                best = None
+                times = {}
                 for bsn in BSN_CANDIDATES:
                     kern = self.spmm_kernel(
                         SpMMConfig(l_bits=l_bits, r_bits=r_bits, bsn=bsn)
                     )
-                    for tp in TP_CANDIDATES:
-                        # row-parallel shard: the sparse operand's
-                        # columns (the contraction dim) split g ways,
-                        # partial outputs all-reduce back together
-                        if tp > 1 and problem.cols % (tp * problem.vector_length):
-                            continue
-                        sr = UniformSRBCRS(
-                            problem.rows,
-                            problem.cols // tp,
-                            problem.vector_length,
-                            problem.sparsity,
-                            kern.required_stride,
-                        )
-                        t = cm.time(kern._account(sr, problem.inner))
-                        if tp > 1:
-                            out_bytes = problem.rows * problem.inner * 2
-                            t += allreduce_time(
-                                out_bytes, tp, NVLINK_BANDWIDTH_GBS
-                            )
-                        if best is None or t < best.time_s:
-                            config = {"bsn": bsn}
-                            if tp > 1:
-                                config["tp"] = tp
-                            best = Candidate(
-                                f"L{l_bits}-R{r_bits}", l_bits, r_bits,
-                                config, t,
-                            )
-                candidates.append(best)
+                    sr = UniformSRBCRS(
+                        problem.rows,
+                        problem.cols,
+                        problem.vector_length,
+                        problem.sparsity,
+                        kern.required_stride,
+                    )
+                    times[bsn] = cm.time(kern._account(sr, problem.inner))
+                bsn = min(times, key=times.get)
+                candidates.append(Candidate(
+                    precision, l_bits, r_bits, {"bsn": bsn}, times[bsn]
+                ))
             else:
                 mask = UniformBCRSMask(
                     problem.rows,
@@ -235,38 +208,20 @@ class MagicubeEmulationBackend(Backend):
                     problem.vector_length,
                     problem.sparsity,
                 )
-                # the sampled output is sparse: only the surviving
-                # entries cross NVLink in the sharded variants
-                nnz = problem.rows * problem.cols * (1.0 - problem.sparsity)
-                best = None
+                times = {}
                 for warps in WARP_CANDIDATES:
                     kern = self.sddmm_kernel(
                         SDDMMConfig(l_bits=l_bits, r_bits=r_bits, warps=warps)
                     )
-                    for tp in TP_CANDIDATES:
-                        # shard the dense contraction dim; partial
-                        # sampled products all-reduce at the mask
-                        if tp > 1 and problem.inner % tp:
-                            continue
-                        stats = kern._account(
-                            (problem.rows, problem.inner // tp),
-                            (problem.inner // tp, problem.cols),
-                            mask,
-                        )
-                        t = cm.time(stats)
-                        if tp > 1:
-                            t += allreduce_time(
-                                int(nnz * 2), tp, NVLINK_BANDWIDTH_GBS
-                            )
-                        if best is None or t < best.time_s:
-                            config = {"warps": warps}
-                            if tp > 1:
-                                config["tp"] = tp
-                            best = Candidate(
-                                f"L{l_bits}-R{r_bits}", l_bits, r_bits,
-                                config, t,
-                            )
-                candidates.append(best)
+                    times[warps] = cm.time(kern._account(
+                        (problem.rows, problem.inner),
+                        (problem.inner, problem.cols),
+                        mask,
+                    ))
+                warps = min(times, key=times.get)
+                candidates.append(Candidate(
+                    precision, l_bits, r_bits, {"warps": warps}, times[warps]
+                ))
         return candidates
 
 

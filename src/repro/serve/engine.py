@@ -144,7 +144,7 @@ class Session:
             span.set(
                 plan_key=res.plan.key if res.plan is not None else None,
                 backend=res.backend,
-                device=res.device_label,
+                device=res.device.name,
             )
         return self.engine._enqueue(
             self.name, (self.name, *self.kind.group(req, res)),
@@ -218,7 +218,7 @@ class _SpmmKind(_OperandKind):
 
     def group(self, req: Request, res: Resolution) -> tuple:
         return (
-            req.rhs.shape[1], res.precision, res.backend, res.device_label,
+            req.rhs.shape[1], res.precision, res.backend, res.device.name,
             req.scale, req.l_signed, tuple(sorted(req.knobs.items())),
             repr(res.config),
         )
@@ -269,7 +269,7 @@ class _SddmmKind(_OperandKind):
 
     def group(self, req: Request, res: Resolution) -> tuple:
         return (
-            req.a.shape[1], res.precision, res.backend, res.device_label,
+            req.a.shape[1], res.precision, res.backend, res.device.name,
             req.output_format or "bcrs", tuple(sorted(req.knobs.items())),
             repr(res.config),
         )
@@ -409,6 +409,11 @@ class Engine:
         if planner is not None and cache is not None:
             raise ConfigError("pass either a planner or a cache, not both")
         self._device = Device.resolve(device)
+        if planner is not None and planner.device != self._device.name:
+            raise ConfigError(
+                f"planner device {planner.device!r} differs from the "
+                f"engine device {self._device.name!r}"
+            )
         self.backend = resolve_backend(
             backend, op="spmm", device=self._device
         ).name
@@ -622,12 +627,11 @@ class Engine:
         publish_batch(
             self.metrics, session.name, modelled_s,
             [i.queue_wait_s for i in items],
-            backend=res.backend, device=res.device_label,
+            backend=res.backend, device=res.device.name,
             plan_key=plan_key,
             predicted_time_s=(
                 res.plan.predicted_time_s if res.plan is not None else None
             ),
-            shards=res.plan.shards if res.plan is not None else 1,
             launches=launches,
             wall_time_s=wall_s,
         )
@@ -636,7 +640,7 @@ class Engine:
                 item, wall_s=wall_s, modelled_s=part.time_s,
                 batch_id=batch_id, batch_size=len(items),
                 plan_key=part.plan.key if part.plan is not None else None,
-                backend=res.backend, device=res.device_label,
+                backend=res.backend, device=res.device.name,
             )
             part.queue_wait_s = item.queue_wait_s
             part.batch_size = len(items)

@@ -1,34 +1,35 @@
-"""Cost-model-guided execution planning across backends and devices.
+"""Cost-model-guided execution planning across backends on one device.
 
 Given an operand's shape / sparsity / vector length and an
 :class:`Objective` (minimize latency, or maximize fidelity under an
-optional latency budget), the :class:`ExecutionPlanner` searches the
+optional latency budget), the :class:`ExecutionPlanner` searches, on
+its one device (a Table II profile: A100, H100, MI250X, V100), the
 cross-product of
 
 - the admissible **runtime backends** (every registered
   :class:`~repro.runtime.backend.Backend` that implements the planning
   hook — the Magicube kernels, vectorSparse, Sputnik, dense cuBLAS...),
-- the **devices** the planner was given (Table II profiles: A100,
-  H100, MI250X, V100), and
+  and
 - each backend's own configuration space (Table-IV precision pairs,
   SpMM ``BSn`` tile widths, SDDMM warps-per-block),
 
-costing every candidate with that backend's calibrated cost model. The
+costing every candidate with that backend's calibrated cost model.
+Every plan describes one launch the engine runs as planned. The
 winner is memoized in a :class:`~repro.serve.cache.PlanCache` under a
-:class:`PlanKey` that carries the searched ``(backend, device)``
-tokens, so repeated requests skip the search entirely.
+:class:`PlanKey` that carries the searched backends and the device, so
+repeated requests skip the search entirely.
 
 By default the planner pins the backend resolution picks for its
 device (:data:`~repro.runtime.DEFAULT_BACKEND` wherever integer Tensor
 cores exist, else the head of the fallback chain), so plans land under
 the keys a default engine looks up; pass ``backends=`` (or per-call
-``backend=``) and ``devices=`` to open the search.
+``backend=``) to open the search.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 from repro.errors import ConfigError
@@ -173,9 +174,9 @@ class Objective:
 class PlanKey:
     """Memoization key: one request class the planner solves once.
 
-    ``backend`` and ``device`` are the *searched* sets — ``+``-joined
-    tokens when the planner spans several — so plans found under
-    different search spaces never alias.
+    ``backend`` is the *searched* set — a ``+``-joined token when the
+    planner spans several backends — so plans found under different
+    search spaces never alias; ``device`` is the planner's device.
     """
 
     op: str  # "spmm" | "sddmm"
@@ -233,8 +234,9 @@ class PlanKey:
 class Plan:
     """One memoized execution decision.
 
-    ``backend``/``device`` identify the *winning* backend and device of
-    the search. ``config`` holds the backend-specific kernel knobs;
+    ``backend`` identifies the *winning* backend of the search and
+    ``device`` the planner's device. ``config`` holds the
+    backend-specific kernel knobs;
     for Magicube plans, rebuild the concrete config with
     :meth:`spmm_config` / :meth:`sddmm_config` (overrides allowed for
     value-only knobs such as signedness).
@@ -261,18 +263,6 @@ class Plan:
         return self.backend.startswith(("magicube", "fastpath"))
 
     @property
-    def shards(self) -> int:
-        """Tensor-parallel width the search elected (1 = one device).
-
-        A sharded plan carries ``{"tp": g}`` in its config — the
-        planner priced the contraction-dim split plus its all-reduce
-        (:mod:`repro.transformer.distributed`) and it won. The ``tp``
-        knob is placement metadata, not a kernel parameter: each shard
-        runs the plan's ordinary kernel config on its slice.
-        """
-        return int(self.config.get("tp", 1))
-
-    @property
     def stride(self) -> int:
         """SR-BCRS stride the plan's precision requires (SpMM only)."""
         return MagicubeSpMM(self.spmm_config()).required_stride
@@ -284,17 +274,13 @@ class Plan:
                 f"Magicube kernel config"
             )
 
-    def _kernel_knobs(self) -> dict:
-        """``config`` minus placement metadata (the ``tp`` width)."""
-        return {k: v for k, v in self.config.items() if k != "tp"}
-
     def spmm_config(self, **overrides) -> SpMMConfig:
         if self.op != "spmm":
             raise ConfigError(f"plan is for {self.op}, not spmm")
         self._require_magicube()
         return SpMMConfig(
             l_bits=self.l_bits, r_bits=self.r_bits,
-            **{**self._kernel_knobs(), **overrides},
+            **{**self.config, **overrides},
         )
 
     def sddmm_config(self, **overrides) -> SDDMMConfig:
@@ -303,7 +289,7 @@ class Plan:
         self._require_magicube()
         return SDDMMConfig(
             l_bits=self.l_bits, r_bits=self.r_bits,
-            **{**self._kernel_knobs(), **overrides},
+            **{**self.config, **overrides},
         )
 
     # -- JSON persistence ----------------------------------------------
@@ -322,7 +308,10 @@ class Plan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Plan":
-        return cls(
+        """Rebuild a persisted plan; ``ValueError`` when a Magicube
+        plan's knobs are not fields of its kernel config (a launch this
+        engine does not run, such as a tensor-parallel ``tp`` width)."""
+        plan = cls(
             op=d["op"],
             l_bits=int(d["l_bits"]),
             r_bits=int(d["r_bits"]),
@@ -333,14 +322,22 @@ class Plan:
             device=d.get("device", "A100"),
             precision_label=d.get("precision_label", ""),
         )
+        if plan.is_magicube:
+            kernel_config = SpMMConfig if plan.op == "spmm" else SDDMMConfig
+            unknown = set(plan.config) - {f.name for f in fields(kernel_config)}
+            if unknown:
+                raise ValueError(
+                    f"plan {plan.key!r} carries {sorted(unknown)}, which "
+                    f"are not {kernel_config.__name__} fields"
+                )
+        return plan
 
 
 @dataclass(frozen=True)
 class _Scored:
-    """One (backend, device, candidate) triple of the search space."""
+    """One (backend, candidate) pair of the search space."""
 
     backend: str
-    device: str
     candidate: Candidate
 
     @property
@@ -353,26 +350,18 @@ class _Scored:
 
 
 class ExecutionPlanner:
-    """Searches (backend x device x config) against calibrated cost models."""
+    """Searches (backend x config) on one device against calibrated
+    cost models."""
 
     def __init__(
         self,
         device: "Device | str" = "A100",
         cache: PlanCache | None = None,
         backends: Sequence[str] | None = None,
-        devices: Sequence["Device | str"] | None = None,
-        warm_start: "str | Sequence[str] | None" = None,
     ) -> None:
         self._device = Device.resolve(device)
-        extra = [Device.resolve(d) for d in (devices or ())]
-        self._devices: list[Device] = [self._device]
-        for dev in extra:
-            if dev not in self._devices:
-                self._devices.append(dev)
         self.backends = tuple(backends) if backends is not None else None
         self.cache = cache if cache is not None else PlanCache()
-        if warm_start is not None:
-            self.warm_start(warm_start)
 
     def warm_start(self, artifacts: "str | Sequence[str]") -> int:
         """Preload shipped autotune artifacts into the plan cache.
@@ -393,13 +382,8 @@ class ExecutionPlanner:
     # -- views ----------------------------------------------------------
     @property
     def device(self) -> str:
-        """Primary device name (the planner's home profile)."""
+        """Name of the device every plan is priced (and run) on."""
         return self._device.name
-
-    @property
-    def devices(self) -> tuple[str, ...]:
-        """Names of every device the search spans."""
-        return tuple(d.name for d in self._devices)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -419,8 +403,8 @@ class ExecutionPlanner:
             names = self.backends
         else:
             # default: pin the backend resolution would pick for the
-            # primary device (DEFAULT_BACKEND wherever it is admissible,
-            # else the head of the fallback chain)
+            # device (DEFAULT_BACKEND wherever it is admissible, else
+            # the head of the fallback chain)
             chain = plannable_backends(op, self._device)
             if not chain:
                 raise ConfigError(
@@ -431,17 +415,10 @@ class ExecutionPlanner:
             )
             names = (pinned.name,)
         found = plannable_backends(op, self._device, names)
-        # a multi-device search keeps backends admissible on *any*
-        # searched device (the per-device filter happens per candidate)
-        if not found and len(self._devices) > 1:
-            for dev in self._devices[1:]:
-                found = plannable_backends(op, dev, names)
-                if found:
-                    break
         if not found:
             raise ConfigError(
                 f"none of the backends {list(names)} can plan {op} on "
-                f"{list(self.devices)}"
+                f"{self.device}"
             )
         return found
 
@@ -467,7 +444,7 @@ class ExecutionPlanner:
             vector_length,
             round(sparsity, 3),
             "+".join(b.name for b in search),
-            "+".join(self.devices),
+            self.device,
             obj.token,
         )
         problem = Problem(op, rows, cols, inner, vector_length, round(sparsity, 3))
@@ -509,16 +486,16 @@ class ExecutionPlanner:
     def _search(
         self, key: PlanKey, problem: Problem, obj: Objective, search: list
     ) -> Plan:
-        scored: list[_Scored] = []
-        for backend in search:
-            for dev in self._devices:
-                if not backend.supports(dev, op=problem.op):
-                    continue
-                for cand in backend.plan_candidates(problem, dev, obj.admits):
-                    scored.append(_Scored(backend.name, dev.name, cand))
+        scored = [
+            _Scored(backend.name, cand)
+            for backend in search
+            for cand in backend.plan_candidates(
+                problem, self._device, obj.admits
+            )
+        ]
         if not scored:
             raise ConfigError(
-                f"no (backend, device, config) candidate satisfies objective "
+                f"no (backend, config) candidate satisfies objective "
                 f"{obj.token} for {key}"
             )
         winner = self._select(scored, obj)
@@ -531,7 +508,7 @@ class ExecutionPlanner:
             predicted_time_s=cand.time_s,
             key=str(key),
             backend=winner.backend,
-            device=winner.device,
+            device=self.device,
             precision_label=cand.precision,
         )
 
@@ -539,9 +516,8 @@ class ExecutionPlanner:
     def _select(scored: list[_Scored], obj: Objective) -> _Scored:
         """Pick the winning candidate per the objective.
 
-        Candidate order is deterministic (backends in fallback order,
-        devices in planner order), so stable sorts break ties toward
-        higher-priority backends.
+        Candidate order is deterministic (backends in fallback order),
+        so stable sorts break ties toward higher-priority backends.
         """
         if obj.kind == "latency":
             # fastest; ties broken toward higher fidelity

@@ -48,7 +48,6 @@ def publish_batch(
     predicted_time_s: float | None = None,
     launches: int = 1,
     wall_time_s: float | None = None,
-    shards: int = 1,
 ) -> None:
     """Publish one batched launch serving ``len(queue_waits_s)`` requests.
 
@@ -56,11 +55,10 @@ def publish_batch(
     execution stack; batches published without them only show up in
     the per-session view. ``plan_key`` attributes it to the serving
     plan that routed it (with ``predicted_time_s``, the plan's cost
-    estimate, and ``shards``, its tensor-parallel width) — the
-    per-plan view the re-tuning scheduler consumes. ``launches`` is
-    how many kernel launches ``modelled_time_s`` spans (SDDMM
-    dispatches execute item by item), so observed per-launch time stays
-    comparable to the plan's estimate. ``wall_time_s`` is the host wall
+    estimate) — the per-plan view the re-tuning scheduler consumes.
+    ``launches`` is how many kernel launches ``modelled_time_s`` spans
+    (SDDMM dispatches execute item by item), so observed per-launch
+    time stays comparable to the plan's estimate. ``wall_time_s`` is the host wall
     time of the batch execution; when given, each rider's wall latency
     — queue wait + execution — feeds ``repro_request_wall_seconds``.
     """
@@ -83,11 +81,10 @@ def publish_batch(
         waits.observe(w)
         if wall is not None:
             wall.observe(w + wall_time_s)
-    if plan_key is not None:
-        plan = {"plan": plan_key}
-        if predicted_time_s is not None:
-            metrics.gauge(names.PLAN_PREDICTED, plan).set(predicted_time_s)
-        metrics.gauge(names.PLAN_SHARDS, plan).set(max(1, shards))
+    if plan_key is not None and predicted_time_s is not None:
+        metrics.gauge(names.PLAN_PREDICTED, {"plan": plan_key}).set(
+            predicted_time_s
+        )
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,7 @@ def plan_traffic(
     ``batches``, ``launches`` and ``modelled_busy_s`` totals, the
     runtime stack that served it (``backend``/``device``), the plan's
     recorded cost estimate (``predicted_time_s``, 0 when none was
-    published) and its tensor-parallel width (``shards``).
+    published).
 
     ``since`` maps plan keys to an earlier result of this function:
     those keys count only the traffic recorded after it, and drop out
@@ -173,9 +170,7 @@ def plan_traffic(
         }
         if delta["batches"] <= 0:
             continue
-        plan = {"plan": key}
-        predicted = select(doc, names.PLAN_PREDICTED, plan)
-        shards = select(doc, names.PLAN_SHARDS, plan)
+        predicted = select(doc, names.PLAN_PREDICTED, {"plan": key})
         out[key] = {
             "requests": int(delta["requests"]),
             "batches": int(delta["batches"]),
@@ -186,7 +181,6 @@ def plan_traffic(
             ),
             "backend": p["backend"],
             "device": p["device"],
-            "shards": int(shards[0]["value"]) if shards else 1,
         }
     return out
 

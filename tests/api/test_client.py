@@ -201,6 +201,12 @@ class TestConstructorThreading:
         with pytest.raises(ConfigError):
             repro.open_engine(planner=ExecutionPlanner(), cache=PlanCache())
 
+    def test_planner_for_another_device_is_refused(self):
+        with pytest.raises(ConfigError, match="'H100'.*'A100'"):
+            repro.open_engine(
+                device="A100", planner=ExecutionPlanner(device="H100")
+            )
+
     def test_warm_start_preloads(self, tmp_path, matrix):
         from repro.autotune.artifact import write_artifact
 
@@ -209,6 +215,13 @@ class TestConstructorThreading:
         plans, _ = write_artifact(tmp_path / "plans.json", planner.cache)
         with repro.open_engine(warm_start=plans) as client:
             assert len(client.planner.cache) == len(planner.cache)
+
+    def test_request_for_another_device_is_refused(self, matrix, rhs):
+        with repro.open_engine(device="A100") as client:
+            with pytest.raises(ConfigError, match="'H100'.*'A100'"):
+                client.run(api.SpmmRequest(lhs=matrix, rhs=rhs, device="H100"))
+            response = client.run(api.SpmmRequest(lhs=matrix, rhs=rhs))
+        assert response.device == "A100"
 
     def test_device_and_backend(self):
         with repro.open_engine(device="H100") as client:

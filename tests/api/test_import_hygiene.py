@@ -1,5 +1,7 @@
 """The serving path runs on NumPy alone: ``setup.py`` declares only
-numpy, so no import on the default path may pull in scipy."""
+numpy, so no import on the default path may pull in scipy. Nor may a
+first quantized forward pull in ``numpy.ma``, which NumPy imports on a
+process's first ``np.unique`` (~15 ms inside the measured call)."""
 
 import os
 import subprocess
@@ -25,11 +27,37 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_default_serving_path_does_not_import_scipy():
+FORWARD_SCRIPT = """
+import sys
+import numpy as np
+from repro.transformer.attention import plan_pipeline
+from repro.transformer.model import make_quantized_kwargs
+from repro.transformer.serving import TransformerSpec, prepare_transformer
+
+prepared = prepare_transformer(TransformerSpec(seq_len=128))
+pipeline, _ = plan_pipeline(
+    "fastpath-vectorized", (8, 8), 128, prepared.spec.d_head, 8,
+    prepared.realized_sparsity,
+)
+quantized = make_quantized_kwargs(prepared.mask, 8, 8, kernels=pipeline)
+ids = np.random.default_rng(0).integers(0, 16, size=(4, 128))
+prepared.model.forward(ids, quantized=quantized)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def run_script(script: str) -> list[str]:
     src = str(Path(repro.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
         text=True, timeout=120, check=True,
     ).stdout.splitlines()
-    assert out == ["fastpath-vectorized", "[]"]
+
+
+def test_default_serving_path_does_not_import_scipy():
+    assert run_script(SCRIPT) == ["fastpath-vectorized", "[]"]
+
+
+def test_first_fastpath_forward_does_not_import_numpy_ma():
+    assert run_script(FORWARD_SCRIPT) == ["False"]

@@ -205,6 +205,26 @@ class TestPlannerResolve:
         with pytest.raises(ConfigError, match="rhs is required"):
             api.resolve(api.SpmmRequest(lhs=matrix), planner=planner)
 
+    def test_request_for_another_device_is_refused(self, rng, matrix):
+        """A planner prices plans on its own device only."""
+        planner = ExecutionPlanner(device="A100")
+        rhs = rng.integers(-128, 128, size=(64, 16))
+        request = api.SpmmRequest(lhs=matrix, rhs=rhs, device="H100")
+        with pytest.raises(ConfigError, match="'H100'.*'A100'"):
+            api.run(request, planner=planner)
+        assert len(planner.cache) == 0
+
+    def test_planner_device_is_the_default(self, rng, matrix):
+        """Unnamed, the device is the planner's: planned and priced there."""
+        planner = ExecutionPlanner(device="H100")
+        rhs = rng.integers(-128, 128, size=(64, 16))
+        response = api.run(api.SpmmRequest(lhs=matrix, rhs=rhs), planner=planner)
+        named = api.run(
+            api.SpmmRequest(lhs=matrix, rhs=rhs, device="H100"), planner=planner
+        )
+        assert response.device == response.plan.device == "H100"
+        assert response.time_s == named.time_s
+
     def test_sddmm_plan(self, rng, matrix):
         planner = ExecutionPlanner(device="A100")
         a = rng.integers(-128, 128, size=(32, 48))

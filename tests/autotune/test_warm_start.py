@@ -39,13 +39,10 @@ def artifact(tmp_path_factory, weights):
 
 
 class TestPlannerWarmStart:
-    def test_preloads_and_counts(self, artifact):
-        planner = ExecutionPlanner(device="A100", warm_start=str(artifact))
-        assert len(planner.cache) == len(WIDTHS)
-
     def test_warm_start_method_returns_loaded_count(self, artifact):
         planner = ExecutionPlanner(device="A100")
         assert planner.warm_start(str(artifact)) == len(WIDTHS)
+        assert len(planner.cache) == len(WIDTHS)
 
 
 class TestEngineWarmStart:

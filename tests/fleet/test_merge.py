@@ -12,7 +12,7 @@ def worker_doc(queue_depth: float) -> dict:
     """One worker's registry after serving one batch of plan key ``k``."""
     registry = MetricsRegistry()
     publish_batch(registry, "s", 1e-6, [0.0], backend="b", device="d",
-                  plan_key="k", predicted_time_s=1e-6, shards=1)
+                  plan_key="k", predicted_time_s=1e-6)
     registry.gauge(names.QUEUE_DEPTH, {"session": "s"}).set(queue_depth)
     return registry.to_dict()
 
@@ -21,9 +21,7 @@ class TestMergeMetricDocs:
     def test_per_plan_gauges_take_the_max(self):
         merged = merge_metric_docs([worker_doc(1), worker_doc(2)])
         (predicted,) = select(merged, names.PLAN_PREDICTED, {"plan": "k"})
-        (shards,) = select(merged, names.PLAN_SHARDS, {"plan": "k"})
         assert predicted["value"] == pytest.approx(1e-6)
-        assert shards["value"] == 1
 
     def test_load_gauges_and_counters_still_sum(self):
         merged = merge_metric_docs([worker_doc(1), worker_doc(2)])

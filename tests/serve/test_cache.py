@@ -196,6 +196,11 @@ class TestCorruptFiles:
         "no-plans-key": '{"version": 2}',
         "plans-not-a-dict": '{"version": 2, "plans": [1, 2]}',
         "malformed-entry": '{"version": 2, "plans": {"a": {"l_bits": 8}}}',
+        # a knob no kernel config has: the engine cannot run this plan
+        "non-kernel-knob": (
+            '{"version": 2, "plans": {"a": {"op": "spmm", "l_bits": 4, '
+            '"r_bits": 4, "config": {"bsn": 128, "tp": 4}}}}'
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -65,3 +65,36 @@ class TestTensorParallel:
     def test_bad_gpu_count(self):
         with pytest.raises(ConfigError):
             TensorParallelConfig(base=BASE, num_gpus=0)
+
+
+class TestDistributedAttention:
+    """``AttentionRequest(num_gpus=g)`` prices the tensor-parallel
+    deployment through the same resolution pipeline."""
+
+    def test_distributed_breakdown(self):
+        import repro
+        from repro.api import AttentionRequest
+
+        with repro.open_engine() as client:
+            single = client.run(AttentionRequest(seq_len=256, num_heads=8))
+            dist = client.run(
+                AttentionRequest(seq_len=256, num_heads=8, num_gpus=4)
+            )
+        assert dist.stats["comm_s"] > 0
+        assert dist.stats["compute_s"] < single.time_s  # the shard is smaller
+        assert dist.time_s == pytest.approx(
+            dist.stats["compute_s"] + dist.stats["comm_s"]
+        )
+
+    def test_topology_splits_sessions_per_width(self):
+        from repro.api import AttentionRequest
+
+        a = AttentionRequest(seq_len=128, num_heads=4)
+        b = AttentionRequest(seq_len=128, num_heads=4, num_gpus=2)
+        assert a.topology != b.topology
+
+    def test_indivisible_heads_rejected(self):
+        from repro import api
+
+        with pytest.raises(ConfigError, match="shard"):
+            api.run(api.AttentionRequest(seq_len=128, num_heads=4, num_gpus=3))
