@@ -5,7 +5,7 @@ import pytest
 
 from repro import SparseMatrix, api
 from repro.autotune import ArtifactManifest, SweepConfig, run_sweep, write_artifact
-from repro.serve.planner import ExecutionPlanner
+from repro.serve.planner import ExecutionPlanner, PlanKey
 
 WIDTHS = (16, 32)
 
@@ -39,10 +39,21 @@ def artifact(tmp_path_factory, weights):
 
 
 class TestPlannerWarmStart:
+    def test_preloads_and_counts(self, artifact):
+        planner = ExecutionPlanner(device="A100")
+        planner.warm_start(str(artifact))
+        assert len(planner.cache) == len(WIDTHS)
+        # one plan per swept width, priced for the planner's device;
+        # loading is not a lookup, so the hit/miss counters stay at zero
+        keys = planner.cache.keys()
+        assert sorted(PlanKey.parse(k).inner for k in keys) == list(WIDTHS)
+        assert all(planner.cache.peek(k).device == planner.device for k in keys)
+        stats = planner.cache.stats()
+        assert stats["hits"] == stats["misses"] == 0
+
     def test_warm_start_method_returns_loaded_count(self, artifact):
         planner = ExecutionPlanner(device="A100")
         assert planner.warm_start(str(artifact)) == len(WIDTHS)
-        assert len(planner.cache) == len(WIDTHS)
 
 
 class TestEngineWarmStart:

@@ -118,6 +118,22 @@ class TestBaselineExecution:
             res.output, (weights @ rhs).astype(np.float32), rtol=1e-2
         )
 
+    def test_csr_backends_run_and_price_their_own_kernel(self, matrix, rng):
+        """Sputnik and cuSPARSE CSR share one body keyed by ``kernel``."""
+        rhs = rng.integers(-4, 4, size=(128, 16))
+        problem = Problem("spmm", 256, 512, 128, 8, 0.9)
+        times = {}
+        for name, precision in (("sputnik", "fp32"), ("cusparse-csr", "fp16")):
+            be = get_backend(name)
+            kern = be.kernel()
+            res = be.execute("spmm", "A100", lhs=matrix, rhs=rhs)
+            direct = kern(be.prepare(matrix), rhs)
+            np.testing.assert_array_equal(res.output, direct.output)
+            (cand,) = be.plan_candidates(problem, "A100")
+            assert cand.precision == kern.precision == precision
+            times[name] = cand.time_s
+        assert times["sputnik"] != times["cusparse-csr"]
+
     def test_costs_differ_between_devices(self):
         problem = Problem("spmm", 256, 512, 128, 8, 0.9)
         be = get_backend("vector-sparse")

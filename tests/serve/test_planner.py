@@ -49,6 +49,28 @@ class TestPlansDescribeTheLaunch:
                 cfg = getattr(plan, build)()
                 assert (cfg.l_bits, cfg.r_bits) == (l_bits, r_bits)
 
+    @pytest.mark.parametrize("op", ("spmm", "sddmm"))
+    def test_every_plan_survives_serialization(self, op, planner):
+        """Plan.from_dict refuses non-kernel knobs, and so must accept
+        every plan the planner itself makes."""
+        plan_op = planner.plan_spmm if op == "spmm" else planner.plan_sddmm
+        for shape in self.SHAPES[op]:
+            for l_bits, r_bits in supported_pairs(op):
+                plan = plan_op(*shape, Objective.fixed(l_bits, r_bits))
+                assert Plan.from_dict(plan.to_dict()) == plan
+
+    def test_knob_of_the_other_op_is_refused(self, planner):
+        """Knobs are checked against the plan's own op: an SpMM tile
+        width on an SDDMM plan (or SDDMM warps on an SpMM plan) is not
+        a launch of that kernel."""
+        spmm = planner.plan_spmm(256, 512, 64, 8, 0.9).to_dict()
+        sddmm = planner.plan_sddmm(256, 512, 64, 8, 0.9).to_dict()
+        spmm["config"] = {"warps": 4}
+        sddmm["config"] = {"bsn": 64}
+        for d in (spmm, sddmm):
+            with pytest.raises(ValueError, match="not .*Config fields"):
+                Plan.from_dict(d)
+
 
 class TestObjective:
     def test_latency_default_admits_everything(self):
