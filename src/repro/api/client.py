@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.autotune.scheduler import RetuneScheduler, RetuneStatus
     from repro.obs.health import HealthReport
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.profile import ProfileConfig, Profiler
     from repro.obs.trace import Tracer
     from repro.serve.batcher import BatchPolicy
     from repro.serve.cache import PlanCache
@@ -60,7 +59,6 @@ def open_engine(
     metrics: "MetricsRegistry | None" = None,
     tracer: "Tracer | None" = None,
     trace: bool = False,
-    profile: "ProfileConfig | Profiler | None" = None,
 ) -> "Client":
     """Open a serving engine and return its :class:`Client` facade.
 
@@ -83,11 +81,6 @@ def open_engine(
     (``r.trace``) and ``r.request_id`` — and ``tracer`` passes a
     pre-built :class:`repro.obs.Tracer` instead (for custom retention
     or shared collectors); see ``docs/observability.md``.
-    ``profile`` attaches a sampling profiler
-    (:class:`repro.obs.ProfileConfig`, or a prebuilt
-    :class:`~repro.obs.profile.Profiler`): batcher dispatch and backend
-    ``execute`` then collect collapsed-stack samples, readable on
-    ``client.profiler`` and exportable to flamegraph/speedscope form.
 
     Example::
 
@@ -121,7 +114,6 @@ def open_engine(
         retune=retune,
         metrics=metrics,
         tracer=tracer,
-        profile=profile,
     )
     return Client(engine)
 
@@ -215,13 +207,6 @@ class Client:
         """The engine's request tracer (disabled unless opened with
         ``trace=True`` / ``tracer=``)."""
         return self._engine.tracer
-
-    @property
-    def profiler(self):
-        """The engine's sampling profiler (the falsy null profiler
-        unless opened with ``profile=``). ``client.profiler.report()``
-        snapshots the collapsed-stack samples collected so far."""
-        return self._engine.profiler
 
     def health(self, specs=None) -> "HealthReport":
         """Grade the engine's metrics against SLO objectives, now.

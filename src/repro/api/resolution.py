@@ -383,7 +383,6 @@ def execute(
     batch: int | None = None,
     planner: "ExecutionPlanner | None" = None,
     metrics: "MetricsRegistry | None" = None,
-    profiler=None,
 ) -> Response:
     """Run a resolution against its request's operands.
 
@@ -393,23 +392,20 @@ def execute(
     latency model and the transformer kernel launches through cached
     serving plans (the engine path). ``metrics`` receives the measured
     kernel wall time (the global registry when omitted) — the signal
-    backend speedups show up in. ``profiler`` (a
-    :class:`repro.obs.profile.Profiler`) samples the backend
-    ``execute`` call under the ``backend-execute`` phase.
+    backend speedups show up in.
     """
     if res.op == "spmm":
         the_rhs = rhs if rhs is not None else request.rhs
         if the_rhs is None:
             raise ConfigError("SpmmRequest.rhs is required to execute")
         r = _timed_execute(
-            res, metrics, profiler,
-            lhs=request.lhs, rhs=the_rhs, scale=request.scale,
+            res, metrics, lhs=request.lhs, rhs=the_rhs, scale=request.scale
         )
     elif res.op == "sddmm":
         if request.a is None or request.b is None:
             raise ConfigError("SddmmRequest.a and .b are required to execute")
         r = _timed_execute(
-            res, metrics, profiler, a=request.a, b=request.b, mask=request.mask
+            res, metrics, a=request.a, b=request.b, mask=request.mask
         )
     elif res.op == "transformer":
         return _execute_transformer(
@@ -429,7 +425,7 @@ def execute(
     )
 
 
-def _timed_execute(res: Resolution, metrics, profiler=None, **operands):
+def _timed_execute(res: Resolution, metrics, **operands):
     """Run the backend and observe the measured wall time.
 
     ``repro_kernel_wall_seconds`` is the *measured* counterpart of the
@@ -449,11 +445,7 @@ def _timed_execute(res: Resolution, metrics, profiler=None, **operands):
 
     execute = get_backend(res.backend).execute
     t0 = perf_counter()
-    if profiler:
-        with profiler.sample("backend-execute"):
-            r = execute(res.op, res.device, config=res.config, **operands)
-    else:
-        r = execute(res.op, res.device, config=res.config, **operands)
+    r = execute(res.op, res.device, config=res.config, **operands)
     wall = perf_counter() - t0
     registry = metrics if metrics is not None else get_registry()
     registry.histogram(

@@ -83,7 +83,6 @@ class RetunePolicy:
     hot_share: float = 0.10
     regression_ratio: float = 1.5
     retune_cold_misses: bool = True
-    retune_on_drift: bool = True
     slos: tuple[SloSpec, ...] = ()
     retune_on_slo_breach: bool = True
     #: opt-in: also react to queue_depth / rejection_rate breaches (the
@@ -254,7 +253,7 @@ def evaluate_traffic(
                 "hot",
                 f"traffic share {share:.1%} >= {policy.hot_share:.1%}",
             ))
-        if policy.retune_on_drift and drift:
+        if drift:
             reasons.append((
                 "drift",
                 f"{len(drift)} fingerprint mismatch(es), e.g. {drift[0]}",

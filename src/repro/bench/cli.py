@@ -2,13 +2,13 @@
 
 Usage::
 
-    python -m repro.bench                 # every table and figure
-    python -m repro.bench fig14 table2    # a subset
-    python -m repro.bench --count 16      # denser DLMC subsample
-    python -m repro.bench --list
-    python -m repro.bench serve --replay  # traffic replay -> BENCH_serve.json
-    python -m repro.bench compare BENCH_serve.json baseline.json
-    python -m repro.bench kernels --wall  # emulation vs fastpath, asserted
+    repro bench                 # every table and figure
+    repro bench fig14 table2    # a subset
+    repro bench --count 16      # denser DLMC subsample
+    repro bench --list
+    repro bench serve --replay  # traffic replay -> BENCH_serve.json
+    repro bench compare BENCH_serve.json baseline.json
+    repro bench kernels --wall  # emulation vs fastpath, asserted
 
 Prints the same rows the paper reports; heavy sweeps honour ``--count``.
 The traffic replay (``serve --replay``, :mod:`repro.bench.loadgen`)
@@ -499,13 +499,7 @@ def _run_replay(args) -> int:
     )
     report = run_replay(config, out=args.out)
     print(render_replay_report(report))
-    if args.gateway:
-        print(f"wrote {args.out} (+ .metrics.json, .trace.jsonl, .health.json)")
-    else:
-        print(
-            f"wrote {args.out} (+ .metrics.json, .trace.jsonl, .health.json, "
-            f".profile.json, .folded.txt)"
-        )
+    print(f"wrote {args.out} (+ .metrics.json, .trace.jsonl, .health.json)")
     return 0
 
 

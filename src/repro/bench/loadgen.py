@@ -6,13 +6,11 @@ control pushing back, the micro-batcher coalescing, the planner
 resolving, and the :mod:`repro.obs` metrics registry keeping score —
 and writes the numbers down as a schema-versioned
 ``BENCH_serve.json`` artifact, with the full observability triad next
-to it: the raw metrics snapshot, the span-tree trace log, an SLO
+to it: the raw metrics snapshot, the span-tree trace log, and an SLO
 health report (``BENCH_serve.health.json``, graded over
-:data:`repro.obs.health.DEFAULT_SLOS`), and the sampling profiler's
-flamegraph exports (``BENCH_serve.profile.json`` speedscope +
-``BENCH_serve.folded.txt``).
+:data:`repro.obs.health.DEFAULT_SLOS`).
 
-Three arrival processes are built in (all seeded, all deterministic in
+Four arrival processes are built in (all seeded, all deterministic in
 their *schedules*; wall-clock numbers naturally vary per host):
 
 - ``poisson`` — exponential inter-arrivals at ``rate_rps``;
@@ -27,14 +25,15 @@ bounded-request-class deployment.
 
 CLI::
 
-    python -m repro.bench serve --replay --requests 200 --arrival bursty
-    python -m repro.bench compare BENCH_serve.json baseline.json
+    repro bench serve --replay --requests 200 --arrival bursty
+    repro bench compare BENCH_serve.json baseline.json
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -67,8 +66,8 @@ DEFAULT_OUT = "BENCH_serve.json"
 def _side_path(out: str | Path, artifact: str) -> Path:
     """Where a side artifact of the report ``out`` goes: next to it,
     named after it — ``X.json`` -> ``X.metrics.json`` for
-    ``artifact="metrics.json"`` (likewise ``trace.jsonl``,
-    ``health.json``, ``profile.json``, ``folded.txt``)."""
+    ``artifact="metrics.json"`` (likewise ``trace.jsonl`` and
+    ``health.json``)."""
     return Path(out).with_suffix(f".{artifact}")
 
 
@@ -309,30 +308,111 @@ def _results(
     }
 
 
+class _EngineDoor:
+    """Direct mode's front door: one traced in-process engine on a
+    fresh registry."""
+
+    def __init__(self, config: ReplayConfig) -> None:
+        from repro import api
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.trace import Tracer
+        from repro.serve.batcher import BatchPolicy
+
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer(enabled=True, keep=config.requests)
+        self._client = api.open_engine(
+            device=config.device, backend=config.backend,
+            policy=BatchPolicy(max_queue_depth=config.max_queue_depth),
+            metrics=self.registry, tracer=self.tracer,
+        )
+        # priming prepares each class, so session build cost (operand
+        # conversion, backend pinning) is not billed to the first arrival
+        self.prime = self._client.prepare
+        self.submit = self._client.submit
+
+    def drain(self, futures: list) -> None:
+        for f in futures:
+            f.result()
+
+    def snapshot(self) -> tuple:
+        """``(registry, tracer, health, extra results sections)``."""
+        from repro.obs.health import DEFAULT_SLOS, evaluate_registry
+
+        health = evaluate_registry(self.registry, DEFAULT_SLOS)
+        return self.registry, self.tracer, health, {}
+
+    def close(self) -> None:
+        self._client.close()
+
+
+class _GatewayDoor:
+    """Gateway mode's front door: a :class:`repro.fleet.Gateway`.
+
+    Every number is read off the gateway's merged metrics snapshot,
+    which aggregates every worker's registry, plus a
+    ``results.gateway`` section recording the fleet topology and
+    shed/retry counters. The tracer lives inside the workers, so
+    ``.trace.jsonl`` is an empty log in this mode.
+    """
+
+    def __init__(self, config: ReplayConfig) -> None:
+        from repro.fleet.gateway import FleetConfig, open_fleet
+        from repro.serve.batcher import BatchPolicy
+
+        self._fleet_config = FleetConfig(
+            workers=config.gateway_workers,
+            device=config.device,
+            backend=config.backend,
+            policy=BatchPolicy(max_queue_depth=config.max_queue_depth),
+        )
+        self._gateway = open_fleet(self._fleet_config)
+        # priming runs each class once, so placements are built
+        self.prime = self._gateway.run
+        self.submit = self._gateway.submit
+
+    def drain(self, futures: list) -> None:
+        self._gateway.flush()
+        for f in futures:
+            f.result(self._fleet_config.rpc_timeout_s)
+
+    def snapshot(self) -> tuple:
+        """``(registry, tracer, health, extra results sections)``."""
+        from repro.obs import names
+        from repro.obs.trace import Tracer
+
+        registry = self._gateway.metrics_snapshot()
+        health = self._gateway.health()
+        workers = self._gateway.status()["workers"]
+        doc = registry.to_dict()
+        gateway = {
+            "workers": len(workers),
+            "restarts": sum(w["restarts"] for w in workers.values()),
+            "shed": _counter_total(doc, names.FLEET_SHED),
+            "retries": _counter_total(doc, names.FLEET_RETRIES),
+        }
+        return registry, Tracer(enabled=False), health, {"gateway": gateway}
+
+    def close(self) -> None:
+        self._gateway.close()
+
+
 def run_replay(
     config: ReplayConfig | None = None, *, out: str | Path | None = DEFAULT_OUT
 ) -> dict:
-    """Replay one arrival schedule against a live engine; return (and
+    """Replay one arrival schedule against a live engine — or, with
+    ``config.gateway_workers``, a worker fleet — and return (and
     optionally write to ``out``) the ``BENCH_serve.json`` report dict.
 
-    Beyond the report itself, a run leaves the full observability triad
-    next to ``out``, named after it (``X.json`` -> ``X.metrics.json``):
-    the metrics snapshot (``.metrics.json``), the span-tree trace log
-    (``.trace.jsonl``), an SLO health report graded over the default
-    objectives (``.health.json``), and the sampling profiler's
-    speedscope + folded-stack flamegraph exports (``.profile.json`` /
-    ``.folded.txt``). ``out=None`` writes nothing.
+    Both modes write the same report shape, so ``repro bench compare``
+    gates them against each other; a fleet run adds a
+    ``results.gateway`` section. Beyond the report itself, a run leaves
+    its observability artifacts next to ``out``, named after it
+    (``X.json`` -> ``X.metrics.json``): the metrics snapshot
+    (``.metrics.json``), the span-tree trace log (``.trace.jsonl``) and
+    an SLO health report graded over the default objectives
+    (``.health.json``). ``out=None`` writes nothing.
     """
-    from repro import api
-    from repro.obs.health import DEFAULT_SLOS, evaluate_registry
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.profile import ProfileConfig, render_folded
-    from repro.obs.trace import Tracer
-    from repro.serve.batcher import BatchPolicy
-
     config = config if config is not None else ReplayConfig()
-    if config.gateway_workers is not None:
-        return _run_replay_gateway(config, out=out)
     offsets = arrival_offsets(config)
     workload = _build_workload(config)
     rng = np.random.default_rng(config.seed + 2)
@@ -340,42 +420,30 @@ def run_replay(
         workload.classes, size=config.requests, p=workload.weights
     ).tolist()
 
-    registry = MetricsRegistry()
-    tracer = Tracer(enabled=True, keep=config.requests)
-    policy = BatchPolicy(max_queue_depth=config.max_queue_depth)
+    door_type = _EngineDoor if config.gateway_workers is None else _GatewayDoor
     futures = []
     rejected = 0
-    with api.open_engine(
-        device=config.device, backend=config.backend, policy=policy,
-        metrics=registry, tracer=tracer, profile=ProfileConfig(),
-    ) as client:
-        # prepare every class up front so session build cost (operand
-        # conversion, backend pinning) is not billed to the first arrival
+    with closing(door_type(config)) as door:
         for kind in workload.classes:
-            client.prepare(_make_request(kind, workload))
+            door.prime(_make_request(kind, workload))
         t0 = time.perf_counter()
         for offset, kind in zip(offsets, kinds):
             delay = t0 + offset - time.perf_counter()
             if delay > 0:
                 time.sleep(delay)
             try:
-                futures.append(client.submit(_make_request(kind, workload)))
+                futures.append(door.submit(_make_request(kind, workload)))
             except AdmissionError:
                 rejected += 1
-        for f in futures:
-            f.result()
+        door.drain(futures)
         duration_s = time.perf_counter() - t0
-        profile_report = client.profiler.report()
+        registry, tracer, health, sections = door.snapshot()
 
-    health = evaluate_registry(registry, DEFAULT_SLOS)
     results = _results(
         config, offsets, registry, health, completed=len(futures),
         rejected=rejected, duration_s=duration_s,
     )
-    results["profile"] = {
-        "sampled": profile_report.sampled,
-        "phases": profile_report.phase_totals(),
-    }
+    results.update(sections)
     report = {
         "schema": BENCH_SCHEMA,
         "bench": "serve-replay",
@@ -384,15 +452,11 @@ def run_replay(
     }
     if out is not None:
         _write_artifacts(out, report, registry, tracer, health)
-        profile_report.save(_side_path(out, "profile.json"))
-        atomic_write_text(
-            _side_path(out, "folded.txt"), render_folded(profile_report)
-        )
     return report
 
 
 def _write_artifacts(out, report: dict, registry, tracer, health) -> None:
-    """The report plus the side artifacts both replay modes leave."""
+    """The report plus its side artifacts."""
     from repro.obs.export import write_snapshot
 
     atomic_write_text(
@@ -401,83 +465,6 @@ def _write_artifacts(out, report: dict, registry, tracer, health) -> None:
     write_snapshot(registry, _side_path(out, "metrics.json"))
     tracer.export_jsonl(_side_path(out, "trace.jsonl"))
     health.save(_side_path(out, "health.json"))
-
-
-def _run_replay_gateway(
-    config: ReplayConfig, *, out: str | Path | None
-) -> dict:
-    """Replay the same schedule through a :class:`repro.fleet.Gateway`.
-
-    Same ``BENCH_serve.json`` shape as the direct-engine path (so
-    ``repro bench compare`` gates the two against each other): every
-    number is read off the gateway's merged metrics snapshot, which
-    aggregates every worker's registry, plus an extra
-    ``results.gateway`` section recording the fleet topology and
-    shed/retry counters. The in-process sampling profiler and tracer
-    live inside the workers, so the ``.profile.json`` / ``.folded.txt``
-    side artifacts are not written in this mode and ``.trace.jsonl`` is
-    an empty log.
-    """
-    from repro.fleet.gateway import FleetConfig, open_fleet
-    from repro.obs import names
-    from repro.obs.trace import Tracer
-    from repro.serve.batcher import BatchPolicy
-
-    offsets = arrival_offsets(config)
-    workload = _build_workload(config)
-    rng = np.random.default_rng(config.seed + 2)
-    kinds = rng.choice(
-        workload.classes, size=config.requests, p=workload.weights
-    ).tolist()
-
-    fleet_config = FleetConfig(
-        workers=config.gateway_workers,
-        device=config.device,
-        backend=config.backend,
-        policy=BatchPolicy(max_queue_depth=config.max_queue_depth),
-    )
-    futures = []
-    rejected = 0
-    with open_fleet(fleet_config) as gateway:
-        for kind in workload.classes:  # priming pass (build placements)
-            gateway.run(_make_request(kind, workload))
-        t0 = time.perf_counter()
-        for offset, kind in zip(offsets, kinds):
-            delay = t0 + offset - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            try:
-                futures.append(gateway.submit(_make_request(kind, workload)))
-            except AdmissionError:
-                rejected += 1
-        gateway.flush()
-        for f in futures:
-            f.result(fleet_config.rpc_timeout_s)
-        duration_s = time.perf_counter() - t0
-        registry = gateway.metrics_snapshot()
-        health = gateway.health()
-        status = gateway.status()
-
-    results = _results(
-        config, offsets, registry, health, completed=len(futures),
-        rejected=rejected, duration_s=duration_s,
-    )
-    doc = registry.to_dict()
-    results["gateway"] = {
-        "workers": len(status["workers"]),
-        "restarts": sum(w["restarts"] for w in status["workers"].values()),
-        "shed": _counter_total(doc, names.FLEET_SHED),
-        "retries": _counter_total(doc, names.FLEET_RETRIES),
-    }
-    report = {
-        "schema": BENCH_SCHEMA,
-        "bench": "serve-replay",
-        "config": config.to_dict(),
-        "results": results,
-    }
-    if out is not None:
-        _write_artifacts(out, report, registry, Tracer(enabled=False), health)
-    return report
 
 
 def render_replay_report(report: dict) -> str:
@@ -537,16 +524,6 @@ def render_replay_report(report: dict) -> str:
             f"gateway: {gateway['workers']} worker(s), "
             f"{gateway['restarts']} restart(s), {gateway['shed']:.0f} shed, "
             f"{gateway['retries']:.0f} retried"
-        )
-    profile = r.get("profile")
-    if profile:
-        phases = ", ".join(
-            f"{name} {t['wall_s'] * 1e3:.1f}ms/{t['count']}"
-            for name, t in sorted(profile["phases"].items())
-        )
-        lines.append(
-            f"profile: {profile['sampled']} sample(s){': ' if phases else ''}"
-            f"{phases}"
         )
     return "\n".join(lines)
 

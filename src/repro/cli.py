@@ -11,9 +11,8 @@ Usage::
 
 Each subcommand delegates to the matching subsystem CLI
 (:mod:`repro.serve.cli`, :mod:`repro.autotune.cli`,
-:mod:`repro.bench.cli`, ...) with the remaining arguments untouched, so
-``repro serve --demo`` and ``python -m repro.serve --demo`` accept the
-same flags.
+:mod:`repro.bench.cli`, ...) with the remaining arguments untouched.
+``python -m repro <cmd>`` is the same entry point.
 """
 
 from __future__ import annotations

@@ -167,8 +167,7 @@ class FleetConfig:
     ``retune`` / ``backend`` / ``device`` forward to every worker's
     :func:`repro.open_engine`. ``max_inflight`` is the per-worker
     shed threshold at the gateway, ``max_restarts`` the per-slot
-    respawn budget, ``retry_lost`` the retry-once toggle for requests
-    lost to a dying worker.
+    respawn budget. A request lost to a dying worker is retried once.
     """
 
     workers: int = 2
@@ -182,7 +181,6 @@ class FleetConfig:
     max_restarts: int = 3
     heartbeat_s: float = DEFAULT_HEARTBEAT_S
     rpc_timeout_s: float = 60.0
-    retry_lost: bool = True
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -379,7 +377,7 @@ class Gateway:
                 p.future.set_exception(WorkerCrashError(
                     f"worker {name!r} died during a {p.kind!r} call"
                 ))
-            elif not self.config.retry_lost or p.attempts >= 2:
+            elif p.attempts >= 2:
                 p.future.set_exception(WorkerCrashError(
                     f"request to session {p.session!r} lost with worker "
                     f"{name!r} (attempt {p.attempts}); not retrying"
@@ -470,7 +468,7 @@ class Gateway:
                 f"worker {worker!r} pipe closed during a "
                 f"{pending.kind!r} call"
             ))
-        elif self.config.retry_lost and pending.attempts < 2:
+        elif pending.attempts < 2:
             try:
                 self._retry(pending, died=worker, dead_conn=dead_conn)
             except BaseException as exc:

@@ -11,9 +11,8 @@ The observability subsystem the serving stack publishes into:
   ``docs/observability.md``).
 - :mod:`repro.obs.export` — JSON-snapshot and Prometheus-text
   exporters, surfaced by the ``repro obs`` CLI.
-- :mod:`repro.obs.profile` — self-time attribution over span trees and
-  the opt-in sampling profiler (``Engine(profile=ProfileConfig())``),
-  exporting folded-stack and speedscope flamegraphs.
+- :mod:`repro.obs.profile` — self-time attribution over span trees
+  (what ``repro obs profile`` prints).
 - :mod:`repro.obs.health` — declarative :class:`SloSpec` objectives and
   burn-rate evaluation over any registry, producing probe-style
   :class:`HealthReport` grades.
@@ -44,15 +43,7 @@ from repro.obs.metrics import (
     set_registry,
 )
 from repro.obs.names import STANDARD_METRICS, declare_standard
-from repro.obs.profile import (
-    NULL_PROFILER,
-    ProfileConfig,
-    ProfileReport,
-    Profiler,
-    attribute,
-    render_folded,
-    render_speedscope,
-)
+from repro.obs.profile import attribute
 from repro.obs.trace import NULL_SPAN, NULL_TRACE, RequestTrace, Span, Tracer
 
 __all__ = [
@@ -63,12 +54,8 @@ __all__ = [
     "HealthReport",
     "Histogram",
     "MetricsRegistry",
-    "NULL_PROFILER",
     "NULL_SPAN",
     "NULL_TRACE",
-    "ProfileConfig",
-    "ProfileReport",
-    "Profiler",
     "RequestTrace",
     "STANDARD_METRICS",
     "SloSpec",
@@ -82,8 +69,6 @@ __all__ = [
     "parse_prometheus",
     "render_json",
     "render_prometheus",
-    "render_folded",
-    "render_speedscope",
     "set_registry",
     "write_snapshot",
 ]

@@ -1,337 +1,21 @@
-"""Continuous profiling: where time goes *inside* a span.
+"""Self-time attribution: where time goes *inside* a span.
 
 The tracer (:mod:`repro.obs.trace`) answers "which phase was slow for
-this request"; this module answers the next two questions an operator
-asks:
-
-- **Self-time attribution** — :func:`attribute` walks finished
-  :class:`~repro.obs.trace.RequestTrace` span trees (live objects or
-  their exported dict form) and charges each span its *self* time —
-  wall minus the wall of its children — aggregated per
-  ``phase × backend × plan key``. A phase that is slow only because a
-  child is slow attributes nothing to itself, so the table points at
-  the code that actually burned the time.
-- **Sampling profiler** — a :class:`Profiler` built from a
-  :class:`ProfileConfig` and threaded through the serving stack
-  (``Engine(profile=ProfileConfig(...))``). The batcher's dispatch and
-  every backend ``execute`` call run under :meth:`Profiler.sample`,
-  which — for the sampled fraction of calls — captures the current
-  Python call stack as a **collapsed-stack** frame list, the phase's
-  wall time, and (opt-in) the tracemalloc peak while the phase ran.
-  Aggregation is bounded: at most ``max_stacks`` distinct stacks are
-  retained per phase; further novel stacks fold into a ``(truncated)``
-  bucket rather than growing memory with traffic.
-
-Disabled profiling mirrors the tracer's null-object story: an engine
-opened without ``profile=`` holds the falsy :data:`NULL_PROFILER`
-singleton whose :meth:`~_NullProfiler.sample` returns a shared no-op
-context manager — no allocation, no branching beyond one method call,
-per dispatch. The acceptance tests pin the disabled path below 5% of a
-request's wall time, exactly like the tracer guard.
-
-Two export formats, both standard flamegraph inputs:
-
-- :func:`render_folded` — ``stack;frames;here count`` lines
-  (Brendan Gregg's folded format, ``flamegraph.pl`` input);
-- :func:`render_speedscope` — a ``sampled`` speedscope JSON profile
-  (https://www.speedscope.app), one profile per phase.
+this request"; :func:`attribute` answers the next question an operator
+asks. It walks finished :class:`~repro.obs.trace.RequestTrace` span
+trees (live objects or their exported dict form) and charges each span
+its *self* time — wall minus the wall of its children — aggregated per
+``phase × backend × plan key``. A phase that is slow only because a
+child is slow attributes nothing to itself, so the table points at the
+code that actually burned the time. ``repro obs profile`` prints it.
 """
 
 from __future__ import annotations
 
-import json
-import random
-import threading
-import traceback
-from dataclasses import dataclass
-from pathlib import Path
-from time import perf_counter
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from repro.errors import ConfigError
-from repro.ioutil import atomic_write_text
+__all__ = ["attribute"]
 
-__all__ = [
-    "NULL_PROFILER",
-    "PhaseStat",
-    "ProfileConfig",
-    "ProfileReport",
-    "Profiler",
-    "attribute",
-    "render_folded",
-    "render_speedscope",
-]
-
-#: schema version stamped into exported profile reports
-PROFILE_SCHEMA = 1
-
-#: the synthetic leaf novel stacks fold into once ``max_stacks`` is hit
-TRUNCATED_STACK = "(truncated)"
-
-
-@dataclass(frozen=True)
-class ProfileConfig:
-    """How an engine profiles itself (pass to ``Engine(profile=...)``).
-
-    ``sample_rate`` is the fraction of profiled calls that capture a
-    stack (1.0 = every call; sampling is seeded, so a given call
-    sequence samples deterministically). ``memory=True`` additionally
-    records the tracemalloc peak over each *sampled* phase — useful,
-    but it starts :mod:`tracemalloc` process-wide, which is not free;
-    leave it off unless memory is the question. ``max_stacks`` bounds
-    the distinct collapsed stacks retained per phase.
-    """
-
-    sample_rate: float = 1.0
-    memory: bool = False
-    max_stacks: int = 256
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.sample_rate <= 1.0:
-            raise ConfigError(
-                f"sample_rate must be in (0, 1], got {self.sample_rate}"
-            )
-        if self.max_stacks < 1:
-            raise ConfigError("max_stacks must be >= 1")
-
-
-@dataclass
-class PhaseStat:
-    """Aggregated samples of one ``(phase, collapsed stack)`` pair."""
-
-    phase: str
-    stack: str
-    count: int = 0
-    wall_s: float = 0.0
-    peak_bytes: int = 0  # max tracemalloc peak seen (0 without memory=)
-
-    def to_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "stack": self.stack,
-            "count": self.count,
-            "wall_s": self.wall_s,
-            "peak_bytes": self.peak_bytes,
-        }
-
-
-class _Sample:
-    """One live sampled phase: times itself, lands in the profiler."""
-
-    __slots__ = ("_profiler", "_phase", "_stack", "_t0", "_mem")
-
-    def __init__(self, profiler: "Profiler", phase: str, stack: str) -> None:
-        self._profiler = profiler
-        self._phase = phase
-        self._stack = stack
-        self._t0 = 0.0
-        self._mem = False
-
-    def __enter__(self) -> "_Sample":
-        if self._profiler.config.memory:
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-            tracemalloc.reset_peak()
-            self._mem = True
-        self._t0 = perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        wall = perf_counter() - self._t0
-        peak = 0
-        if self._mem:
-            import tracemalloc
-
-            _, peak = tracemalloc.get_traced_memory()
-        self._profiler._record(self._phase, self._stack, wall, peak)
-
-
-class _NullSample:
-    """The no-op sample an unsampled (or disabled) call receives."""
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __enter__(self) -> "_NullSample":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-class _NullProfiler:
-    """The no-op profiler a disabled engine holds (falsy singleton)."""
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-    def sample(self, phase: str) -> _NullSample:
-        return NULL_SAMPLE
-
-    def report(self) -> "ProfileReport":
-        return ProfileReport(stats=[], sampled=0, skipped=0)
-
-
-NULL_SAMPLE = _NullSample()
-NULL_PROFILER = _NullProfiler()
-
-
-#: stack frames below these functions are serving-machinery noise the
-#: collapsed stack drops (everything from the sample call site down)
-_CUT_FUNCTIONS = frozenset(("sample", "__enter__"))
-
-
-def _collapsed_stack(skip: int = 2) -> str:
-    """The current call stack as ``module:function`` frames, root-first,
-    joined with ``;`` (the folded-stack separator). ``skip`` drops the
-    innermost frames (this helper and its caller)."""
-    frames = traceback.extract_stack()[:-skip]
-    parts = []
-    for f in frames:
-        name = Path(f.filename).stem
-        if f.name in _CUT_FUNCTIONS and name == "profile":
-            continue
-        parts.append(f"{name}:{f.name}")
-    return ";".join(parts) if parts else "(empty)"
-
-
-class Profiler:
-    """Bounded, thread-safe collector of sampled phase executions.
-
-    The serving stack calls :meth:`sample` around its hot phases; the
-    returned context manager is live (captures a stack and times the
-    phase) for the configured fraction of calls and the shared no-op
-    otherwise. :meth:`report` snapshots the aggregate.
-    """
-
-    def __init__(self, config: ProfileConfig | None = None) -> None:
-        self.config = config if config is not None else ProfileConfig()
-        self.enabled = True
-        self._lock = threading.Lock()
-        #: (phase, stack) -> PhaseStat, bounded per phase by max_stacks
-        self._stats: dict[tuple[str, str], PhaseStat] = {}
-        self._stacks_per_phase: dict[str, int] = {}
-        self._sampled = 0
-        self._skipped = 0
-        self._rng = random.Random(self.config.seed)
-
-    def __bool__(self) -> bool:
-        return True
-
-    def sample(self, phase: str) -> "_Sample | _NullSample":
-        """A context manager timing one phase execution — live for the
-        sampled fraction of calls, the shared no-op otherwise."""
-        rate = self.config.sample_rate
-        if rate < 1.0:
-            with self._lock:
-                if self._rng.random() >= rate:
-                    self._skipped += 1
-                    return NULL_SAMPLE
-        # capture the stack at entry: identical to the exit stack for a
-        # context manager, and it keeps __exit__ thin
-        return _Sample(self, phase, _collapsed_stack(skip=2))
-
-    def _record(
-        self, phase: str, stack: str, wall_s: float, peak_bytes: int
-    ) -> None:
-        with self._lock:
-            self._sampled += 1
-            key = (phase, stack)
-            stat = self._stats.get(key)
-            if stat is None:
-                if self._stacks_per_phase.get(phase, 0) >= self.config.max_stacks:
-                    key = (phase, TRUNCATED_STACK)
-                    stat = self._stats.get(key)
-                if stat is None:
-                    stat = self._stats[key] = PhaseStat(phase=phase, stack=key[1])
-                    self._stacks_per_phase[phase] = (
-                        self._stacks_per_phase.get(phase, 0) + 1
-                    )
-            stat.count += 1
-            stat.wall_s += wall_s
-            if peak_bytes > stat.peak_bytes:
-                stat.peak_bytes = peak_bytes
-
-    def report(self) -> "ProfileReport":
-        """A point-in-time snapshot of everything sampled so far."""
-        with self._lock:
-            stats = sorted(
-                (PhaseStat(**s.to_dict()) for s in self._stats.values()),
-                key=lambda s: (-s.wall_s, s.phase, s.stack),
-            )
-            return ProfileReport(
-                stats=stats, sampled=self._sampled, skipped=self._skipped
-            )
-
-
-@dataclass
-class ProfileReport:
-    """The exportable aggregate of one profiler's samples."""
-
-    stats: list[PhaseStat]
-    sampled: int = 0
-    skipped: int = 0
-
-    @property
-    def phases(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for s in self.stats:
-            seen[s.phase] = None
-        return list(seen)
-
-    def phase_totals(self) -> dict[str, dict]:
-        """Per-phase roll-up: samples, wall, peak memory."""
-        out: dict[str, dict] = {}
-        for s in self.stats:
-            t = out.setdefault(
-                s.phase, {"count": 0, "wall_s": 0.0, "peak_bytes": 0}
-            )
-            t["count"] += s.count
-            t["wall_s"] += s.wall_s
-            t["peak_bytes"] = max(t["peak_bytes"], s.peak_bytes)
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": PROFILE_SCHEMA,
-            "sampled": self.sampled,
-            "skipped": self.skipped,
-            "phases": self.phase_totals(),
-            "stats": [s.to_dict() for s in self.stats],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ProfileReport":
-        if d.get("schema") != PROFILE_SCHEMA:
-            raise ConfigError(
-                f"profile schema {d.get('schema')!r} is not {PROFILE_SCHEMA}"
-            )
-        return cls(
-            stats=[
-                PhaseStat(
-                    phase=s["phase"], stack=s["stack"], count=int(s["count"]),
-                    wall_s=float(s["wall_s"]),
-                    peak_bytes=int(s.get("peak_bytes", 0)),
-                )
-                for s in d.get("stats", ())
-            ],
-            sampled=int(d.get("sampled", 0)),
-            skipped=int(d.get("skipped", 0)),
-        )
-
-    def save(self, path: "str | Path") -> Path:
-        """Atomically write the speedscope JSON export; returns the path."""
-        return atomic_write_text(path, render_speedscope(self) + "\n")
-
-
-# -- self-time attribution from span trees ------------------------------
 
 def attribute(traces: Iterable) -> list[dict]:
     """Self-time table from finished request traces.
@@ -380,67 +64,3 @@ def attribute(traces: Iterable) -> list[dict]:
         table.values(),
         key=lambda r: (-r["self_s"], r["phase"], r["backend"], r["plan_key"]),
     )
-
-
-# -- exporters ----------------------------------------------------------
-
-def render_folded(report: ProfileReport, weight: str = "wall_us") -> str:
-    """The report as folded-stack lines (``flamegraph.pl`` input).
-
-    One line per distinct stack: frames joined with ``;`` (the phase is
-    the root frame), a space, then the integer weight —
-    ``wall_us`` (default) or ``samples``.
-    """
-    if weight not in ("wall_us", "samples"):
-        raise ConfigError(f"unknown folded weight {weight!r}")
-    lines = []
-    for s in report.stats:
-        w = s.count if weight == "samples" else round(s.wall_s * 1e6)
-        lines.append(f"{s.phase};{s.stack} {int(w)}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def render_speedscope(report: ProfileReport, name: str = "repro") -> str:
-    """The report as a speedscope JSON document (one ``sampled``
-    profile per phase; weights are microseconds of sampled wall)."""
-    frame_index: dict[str, int] = {}
-
-    def frames_for(stack: str) -> list[int]:
-        out = []
-        for frame in stack.split(";"):
-            if frame not in frame_index:
-                frame_index[frame] = len(frame_index)
-            out.append(frame_index[frame])
-        return out
-
-    profiles = []
-    for phase in report.phases:
-        samples, weights = [], []
-        for s in report.stats:
-            if s.phase != phase:
-                continue
-            samples.append(frames_for(f"{s.phase};{s.stack}"))
-            weights.append(round(s.wall_s * 1e6))
-        profiles.append({
-            "type": "sampled",
-            "name": phase,
-            "unit": "microseconds",
-            "startValue": 0,
-            "endValue": sum(weights),
-            "samples": samples,
-            "weights": weights,
-        })
-    doc = {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "name": name,
-        "activeProfileIndex": 0,
-        "exporter": "repro.obs.profile",
-        "shared": {
-            "frames": [
-                {"name": frame}
-                for frame, _ in sorted(frame_index.items(), key=lambda kv: kv[1])
-            ]
-        },
-        "profiles": profiles,
-    }
-    return json.dumps(doc, sort_keys=True)

@@ -40,7 +40,7 @@ Quick start (the typed v1 surface — see :mod:`repro.api`)::
         result = future.result()
         result.output, result.plan.precision, result.time_s
 
-``repro serve --demo`` (or ``python -m repro.serve --demo``) runs a
+``repro serve --demo`` (or ``python -m repro serve --demo``) runs a
 self-contained serving demo.
 """
 

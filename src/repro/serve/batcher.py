@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
 
 from repro.errors import AdmissionError, EngineClosedError
-from repro.obs.profile import NULL_PROFILER
 
 #: the mean batch wall time is a plain running mean over the first
 #: this-many batches, then an exponential one with weight 1/_WALL_WINDOW
@@ -129,13 +128,9 @@ class MicroBatcher:
         execute: Callable[[Hashable, Sequence[BatchItem]], Sequence[object]],
         policy: BatchPolicy | None = None,
         max_workers: int = 4,
-        profiler=None,
     ) -> None:
         self._execute = execute
         self.policy = policy if policy is not None else BatchPolicy()
-        # the engine threads its (possibly null) sampling profiler in;
-        # a bare batcher runs unprofiled
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         self._groups: dict[Hashable, _Group] = {}
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
@@ -318,8 +313,7 @@ class MicroBatcher:
                 for p in pending
             ]
             try:
-                with self.profiler.sample("batcher-dispatch"):
-                    results = self._execute(key, items)
+                results = self._execute(key, items)
                 if len(results) != len(pending):
                     raise RuntimeError(
                         f"execute returned {len(results)} results for "

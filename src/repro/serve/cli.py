@@ -8,7 +8,7 @@ Usage::
     repro serve --plan spmm:512x512x256:v=8:s=0.9
     repro serve --demo --cache plans.json   # persist PlanCache
 
-(``python -m repro.serve`` accepts the same flags.) The demo opens a
+The demo opens a
 :func:`repro.open_engine` client with two prepared SpMM request
 classes (a pruned Transformer FFN and a pruned ResNet layer) and one
 sparse-attention class, then fires a shuffled stream of typed mixed

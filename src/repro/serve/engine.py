@@ -55,7 +55,6 @@ from repro.errors import AdmissionError, ConfigError, EngineClosedError, RetuneE
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.names import declare_standard
-from repro.obs.profile import NULL_PROFILER, ProfileConfig, Profiler
 from repro.obs.trace import Tracer
 from repro.runtime import Device, resolve_backend
 from repro.serve.batcher import BatchItem, BatchPolicy, MicroBatcher
@@ -166,8 +165,7 @@ class Session:
 def _execute(session: Session, res: Resolution, req: Request, **operands) -> Response:
     engine = session.engine
     return execute_resolution(
-        res, req, planner=engine.planner, metrics=engine.metrics,
-        profiler=engine.profiler, **operands,
+        res, req, planner=engine.planner, metrics=engine.metrics, **operands
     )
 
 
@@ -382,7 +380,6 @@ class Engine:
         retune: "RetunePolicy | None" = None,
         metrics=None,
         tracer: Tracer | None = None,
-        profile: "ProfileConfig | Profiler | None" = None,
     ) -> None:
         """``warm_start`` preloads one or more shipped autotune
         artifacts (see :mod:`repro.autotune`) into the planner's plan
@@ -399,13 +396,7 @@ class Engine:
         ``engine.telemetry`` reads it back. ``tracer`` attaches a
         :class:`repro.obs.Tracer` — requests then carry their span
         tree on ``Response.trace``; the default is a disabled tracer
-        (near-zero overhead). ``profile`` attaches
-        a sampling profiler (a
-        :class:`~repro.obs.profile.ProfileConfig`, or a prebuilt
-        :class:`~repro.obs.profile.Profiler` to share across engines):
-        batcher dispatch and backend ``execute`` calls then collect
-        collapsed-stack samples on ``engine.profiler``; the default is
-        the null profiler (one no-op method call per dispatch)."""
+        (near-zero overhead)."""
         if planner is not None and cache is not None:
             raise ConfigError("pass either a planner or a cache, not both")
         self._device = Device.resolve(device)
@@ -433,12 +424,6 @@ class Engine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         declare_standard(self.metrics)
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        if profile is None:
-            self.profiler = NULL_PROFILER
-        elif isinstance(profile, Profiler):
-            self.profiler = profile
-        else:
-            self.profiler = Profiler(profile)
         self.telemetry = Telemetry(self.metrics)
         self.planner.cache.bind_metrics(self.metrics)
         #: monotonic request ids (``Response.request_id``)
@@ -446,8 +431,7 @@ class Engine:
         self._batch_ids = itertools.count(1)
         self._sessions: dict[str, Session] = {}
         self._batcher = MicroBatcher(
-            self._execute_batch, policy=policy, max_workers=max_workers,
-            profiler=self.profiler,
+            self._execute_batch, policy=policy, max_workers=max_workers
         )
         self._closed = False
         self.retune = None

@@ -261,14 +261,10 @@ def _sparse_attention_time_magicube(
     return t
 
 
-#: kernels dispatched per encoder layer, per backend: 4 projections,
+#: kernels dispatched per encoder layer on every backend: 4 projections,
 #: 2 MLP GEMMs, 2 layernorm/residual passes, plus the attention path
 #: (dense: QK^T, fused mask+softmax, AV; sparse: SDDMM, softmax, SpMM)
-_OPS_PER_LAYER = {
-    "pytorch_dense": 8 + 3,
-    "vector_sparse": 8 + 3,
-    "magicube": 8 + 3,
-}
+_OPS_PER_LAYER = 8 + 3
 
 
 def estimate_latency(
@@ -306,7 +302,7 @@ def estimate_latency(
         raise ConfigError(f"unknown backend {backend.kind!r}")
     components["attention"] = attn * cfg.num_layers
     components["host_dispatch"] = (
-        HOST_OVERHEAD_S * _OPS_PER_LAYER[backend.kind] * cfg.num_layers
+        HOST_OVERHEAD_S * _OPS_PER_LAYER * cfg.num_layers
     )
     total = sum(components.values())
     return LatencyResult(

@@ -64,6 +64,15 @@ class TestModuleEntrypoint:
                 runpy.run_module("repro", run_name="__main__")
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize(
+        "subsystem", ["serve", "bench", "autotune", "fleet", "obs"]
+    )
+    def test_subsystems_have_no_module_alias(self, subsystem):
+        # ``python -m repro <cmd>`` is the one module entry point
+        import importlib.util
+
+        assert importlib.util.find_spec(f"repro.{subsystem}.__main__") is None
+
 
 class TestClosedPipe:
     def test_reader_closing_early_exits_quietly(self):

@@ -1,4 +1,4 @@
-"""Smoke tests for the python -m repro.bench CLI."""
+"""Smoke tests for the ``repro bench`` CLI."""
 
 from repro.bench.cli import EXPERIMENTS, main
 

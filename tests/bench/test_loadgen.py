@@ -123,7 +123,7 @@ class TestRunReplay:
         assert report["config"]["backend"] == "magicube-emulation"
 
     def test_cli_side_artifacts_follow_out(self, tmp_path, monkeypatch):
-        """``--out <dir>/r.json`` puts all six artifacts under ``<dir>``
+        """``--out <dir>/r.json`` puts all four artifacts under ``<dir>``
         and none in the working directory."""
         from repro.bench.cli import main as bench_main
 
@@ -136,8 +136,7 @@ class TestRunReplay:
             "--rate", "2000", "--mix", "spmm=1", "--out", str(target / "r.json"),
         ]) == 0
         assert sorted(p.name for p in target.iterdir()) == [
-            "r.folded.txt", "r.health.json", "r.json", "r.metrics.json",
-            "r.profile.json", "r.trace.jsonl",
+            "r.health.json", "r.json", "r.metrics.json", "r.trace.jsonl",
         ]
         assert list(cwd.iterdir()) == []
 
@@ -167,15 +166,14 @@ class TestRunReplay:
         text = render_replay_report(report)
         assert "traffic replay" in text
         assert "p99" in text and "rejected by admission" in text
-        assert "health:" in text and "profile:" in text
+        assert "health:" in text
 
     def test_render_tolerates_pre_health_artifacts(self, replay_artifacts):
-        # artifacts recorded before the health/profile sections existed
-        # must still render (the compare gate reads old baselines)
+        # artifacts recorded before the health section existed must
+        # still render (the compare gate reads old baselines)
         _, report = replay_artifacts
         old = json.loads(json.dumps(report))
         del old["results"]["health"]
-        del old["results"]["profile"]
         text = render_replay_report(old)
         assert "traffic replay" in text and "health:" not in text
 
@@ -190,17 +188,6 @@ class TestRunReplay:
         assert report["results"]["health"]["status"] == doc["status"]
         evaluated = {o["spec"]["name"] for o in doc["objectives"]}
         assert evaluated == {s.name for s in DEFAULT_SLOS}
-
-    def test_profile_artifacts_cover_both_phases(self, replay_artifacts):
-        tmp, report = replay_artifacts
-        speedscope = json.loads((tmp / "BENCH_serve.profile.json").read_text())
-        assert speedscope["$schema"].startswith("https://www.speedscope.app")
-        phases = {p["name"] for p in speedscope["profiles"]}
-        assert phases == {"batcher-dispatch", "backend-execute"}
-        folded = (tmp / "BENCH_serve.folded.txt").read_text().splitlines()
-        assert folded and all(" " in ln for ln in folded)
-        assert any(ln.startswith("backend-execute;") for ln in folded)
-        assert report["results"]["profile"]["sampled"] > 0
 
     def test_mixed_classes_all_serve(self, replay_artifacts):
         tmp, _ = replay_artifacts
@@ -237,7 +224,7 @@ class TestGatewayReplay:
         )
         report = run_replay(config, out=None)
         r = report["results"]
-        assert set(r) == (set(direct["results"]) - {"profile"}) | {"gateway"}
+        assert set(r) == set(direct["results"]) | {"gateway"}
         for section in ("requests", "latency_s", "throughput", "batching",
                         "plan_cache"):
             assert set(r[section]) == set(direct["results"][section])

@@ -288,7 +288,7 @@ class TestEntryPoints:
         import sys
 
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.obs", "export", "--metrics",
+            [sys.executable, "-m", "repro", "obs", "export", "--metrics",
              str(snapshot), "--format", "prometheus"],
             capture_output=True, text=True,
         )
