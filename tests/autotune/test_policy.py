@@ -1,5 +1,7 @@
 """Retune policy: trigger evaluation and targeted-space synthesis."""
 
+import dataclasses
+
 import pytest
 
 from repro.autotune.policy import (
@@ -129,6 +131,26 @@ class TestEvaluate:
             *traffic, policy, baseline_keys=frozenset(keys)
         )
         assert no_drift == []
+
+    def test_drift_triggers_with_every_other_reason_off(self):
+        """Drift is not a setting: it re-tunes served baseline keys even
+        when no other trigger could fire."""
+        key, other = key_for(64), key_for(128)
+        traffic = traffic_for({k: plan_stats(requests=10) for k in (key, other)})
+        policy = RetunePolicy(min_requests=1, hot_share=1.0,
+                              regression_ratio=1e9, retune_cold_misses=False,
+                              retune_on_slo_breach=False)
+        assert "retune_on_drift" not in {
+            f.name for f in dataclasses.fields(RetunePolicy)
+        }
+        triggers = evaluate_traffic(
+            *traffic, policy, baseline_keys=frozenset({key, other}),
+            drift=["device 'A100' changed since the sweep"],
+        )
+        assert sorted((t.plan_key, t.reason) for t in triggers) == sorted(
+            [(key, "drift"), (other, "drift")]
+        )
+        assert all("1 fingerprint mismatch" in t.detail for t in triggers)
 
     def test_exclude_implements_cooldown(self):
         key = key_for()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -189,6 +190,32 @@ class TestRunReplay:
         evaluated = {o["spec"]["name"] for o in doc["objectives"]}
         assert evaluated == {s.name for s in DEFAULT_SLOS}
 
+    def test_replay_leaves_no_profile_section_or_artifacts(
+        self, replay_artifacts
+    ):
+        """The tracer and the metrics registry are the replay's only
+        timers: no ``results.profile``, no flamegraph side files."""
+        tmp, report = replay_artifacts
+        assert "profile" not in report["results"]
+        assert sorted(p.name for p in tmp.iterdir()) == [
+            "BENCH_serve.health.json", "BENCH_serve.json",
+            "BENCH_serve.metrics.json", "BENCH_serve.trace.jsonl",
+        ]
+        assert "profile:" not in render_replay_report(report)
+
+    def test_admission_rejections_are_counted_not_raised(self):
+        """A burst past the queue bound is shed by admission control;
+        the arrival loop counts each rejection and serves the rest."""
+        report = run_replay(ReplayConfig(
+            requests=64, arrival="bursty", burst_size=64, max_queue_depth=1,
+            seed=0,
+        ), out=None)
+        r = report["results"]["requests"]
+        assert r["submitted"] == 64
+        assert r["rejected"] >= 1
+        assert r["completed"] + r["rejected"] == 64
+        assert r["rejected_metric"] == r["rejected"]
+
     def test_mixed_classes_all_serve(self, replay_artifacts):
         tmp, _ = replay_artifacts
         from repro.obs.export import load_json
@@ -238,6 +265,30 @@ class TestGatewayReplay:
         assert r["throughput"]["saturation_rps"] > 0
         assert r["plan_cache"]["hits"] + r["plan_cache"]["misses"] > 0
         assert r["gateway"]["workers"] == 1
+
+    def test_both_modes_replay_the_same_schedule(self, tmp_path):
+        """One config, two front doors: the schedule, the request count
+        and the report's config are the same; only ``results.gateway``
+        and the gateway knob differ."""
+        config = ReplayConfig(
+            requests=8, arrival="uniform", rate_rps=400.0, seed=5,
+        )
+        direct = run_replay(config, out=None)
+        fleet = run_replay(
+            dataclasses.replace(config, gateway_workers=1),
+            out=tmp_path / "g.json",
+        )
+        for report in (direct, fleet):
+            assert report["results"]["requests"]["submitted"] == 8
+            assert report["results"]["requests"]["completed"] == 8
+        assert (fleet["results"]["throughput"]["offered_rps"]
+                == direct["results"]["throughput"]["offered_rps"])
+        assert ({k: v for k, v in fleet["config"].items()
+                 if k != "gateway_workers"}
+                == {k: v for k, v in direct["config"].items()
+                    if k != "gateway_workers"})
+        # the workers hold the tracers, so the fleet's trace log is empty
+        assert (tmp_path / "g.trace.jsonl").read_text() == ""
 
 
 def _report(**overrides) -> dict:

@@ -320,3 +320,14 @@ class TestConfig:
         (tmp_path / "pack.json").write_text("{}")
         with pytest.raises(FleetError):
             open_fleet(FleetConfig(workers=1, pack=tmp_path))
+
+    def test_bad_knobs_raise(self):
+        with pytest.raises(ConfigError):
+            FleetConfig(max_inflight=0)
+        with pytest.raises(ConfigError):
+            FleetConfig(rpc_timeout_s=0.0)
+
+    def test_lost_requests_are_always_retried_once(self):
+        """Retry-once is fixed behaviour, not a setting."""
+        with pytest.raises(TypeError):
+            FleetConfig(retry_lost=False)

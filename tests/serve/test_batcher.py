@@ -288,6 +288,12 @@ class TestLifecycleAndErrors:
             sys.setswitchinterval(interval)
         assert mb._in_flight == 0
 
+    def test_dispatch_is_timed_by_the_caller_not_the_batcher(self):
+        """The batcher carries no timer of its own: the engine's
+        execute callback times each launch, so it takes no profiler."""
+        with pytest.raises(TypeError):
+            MicroBatcher(Recorder(), profiler=object())
+
     def test_close_drains_pending(self):
         rec = Recorder()
         mb = MicroBatcher(rec, BatchPolicy(max_batch_size=64, max_wait_s=60.0))

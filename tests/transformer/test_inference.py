@@ -4,6 +4,7 @@ import pytest
 
 from repro.transformer.inference import (
     ALL_BACKENDS,
+    HOST_OVERHEAD_S,
     MAGICUBE_4_4,
     MAGICUBE_8_8,
     MAGICUBE_16_8,
@@ -102,6 +103,22 @@ class TestResultStructure:
         res = estimate_latency(InferenceConfig(4096, 4, 2, 0.9), MAGICUBE_8_8)
         assert set(res.components) == {"projections+mlp", "attention", "host_dispatch"}
         assert res.total_s == pytest.approx(sum(res.components.values()))
+
+    def test_host_dispatch_is_the_same_on_every_backend(self):
+        """Every backend dispatches the same 11 kernels per layer."""
+        cfg = InferenceConfig(4096, 4, 2, 0.9)
+        dispatch = {
+            estimate_latency(cfg, b).components["host_dispatch"]
+            for b in ALL_BACKENDS
+        }
+        assert dispatch == {HOST_OVERHEAD_S * 11 * cfg.num_layers}
+
+    def test_host_dispatch_scales_with_layers(self):
+        one = InferenceConfig(4096, 4, 2, 0.9, num_layers=1)
+        six = InferenceConfig(4096, 4, 2, 0.9, num_layers=6)
+        d1 = estimate_latency(one, MAGICUBE_8_8).components["host_dispatch"]
+        d6 = estimate_latency(six, MAGICUBE_8_8).components["host_dispatch"]
+        assert d6 == pytest.approx(6 * d1)
 
     def test_all_backends_labelled(self):
         labels = {b.label for b in ALL_BACKENDS}
