@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.gpu.warp import minimum
+
 #: minimum global-memory transaction granularity (one sector)
 SECTOR_BYTES = 32
 
@@ -42,6 +44,10 @@ def transaction_efficiency(byte_addresses: np.ndarray, access_bytes: int = 1) ->
     return useful / moved
 
 
+#: bound once: ``read``/``write`` sit on every launch's accounting path
+_ndarray = np.ndarray
+
+
 @dataclass
 class TrafficCounter:
     """Accumulates the memory traffic of one kernel execution.
@@ -49,6 +55,9 @@ class TrafficCounter:
     ``unique_read_bytes`` — compulsory DRAM reads (distinct data).
     ``read_bytes`` — total bytes requested (re-reads served by L2).
     ``write_bytes`` — bytes written out (DRAM, write-through for results).
+
+    Counts are Python ints, or NumPy arrays when a planner costs a whole
+    candidate grid in one pass (every field then broadcasts elementwise).
     """
 
     unique_read_bytes: int = 0
@@ -64,18 +73,22 @@ class TrafficCounter:
         distinct-data size when the same bytes are re-read (e.g. RHS rows
         fetched once per output row-block).
         """
-        u = bytes_ if unique_bytes is None else min(unique_bytes, bytes_)
-        self.read_bytes += int(bytes_)
-        self.unique_read_bytes += int(u)
+        u = bytes_ if unique_bytes is None else minimum(unique_bytes, bytes_)
+        if not isinstance(u, _ndarray):  # else bytes_ is an array too
+            bytes_, u = int(bytes_), int(u)
+        self.read_bytes += bytes_
+        self.unique_read_bytes += u
         s = self.by_stream.setdefault(stream, [0, 0, 0])
-        s[0] += int(bytes_)
-        s[1] += int(u)
+        s[0] += bytes_
+        s[1] += u
 
     def write(self, stream: str, bytes_: int) -> None:
         """Record ``bytes_`` written to ``stream``."""
-        self.write_bytes += int(bytes_)
+        if not isinstance(bytes_, _ndarray):
+            bytes_ = int(bytes_)
+        self.write_bytes += bytes_
         s = self.by_stream.setdefault(stream, [0, 0, 0])
-        s[2] += int(bytes_)
+        s[2] += bytes_
 
     def merge(self, other: "TrafficCounter") -> None:
         """Fold another counter into this one."""

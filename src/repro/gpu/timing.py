@@ -25,10 +25,13 @@ level parallelism that still hides some latency. Device under-occupancy
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, NamedTuple
+
+import numpy as np
 
 from repro.gpu.device import DeviceSpec
 from repro.gpu.memory import TrafficCounter
-from repro.gpu.warp import LaunchGrid
+from repro.gpu.warp import LaunchGrid, ThreadBlock, maximum, minimum, tail_utilization
 
 
 @dataclass
@@ -94,6 +97,48 @@ class KernelStats:
         )
 
 
+class LaunchCounts(NamedTuple):
+    """What a kernel's count arithmetic says one launch does.
+
+    Every count is a Python int for one launch, or a NumPy array when a
+    planner counts a whole candidate grid in one pass (pairs along one
+    axis, a tile knob along the other). :meth:`stats` wraps one launch's
+    counts as :class:`KernelStats`; :meth:`CostModel.launch_time` prices
+    counts of either kind through the same formulas as
+    :meth:`CostModel.breakdown`.
+    """
+
+    #: operand width of the native MMAs the launch issues (8 or 4)
+    native_bits: Any
+    #: multiply-add operations those MMAs perform
+    mma_ops: Any
+    useful_ops: Any
+    traffic: TrafficCounter
+    smem_transaction_cycles: Any
+    epilogue_cycles: Any
+    #: thread blocks in the launch grid
+    blocks: Any
+    prefetch: bool
+    serial_bytes: Any
+    notes: dict
+
+    def stats(self, name: str, warps: int, notes: dict) -> KernelStats:
+        """One launch's counts as :class:`KernelStats` (``notes`` first,
+        then the counts' own)."""
+        return KernelStats(
+            name=name,
+            mma_ops={f"int{self.native_bits}": self.mma_ops},
+            useful_ops=self.useful_ops,
+            traffic=self.traffic,
+            smem_transaction_cycles=self.smem_transaction_cycles,
+            epilogue_cycles=self.epilogue_cycles,
+            grid=LaunchGrid(blocks=self.blocks, block=ThreadBlock(warps=warps)),
+            prefetch=self.prefetch,
+            serial_bytes=self.serial_bytes,
+            notes={**notes, **self.notes},
+        )
+
+
 @dataclass(frozen=True)
 class TimingBreakdown:
     """Per-component times (seconds) and the resulting total."""
@@ -139,47 +184,16 @@ class CostModel:
 
     def breakdown(self, stats: KernelStats) -> TimingBreakdown:
         """Full component-wise timing for one kernel execution."""
-        dev = self.device
-        t_compute = 0.0
-        for precision, ops in stats.mma_ops.items():
-            peak = dev.peak_tops(precision) * 1e12
-            t_compute += ops / (peak * self.compute_efficiency)
-        t_dram = stats.traffic.total_dram_bytes / (
-            dev.dram_bandwidth_gbs * 1e9 * self.mem_efficiency
+        t_compute, t_dram, t_l2, t_shared, t_epilogue, util, t_serial, total = (
+            self._price(stats)
         )
-        t_l2 = stats.traffic.total_access_bytes / (
-            dev.l2_bandwidth_gbs * 1e9 * self.l2_efficiency
-        )
-        sm_hz = dev.num_sms * dev.clock_ghz * 1e9
-        t_shared = stats.smem_transaction_cycles / sm_hz
-        # ALU/shuffle epilogue work issues on all 4 warp schedulers of
-        # each SM, unlike the single shared-memory path
-        t_epilogue = stats.epilogue_cycles / (sm_hz * 4)
-
-        util = 1.0
-        if stats.grid is not None:
-            util = stats.grid.utilization(dev.num_sms, self.blocks_per_sm)
-
-        on_chip = t_compute + t_shared + t_epilogue
-        t_mem = max(t_dram, t_l2)
-        if stats.prefetch:
-            body = max(on_chip, t_mem)
-        else:
-            body = max(on_chip, t_mem) + (1.0 - self.serial_overlap) * min(
-                on_chip, t_mem
-            )
-        t_serial = stats.serial_bytes / (
-            dev.dram_bandwidth_gbs * 1e9 * self.mem_efficiency
-        )
-        body += (1.0 - self.serial_overlap) * t_serial
-        total = dev.launch_overhead_s + body / util
         return TimingBreakdown(
             compute=t_compute,
             dram=t_dram,
             l2=t_l2,
             shared=t_shared,
             epilogue=t_epilogue,
-            launch=dev.launch_overhead_s,
+            launch=self.device.launch_overhead_s,
             utilization=util,
             total=total,
             serial=t_serial,
@@ -187,7 +201,90 @@ class CostModel:
 
     def time(self, stats: KernelStats) -> float:
         """Total execution time in seconds."""
-        return self.breakdown(stats).total
+        return self._price(stats)[-1]
+
+    def launch_time(self, counts: LaunchCounts):
+        """Total seconds of the launch ``counts`` describe, or an array of
+        them for a candidate grid. Equal, to the bit, to :meth:`time` of
+        ``counts.stats(...)``: both run :meth:`_components`.
+        """
+        bits = counts.native_bits
+        if isinstance(bits, np.ndarray):
+            peak = np.array([self.device.peak_tops(f"int{b}") for b in bits.flat])
+            peak = peak.reshape(bits.shape)
+        else:
+            peak = self.device.peak_tops(f"int{bits}")
+        return self._components(
+            self._compute_time(counts.mma_ops, peak),
+            counts.traffic,
+            counts.smem_transaction_cycles,
+            counts.epilogue_cycles,
+            counts.blocks,
+            counts.prefetch,
+            counts.serial_bytes,
+        )[-1]
+
+    def _price(self, stats: KernelStats) -> tuple:
+        dev = self.device
+        t_compute = 0.0
+        for precision, ops in stats.mma_ops.items():
+            t_compute += self._compute_time(ops, dev.peak_tops(precision))
+        grid = stats.grid
+        return self._components(
+            t_compute,
+            stats.traffic,
+            stats.smem_transaction_cycles,
+            stats.epilogue_cycles,
+            None if grid is None else grid.blocks,
+            stats.prefetch,
+            stats.serial_bytes,
+        )
+
+    def _compute_time(self, ops, peak_tops):
+        return ops / (peak_tops * 1e12 * self.compute_efficiency)
+
+    def _components(
+        self,
+        t_compute,
+        traffic: TrafficCounter,
+        smem_cycles,
+        epilogue_cycles,
+        blocks,
+        prefetch: bool,
+        serial_bytes,
+    ) -> tuple:
+        """The cost formulas, on one launch's Python numbers or on arrays
+        over a candidate grid: ``(compute, dram, l2, shared, epilogue,
+        utilization, serial, total)``. ``blocks`` is ``None`` for a
+        launch without a grid (full utilization)."""
+        dev = self.device
+        t_dram = traffic.total_dram_bytes / (
+            dev.dram_bandwidth_gbs * 1e9 * self.mem_efficiency
+        )
+        t_l2 = traffic.total_access_bytes / (
+            dev.l2_bandwidth_gbs * 1e9 * self.l2_efficiency
+        )
+        sm_hz = dev.num_sms * dev.clock_ghz * 1e9
+        t_shared = smem_cycles / sm_hz
+        # ALU/shuffle epilogue work issues on all 4 warp schedulers of
+        # each SM, unlike the single shared-memory path
+        t_epilogue = epilogue_cycles / (sm_hz * 4)
+
+        util = 1.0
+        if blocks is not None:
+            util = tail_utilization(blocks, dev.num_sms * self.blocks_per_sm)
+
+        on_chip = t_compute + t_shared + t_epilogue
+        t_mem = maximum(t_dram, t_l2)
+        body = maximum(on_chip, t_mem)
+        if not prefetch:
+            body = body + (1.0 - self.serial_overlap) * minimum(on_chip, t_mem)
+        t_serial = serial_bytes / (
+            dev.dram_bandwidth_gbs * 1e9 * self.mem_efficiency
+        )
+        body = body + (1.0 - self.serial_overlap) * t_serial
+        total = dev.launch_overhead_s + body / util
+        return t_compute, t_dram, t_l2, t_shared, t_epilogue, util, t_serial, total
 
     def tops(self, stats: KernelStats) -> float:
         """The paper's throughput metric: useful tera-ops per second."""

@@ -3,19 +3,52 @@
 CUDA organizes threads as grid -> thread block -> warp (32 threads). The
 kernels in this library reason about work distribution at warp
 granularity; these helpers keep that arithmetic in one audited place.
+
+The count arithmetic (:func:`ceil_div`, :func:`tail_utilization` and the
+:func:`select` / :func:`maximum` / :func:`minimum` branches) takes Python
+numbers or NumPy arrays alike: one launch is costed on Python ints and
+floats, a planner's candidate grid on broadcast arrays, through the same
+formulas and to the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.gpu.device import WARP_SIZE
 
 
-def ceil_div(a: int, b: int) -> int:
-    """Ceiling integer division (non-negative operands)."""
-    if b <= 0:
+#: bound once: these helpers sit on every launch's accounting path
+_ndarray = np.ndarray
+
+
+def select(cond, if_true, if_false):
+    """``if_true if cond else if_false``, elementwise for an array ``cond``."""
+    if isinstance(cond, _ndarray):
+        return np.where(cond, if_true, if_false)
+    return if_true if cond else if_false
+
+
+def maximum(a, b):
+    """``max(a, b)``, elementwise when either is an array."""
+    if isinstance(a, _ndarray) or isinstance(b, _ndarray):
+        return np.maximum(a, b)
+    return a if a >= b else b
+
+
+def minimum(a, b):
+    """``min(a, b)``, elementwise when either is an array."""
+    if isinstance(a, _ndarray) or isinstance(b, _ndarray):
+        return np.minimum(a, b)
+    return a if a <= b else b
+
+
+def ceil_div(a, b):
+    """Ceiling integer division (non-negative operands, or arrays of them)."""
+    if (b <= 0).any() if isinstance(b, _ndarray) else b <= 0:
         raise ConfigError(f"ceil_div divisor must be positive, got {b}")
     return -(-a // b)
 
@@ -62,14 +95,21 @@ class LaunchGrid:
 
     def utilization(self, num_sms: int, blocks_per_sm: int = 2) -> float:
         """Fraction of the device kept busy, accounting for the tail wave."""
-        resident = num_sms * blocks_per_sm
-        waves = self.blocks / resident
-        if waves >= 1.0:
-            # full waves are fully utilized; the tail wave is partial
-            full = int(waves)
-            frac = waves - full
-            return (full + frac) / ceil_div(self.blocks, resident)
-        return max(waves, 1.0 / resident)
+        return tail_utilization(self.blocks, num_sms * blocks_per_sm)
+
+
+def tail_utilization(blocks, resident: int):
+    """Fraction of the device ``blocks`` thread blocks keep busy when
+    ``resident`` of them fit at once (elementwise for an array).
+
+    Full waves are fully utilized and the tail wave is partial; a grid
+    smaller than one wave keeps ``blocks / resident`` of the device busy,
+    never less than one block's share.
+    """
+    waves = blocks / resident
+    full = waves // 1.0
+    tail = (full + (waves - full)) / ceil_div(blocks, resident)
+    return select(waves >= 1.0, tail, maximum(waves, 1.0 / resident))
 
 
 def lane_id(thread: int) -> int:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PrecisionError
+from repro.gpu.warp import maximum, minimum
 from repro.lowp.decompose import decompose_matrix, digit_weights
 
 
@@ -122,7 +123,7 @@ def stack_factor(vector_length: int, products: int) -> int:
     """
     if vector_length < 1 or vector_length > 8:
         raise PrecisionError(f"vector length must be in [1, 8], got {vector_length}")
-    return max(1, min(8 // vector_length, products))
+    return maximum(1, minimum(8 // vector_length, products))
 
 
 def mma_count_per_tile(plan: EmulationPlan, vector_length: int) -> int:
@@ -130,6 +131,7 @@ def mma_count_per_tile(plan: EmulationPlan, vector_length: int) -> int:
 
     Emulation multiplies the count by ``products``; stacking divides it
     back by the stack factor (ceil — a partial stack still costs one).
+    ``plan.products`` may be an array (a grid of pairs).
     """
     s = stack_factor(vector_length, plan.products)
     return -(-plan.products // s)

@@ -31,8 +31,8 @@ from repro.formats.convert import bcrs_to_srbcrs
 from repro.formats.srbcrs import SRBCRSMatrix
 from repro.gpu.memory import TrafficCounter
 from repro.gpu.mma import mma_shape_for
-from repro.gpu.timing import KernelStats
-from repro.gpu.warp import LaunchGrid, ThreadBlock, ceil_div
+from repro.gpu.timing import KernelStats, LaunchCounts
+from repro.gpu.warp import ceil_div, maximum, minimum
 from repro.kernels.emulation import (
     EmulationPlan,
     emulated_matmul,
@@ -40,6 +40,75 @@ from repro.kernels.emulation import (
     plan_for,
 )
 from repro.lowp.quantize import int_range
+
+
+def block_vectors(warps):
+    """Output vectors one thread block of ``warps`` warps produces (each
+    warp owns 8 output columns)."""
+    return 8 * warps
+
+
+def sddmm_counts(cfg, plan, shape, a_shape, b_shape, mask) -> LaunchCounts:
+    """Exact counts of one SDDMM launch (Sec. IV-C): MMAs, traffic, the
+    shared A-tile transactions and the stacking epilogue.
+
+    ``cfg`` supplies ``warps`` and ``prefetch_lhs``, ``plan`` the pair
+    (``l_bits``, ``r_bits``, ``native_bits``, ``products``), ``shape``
+    its MMA shape (``k``, ``ops``) and ``mask`` the output topology.
+    Numbers may be Python ints or NumPy arrays: :meth:`MagicubeSDDMM._account`
+    counts one launch, the planner a (pair x warps) grid at once.
+    """
+    m, k = a_shape
+    n = b_shape[1]
+    v = mask.vector_length
+    bsk = shape.k
+    steps = k // bsk
+    warps = cfg.warps
+    bsn = block_vectors(warps)
+
+    vec_counts = np.asarray(mask.vectors_per_strip())
+    if isinstance(bsn, np.ndarray):  # one block count per knob value
+        blocks_total = ceil_div(vec_counts[:, None], bsn.ravel()).sum(axis=0)
+        blocks_total = blocks_total.reshape(bsn.shape)
+    else:
+        blocks_total = int(ceil_div(vec_counts, bsn).sum())
+    padded_vecs = blocks_total * bsn
+    mma_count = blocks_total * warps * steps * mma_count_per_tile(plan, v)
+
+    t = TrafficCounter()
+    lhs_bytes_per_block = v * k * plan.l_bits // 8
+    lhs_access = blocks_total * lhs_bytes_per_block
+    t.read("lhs", lhs_access, minimum(m * k * plan.l_bits // 8, lhs_access))
+    rhs_access = padded_vecs * k * plan.r_bits // 8
+    t.read("rhs", rhs_access, minimum(k * n * plan.r_bits // 8, rhs_access))
+    t.read("mask_indices", mask.num_vectors * 4)
+    t.write("output", mask.nnz * 2 + mask.num_vectors * 4)
+
+    # shared memory: only the A tile is staged; one store + one load
+    # per step, reused by all warps (conflict-free row-major access)
+    lhs_tile_words = maximum(v * bsk * plan.l_bits // 8 // 4, 1)
+    per_step = 2 * ceil_div(lhs_tile_words, 32)
+
+    # B loads are consumed by direct register loads interleaved with
+    # the MMAs (always effectively pipelined); the prefetch knob only
+    # moves the *A-tile* latency in or out of the shadow of compute.
+    # Even without prefetch most of that latency hides behind the
+    # other resident blocks of the SM (the A tile is shared by all
+    # warps and re-read every step by none), so only ~1/4 of the
+    # stream's time is exposed — which is why Fig. 13 finds LHS
+    # prefetch not beneficial.
+    return LaunchCounts(
+        native_bits=plan.native_bits,
+        mma_ops=mma_count * shape.ops,
+        useful_ops=2 * k * mask.nnz,
+        traffic=t,
+        smem_transaction_cycles=blocks_total * steps * per_step,
+        epilogue_cycles=mma_count * 6 * (plan.products > 1),
+        blocks=maximum(blocks_total, 1),
+        prefetch=True,
+        serial_bytes=0 if cfg.prefetch_lhs else lhs_access // 4,
+        notes={"padded_vectors": padded_vecs},
+    )
 
 
 @dataclass(frozen=True)
@@ -69,7 +138,7 @@ class SDDMMConfig:
     @property
     def bsn(self) -> int:
         """Output vectors per thread block."""
-        return 8 * self.warps
+        return block_vectors(self.warps)
 
     @property
     def name(self) -> str:
@@ -98,11 +167,13 @@ class MagicubeSDDMM:
         self.plan: EmulationPlan = plan_for(
             self.config.l_bits, self.config.r_bits, op="sddmm"
         )
+        #: the native MMA instruction every tile product issues
+        self.mma_shape = mma_shape_for(self.plan.native_bits)
 
     @property
     def bsk(self) -> int:
         """Reduction step: the native MMA k dim."""
-        return mma_shape_for(self.plan.native_bits).k
+        return self.mma_shape.k
 
     # ------------------------------------------------------------------
     def __call__(
@@ -218,62 +289,12 @@ class MagicubeSDDMM:
         self, a_shape: tuple[int, int], b_shape: tuple[int, int], mask: BCRSMatrix
     ) -> KernelStats:
         cfg = self.config
-        plan = self.plan
-        m, k = a_shape
-        n = b_shape[1]
-        v = mask.vector_length
-        steps = k // self.bsk
-        shape = mma_shape_for(plan.native_bits)
-
-        vec_counts = np.asarray(mask.vectors_per_strip())
-        vec_blocks = -(-vec_counts // cfg.bsn)  # vectorized ceil-div
-        padded_vecs = int((vec_blocks * cfg.bsn).sum())
-        blocks_total = int(vec_blocks.sum())
-
-        stats = KernelStats(name=f"magicube-sddmm-{plan.name}")
-        mma_count = (
-            blocks_total * cfg.warps * steps * mma_count_per_tile(plan, v)
+        counts = sddmm_counts(cfg, self.plan, self.mma_shape, a_shape, b_shape, mask)
+        return counts.stats(
+            f"magicube-sddmm-{self.plan.name}",
+            cfg.warps,
+            {"variant": "prefetch" if cfg.prefetch_lhs else "basic"},
         )
-        stats.add_mma(f"int{plan.native_bits}", mma_count, shape.ops)
-        stats.useful_ops = 2 * k * mask.nnz
-
-        t = TrafficCounter()
-        lhs_bytes_per_block = v * k * cfg.l_bits // 8
-        lhs_access = blocks_total * lhs_bytes_per_block
-        t.read("lhs", lhs_access, min(m * k * cfg.l_bits // 8, lhs_access))
-        rhs_access = padded_vecs * k * cfg.r_bits // 8
-        t.read("rhs", rhs_access, min(k * n * cfg.r_bits // 8, rhs_access))
-        t.read("mask_indices", mask.num_vectors * 4)
-        t.write("output", mask.nnz * 2 + mask.num_vectors * 4)
-        stats.traffic = t
-
-        # shared memory: only the A tile is staged; one store + one load
-        # per step, reused by all warps (conflict-free row-major access)
-        lhs_tile_words = max(v * self.bsk * cfg.l_bits // 8 // 4, 1)
-        per_step = 2 * ceil_div(lhs_tile_words, 32)
-        stats.smem_transaction_cycles = blocks_total * steps * per_step
-
-        if plan.products > 1:
-            stats.epilogue_cycles = mma_count * 6
-
-        # B loads are consumed by direct register loads interleaved with
-        # the MMAs (always effectively pipelined); the prefetch knob only
-        # moves the *A-tile* latency in or out of the shadow of compute.
-        # Even without prefetch most of that latency hides behind the
-        # other resident blocks of the SM (the A tile is shared by all
-        # warps and re-read every step by none), so only ~1/4 of the
-        # stream's time is exposed — which is why Fig. 13 finds LHS
-        # prefetch not beneficial.
-        stats.prefetch = True
-        stats.serial_bytes = 0 if cfg.prefetch_lhs else lhs_access // 4
-        stats.grid = LaunchGrid(
-            blocks=max(blocks_total, 1), block=ThreadBlock(warps=cfg.warps)
-        )
-        stats.notes = {
-            "variant": "prefetch" if cfg.prefetch_lhs else "basic",
-            "padded_vectors": padded_vecs,
-        }
-        return stats
 
 
 class StrictSDDMM(MagicubeSDDMM):

@@ -29,8 +29,8 @@ from repro.formats.srbcrs import PAD_INDEX, SRBCRSMatrix
 from repro.gpu.memory import TrafficCounter
 from repro.gpu.mma import mma_shape_for
 from repro.gpu.sharedmem import conflict_degree, spmm_rhs_load_pattern
-from repro.gpu.timing import KernelStats
-from repro.gpu.warp import LaunchGrid, ThreadBlock, ceil_div
+from repro.gpu.timing import KernelStats, LaunchCounts
+from repro.gpu.warp import ceil_div, maximum, minimum
 from repro.kernels.emulation import (
     EmulationPlan,
     emulated_matmul,
@@ -41,15 +41,91 @@ from repro.kernels.transpose import transpose_bitop_cost
 from repro.lowp.quantize import int_range
 
 
-@lru_cache(maxsize=None)
 def rhs_load_conflict_degree(bsn_bytes: int, pad_words: int) -> int:
-    """Worst bank-conflict degree of the Fig. 4/5 RHS register loads.
+    """Worst bank-conflict degree of the Fig. 4/5 RHS register loads
+    (elementwise for an array of ``bsn_bytes``).
 
     Depends only on the staged row width and the padding, so every
-    ``_account`` call shares one evaluation per ``(bsn_bytes, pad_words)``.
+    accounting shares one evaluation per ``(bsn_bytes, pad_words)``.
     """
+    if isinstance(bsn_bytes, np.ndarray):
+        return np.array([
+            _rhs_load_conflict_degree(int(b), pad_words) for b in bsn_bytes.flat
+        ]).reshape(bsn_bytes.shape)
+    return _rhs_load_conflict_degree(bsn_bytes, pad_words)
+
+
+@lru_cache(maxsize=None)
+def _rhs_load_conflict_degree(bsn_bytes: int, pad_words: int) -> int:
     pattern = spmm_rhs_load_pattern(bsk=16, bsn_bytes=bsn_bytes, pad_words=pad_words)
     return max(conflict_degree(p) for p in pattern)
+
+
+def spmm_counts(cfg, plan, shape, lhs, n) -> LaunchCounts:
+    """Exact counts of one SpMM launch (Sec. IV-B): MMAs, traffic,
+    shared-memory transactions and the transpose/stacking epilogue.
+
+    ``cfg`` supplies ``bsn`` and the ablation flags, ``plan`` the pair
+    (``l_bits``, ``r_bits``, ``native_bits``, ``products``), ``shape``
+    its MMA shape (``ops``) and ``lhs`` the SR-BCRS topology. Numbers
+    may be Python ints or NumPy arrays: :meth:`MagicubeSpMM._account`
+    counts one launch, the planner a (pair x ``bsn``) grid at once.
+    """
+    m, k = lhs.shape
+    v = lhs.vector_length
+    stride = lhs.stride
+    strips = lhs.num_strips
+    padded = lhs.num_padded_vectors
+    bsn = cfg.bsn
+    col_blocks = ceil_div(n, bsn)
+    groups_total = padded // stride
+    mma_count = groups_total * col_blocks * (bsn // 8) * mma_count_per_tile(plan, v)
+
+    # ---- global traffic ----------------------------------------------
+    t = TrafficCounter()
+    lhs_value_bytes = padded * v * plan.l_bits // 8
+    lhs_index_bytes = padded * 4
+    ptr_bytes = strips * 8  # 2M pointers, 4 B each
+    t.read("lhs_values", lhs_value_bytes * col_blocks, lhs_value_bytes)
+    t.read("lhs_indices", lhs_index_bytes * col_blocks, lhs_index_bytes)
+    t.read("row_pointers", ptr_bytes * col_blocks, ptr_bytes)
+    rhs_access = padded * n * plan.r_bits // 8
+    rhs_unique = minimum(k * n * plan.r_bits // 8, rhs_access)
+    t.read("rhs", rhs_access, rhs_unique)
+    t.write("output", m * n * (2 if cfg.fuse_dequant else 4))
+
+    # ---- shared memory -----------------------------------------------
+    bsn_bytes = bsn * plan.r_bits // 8
+    staged_words = stride * bsn_bytes // 4
+    # row-major stores (conflict-free) and the register loads both move
+    # the staged words 32 per transaction
+    store_tx = load_tx = ceil_div(staged_words, 32)
+    pad_words = 8 if cfg.conflict_free else 0
+    degree = rhs_load_conflict_degree(bsn_bytes, pad_words)
+    lhs_words = v * stride * plan.l_bits // 8 // 4
+    lhs_tx = ceil_div(maximum(lhs_words, 1), 32)
+    per_group = store_tx + load_tx * degree + lhs_tx
+
+    # ---- epilogue: register transposes, stacking shuffles -------------
+    transpose_ops = transpose_bitop_cost(
+        plan.native_bits, stride * bsn, shuffled=cfg.index_shuffle
+    )
+    epilogue = groups_total * col_blocks * ceil_div(transpose_ops, 32)
+    # warp shuffles to exchange stacked partials + scale-adds
+    epilogue += mma_count * 6 * (plan.products > 1)
+
+    return LaunchCounts(
+        native_bits=plan.native_bits,
+        mma_ops=mma_count * shape.ops,
+        useful_ops=2 * lhs.nnz * n,
+        traffic=t,
+        smem_transaction_cycles=groups_total * col_blocks * per_group,
+        epilogue_cycles=epilogue,
+        blocks=maximum(strips * col_blocks, 1),
+        prefetch=cfg.prefetch,
+        serial_bytes=0,
+        notes={"conflict_degree": degree, "padding_ratio": lhs.padding_ratio},
+    )
 
 
 @dataclass(frozen=True)
@@ -111,11 +187,13 @@ class MagicubeSpMM:
         self.plan: EmulationPlan = plan_for(
             self.config.l_bits, self.config.r_bits, op="spmm"
         )
+        #: the native MMA instruction every tile product issues
+        self.mma_shape = mma_shape_for(self.plan.native_bits)
 
     @property
     def required_stride(self) -> int:
         """SR-BCRS stride the LHS must use: the native MMA k dim."""
-        return mma_shape_for(self.plan.native_bits).k
+        return self.mma_shape.k
 
     # ------------------------------------------------------------------
     def __call__(
@@ -239,69 +317,12 @@ class MagicubeSpMM:
     def _account(self, lhs: SRBCRSMatrix, n: int) -> KernelStats:
         """Build the KernelStats for this execution (exact counts)."""
         cfg = self.config
-        plan = self.plan
-        m, k = lhs.shape
-        v = lhs.vector_length
-        stride = lhs.stride
-        strips = lhs.num_strips
-        col_blocks = ceil_div(n, cfg.bsn)
-        groups_total = lhs.num_padded_vectors // stride if stride else 0
-        shape = mma_shape_for(plan.native_bits)
-
-        stats = KernelStats(name=f"magicube-spmm-{plan.name}")
-        mma_count = (
-            groups_total * col_blocks * (cfg.bsn // 8) * mma_count_per_tile(plan, v)
+        counts = spmm_counts(cfg, self.plan, self.mma_shape, lhs, n)
+        return counts.stats(
+            f"magicube-spmm-{self.plan.name}",
+            cfg.warps,
+            {"variant": self.variant_name()},
         )
-        stats.add_mma(f"int{plan.native_bits}", mma_count, shape.ops)
-        stats.useful_ops = 2 * lhs.nnz * n
-
-        # ---- global traffic ------------------------------------------
-        t = TrafficCounter()
-        lhs_value_bytes = lhs.num_padded_vectors * v * cfg.l_bits // 8
-        lhs_index_bytes = lhs.num_padded_vectors * 4
-        ptr_bytes = strips * 8  # 2M pointers, 4 B each
-        t.read("lhs_values", lhs_value_bytes * col_blocks, lhs_value_bytes)
-        t.read("lhs_indices", lhs_index_bytes * col_blocks, lhs_index_bytes)
-        t.read("row_pointers", ptr_bytes * col_blocks, ptr_bytes)
-        rhs_access = lhs.num_padded_vectors * n * cfg.r_bits // 8
-        rhs_unique = min(k * n * cfg.r_bits // 8, rhs_access)
-        t.read("rhs", rhs_access, rhs_unique)
-        t.write("output", m * n * (2 if cfg.fuse_dequant else 4))
-        stats.traffic = t
-
-        # ---- shared memory -------------------------------------------
-        bsn_bytes = cfg.bsn * cfg.r_bits // 8
-        staged_words = stride * bsn_bytes // 4
-        store_tx = ceil_div(staged_words, 32)  # row-major stores, conflict-free
-        pad_words = 8 if cfg.conflict_free else 0
-        degree = rhs_load_conflict_degree(bsn_bytes, pad_words)
-        load_tx = ceil_div(staged_words, 32)
-        lhs_words = v * stride * cfg.l_bits // 8 // 4
-        lhs_tx = ceil_div(max(lhs_words, 1), 32)
-        per_group = store_tx + load_tx * degree + lhs_tx
-        stats.smem_transaction_cycles = groups_total * col_blocks * per_group
-
-        # ---- epilogue: register transposes, stacking shuffles ---------
-        staged_values = stride * cfg.bsn
-        transpose_ops = transpose_bitop_cost(
-            plan.native_bits, staged_values, shuffled=cfg.index_shuffle
-        )
-        epilogue = groups_total * col_blocks * ceil_div(transpose_ops, 32)
-        if plan.products > 1:
-            # warp shuffles to exchange stacked partials + scale-adds
-            epilogue += mma_count * 6
-        stats.epilogue_cycles = epilogue
-
-        stats.grid = LaunchGrid(
-            blocks=max(strips * col_blocks, 1), block=ThreadBlock(warps=cfg.warps)
-        )
-        stats.prefetch = cfg.prefetch
-        stats.notes = {
-            "variant": self.variant_name(),
-            "conflict_degree": degree,
-            "padding_ratio": lhs.padding_ratio,
-        }
-        return stats
 
     def variant_name(self) -> str:
         """Human-readable ablation variant (Fig. 11 legend)."""

@@ -31,6 +31,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.formats.shuffle import SHUFFLE_ORDER
 from repro.gpu.fragments import INT8_M8N8K16
+from repro.gpu.warp import select
 from repro.lowp.bitops import (
     interleave_nibble_pairs,
     split_nibbles,
@@ -52,14 +53,15 @@ def transpose_bitop_cost(bits: int, values: int, shuffled: bool) -> int:
     """Register bit-operation count to transpose ``values`` elements.
 
     This is the cost the Fig. 11 ablation charges: the int4 path without
-    index shuffling pays 4x the bit work.
+    index shuffling pays 4x the bit work. ``bits`` and ``values`` may be
+    arrays (elementwise, broadcast).
     """
-    groups = (values + 15) // 16
-    if bits == 8:
-        return groups * INT8_OPS_PER_16
-    if bits == 4:
-        return groups * (SHUFFLED_INT4_OPS_PER_16 if shuffled else NAIVE_INT4_OPS_PER_16)
-    raise ShapeError(f"no online transpose for int{bits}")
+    is8 = bits == 8
+    known = is8 | (bits == 4)
+    if not (known.all() if isinstance(known, np.ndarray) else known):
+        raise ShapeError(f"no online transpose for int{bits}")
+    int4_ops = SHUFFLED_INT4_OPS_PER_16 if shuffled else NAIVE_INT4_OPS_PER_16
+    return (values + 15) // 16 * select(is8, INT8_OPS_PER_16, int4_ops)
 
 
 def online_transpose_int8(block: np.ndarray) -> np.ndarray:

@@ -20,15 +20,20 @@ or MI250X, which lack int4 Tensor-core paths.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import SimpleNamespace
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.errors import ConfigError, ShapeError
 from repro.formats.bcrs import BCRSMatrix
 from repro.formats.srbcrs import SRBCRSMatrix
-from repro.kernels.emulation import plan_for, supported_pairs
-from repro.kernels.sddmm import MagicubeSDDMM, SDDMMConfig, StrictSDDMM
+from repro.gpu.mma import mma_shape_for
+from repro.kernels.emulation import EmulationPlan, plan_for, supported_pairs
+from repro.kernels.sddmm import MagicubeSDDMM, SDDMMConfig, StrictSDDMM, sddmm_counts
 from repro.kernels.softmax import SoftmaxResult, sparse_softmax_quantized
-from repro.kernels.spmm import MagicubeSpMM, SpMMConfig, StrictSpMM
+from repro.kernels.spmm import MagicubeSpMM, SpMMConfig, StrictSpMM, spmm_counts
 from repro.runtime.backend import (
     Backend,
     BackendCapabilities,
@@ -44,9 +49,80 @@ BSN_CANDIDATES = (32, 64, 96, 128)
 WARP_CANDIDATES = (2, 4, 8)
 
 
-def _pair_labels() -> tuple[str, ...]:
-    labels = {f"L{l}-R{r}" for op in ("spmm", "sddmm") for l, r in supported_pairs(op)}
-    return tuple(sorted(labels))
+#: what every Magicube backend implements (built once: ``supports`` reads
+#: it on every request's backend resolution)
+CAPABILITIES = BackendCapabilities(
+    ops=("spmm", "sddmm"),
+    precisions=("int8", "int4"),
+    pairs=tuple(sorted({
+        f"L{l}-R{r}" for op in ("spmm", "sddmm") for l, r in supported_pairs(op)
+    })),
+    granularity="1-D block",
+    mixed_precision=True,
+    dl_friendly=True,
+    tensor_cores=True,
+)
+
+
+class CandidateGrid(NamedTuple):
+    """Modelled seconds of every (pair x knob) launch for one problem."""
+
+    #: the admitted Table-IV pairs, in ``supported_pairs`` order
+    plans: tuple[EmulationPlan, ...]
+    #: the tile knob (``"bsn"`` or ``"warps"``) and the values searched
+    knob: str
+    values: tuple[int, ...]
+    #: ``(len(plans), len(values))`` float64 seconds
+    times: np.ndarray
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only array: grid axes are shared by every pricing call."""
+    array = np.array(values)
+    array.flags.writeable = False
+    return array
+
+
+#: the knob axis of each op's candidate grid: the knob, its values, and
+#: the default kernel config with that knob as a ``(K,)`` array
+_KNOB_AXES = {
+    "spmm": ("bsn", BSN_CANDIDATES, SimpleNamespace(
+        **{**vars(SpMMConfig()), "bsn": _frozen(BSN_CANDIDATES)}
+    )),
+    "sddmm": ("warps", WARP_CANDIDATES, SimpleNamespace(
+        **{**vars(SDDMMConfig()), "warps": _frozen(WARP_CANDIDATES)}
+    )),
+}
+
+
+def _columns(items, *names) -> SimpleNamespace:
+    """One read-only ``(len(items), 1)`` array per attribute."""
+    return SimpleNamespace(**{
+        name: _frozen([[getattr(item, name)] for item in items]) for name in names
+    })
+
+
+#: ``rows x cols x inner`` below which every count of a candidate grid
+#: fits int64 (the largest, MMA ops, stays under 2^18 times it)
+_INT64_EXACT_BELOW = 2**44
+
+
+def _as_objects(columns: SimpleNamespace) -> SimpleNamespace:
+    """``columns`` with every array as Python ints (``dtype=object``)."""
+    return SimpleNamespace(**{
+        name: value.astype(object) if isinstance(value, np.ndarray) else value
+        for name, value in vars(columns).items()
+    })
+
+
+@lru_cache(maxsize=None)
+def _pair_axis(plans: tuple) -> tuple[SimpleNamespace, SimpleNamespace]:
+    """The pair axis of a candidate grid: the plans' attributes and their
+    MMA shapes as ``(P, 1)`` columns (a handful of distinct pair sets)."""
+    return (
+        _columns(plans, "l_bits", "r_bits", "native_bits", "products"),
+        _columns([mma_shape_for(plan.native_bits) for plan in plans], "k", "ops"),
+    )
 
 
 class MagicubeEmulationBackend(Backend):
@@ -67,15 +143,7 @@ class MagicubeEmulationBackend(Backend):
     sddmm_kernel: type[MagicubeSDDMM] = MagicubeSDDMM
 
     def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            ops=("spmm", "sddmm"),
-            precisions=("int8", "int4"),
-            pairs=_pair_labels(),
-            granularity="1-D block",
-            mixed_precision=True,
-            dl_friendly=True,
-            tensor_cores=True,
-        )
+        return CAPABILITIES
 
     def _supports_pair(self, device: Device, pair: str, op: str | None) -> bool:
         l_bits, r_bits = (int(p[1:]) for p in pair.split("-"))
@@ -166,63 +234,64 @@ class MagicubeEmulationBackend(Backend):
         )
 
     # -- planning hook --------------------------------------------------
-    def plan_candidates(
+    def price_grid(
         self, problem: Problem, device: Device | str, admits=None
-    ) -> list[Candidate]:
+    ) -> CandidateGrid:
+        """Modelled time of every admitted (Table-IV pair x knob) launch.
+
+        The knob is ``BSn`` for SpMM and warps per block for SDDMM. The
+        whole grid is counted and priced in one NumPy pass through the
+        same :func:`~repro.kernels.spmm.spmm_counts` /
+        :func:`~repro.kernels.sddmm.sddmm_counts` and cost formulas a
+        launch's accounting runs, so ``times[i, j]`` equals
+        ``cost.time(kernel._account(...))`` of that launch to the bit.
+        """
         # imported here: repro.serve.topology is a leaf module shared
         # with the Fig. 17 latency model
         from repro.serve.topology import UniformBCRSMask, UniformSRBCRS
 
         dev = Device.resolve(device)
-        cm = self.cost(dev, op=problem.op)
-        candidates: list[Candidate] = []
+        knob, values, knobs = _KNOB_AXES[problem.op]
+        admitted = []
         for l_bits, r_bits in supported_pairs(problem.op):
             if admits is not None and not admits(l_bits, r_bits):
                 continue
             plan = plan_for(l_bits, r_bits, op=problem.op)
-            if not dev.supports(f"int{plan.native_bits}"):
-                continue
-            precision = f"L{l_bits}-R{r_bits}"
-            if problem.op == "spmm":
-                times = {}
-                for bsn in BSN_CANDIDATES:
-                    kern = self.spmm_kernel(
-                        SpMMConfig(l_bits=l_bits, r_bits=r_bits, bsn=bsn)
-                    )
-                    sr = UniformSRBCRS(
-                        problem.rows,
-                        problem.cols,
-                        problem.vector_length,
-                        problem.sparsity,
-                        kern.required_stride,
-                    )
-                    times[bsn] = cm.time(kern._account(sr, problem.inner))
-                bsn = min(times, key=times.get)
-                candidates.append(Candidate(
-                    precision, l_bits, r_bits, {"bsn": bsn}, times[bsn]
-                ))
-            else:
-                mask = UniformBCRSMask(
-                    problem.rows,
-                    problem.cols,
-                    problem.vector_length,
-                    problem.sparsity,
-                )
-                times = {}
-                for warps in WARP_CANDIDATES:
-                    kern = self.sddmm_kernel(
-                        SDDMMConfig(l_bits=l_bits, r_bits=r_bits, warps=warps)
-                    )
-                    times[warps] = cm.time(kern._account(
-                        (problem.rows, problem.inner),
-                        (problem.inner, problem.cols),
-                        mask,
-                    ))
-                warps = min(times, key=times.get)
-                candidates.append(Candidate(
-                    precision, l_bits, r_bits, {"warps": warps}, times[warps]
-                ))
-        return candidates
+            if dev.supports(f"int{plan.native_bits}"):
+                admitted.append(plan)
+        plans = tuple(admitted)
+        if not plans:
+            return CandidateGrid(plans, knob, values, np.empty((0, len(values))))
+        pairs, shapes = _pair_axis(plans)
+        rows, cols, v = problem.rows, problem.cols, problem.vector_length
+        if rows * cols * problem.inner >= _INT64_EXACT_BELOW:
+            # counts reach ~2^18 x rows x cols x inner: past int64, count
+            # on Python ints (object arrays) — slower, still exact
+            pairs, shapes, knobs = map(_as_objects, (pairs, shapes, knobs))
+        if problem.op == "spmm":
+            topology = UniformSRBCRS(rows, cols, v, problem.sparsity, shapes.k)
+            counts = spmm_counts(knobs, pairs, shapes, topology, problem.inner)
+        else:
+            mask = UniformBCRSMask(rows, cols, v, problem.sparsity)
+            counts = sddmm_counts(
+                knobs, pairs, shapes, (rows, problem.inner), (problem.inner, cols), mask
+            )
+        times = self.cost(dev, op=problem.op).launch_time(counts)
+        return CandidateGrid(plans, knob, values, times)
+
+    def plan_candidates(
+        self, problem: Problem, device: Device | str, admits=None
+    ) -> list[Candidate]:
+        """One candidate per admitted pair of :meth:`price_grid`, at the
+        first knob of minimal time."""
+        grid = self.price_grid(problem, device, admits)
+        knob, values, times = grid.knob, grid.values, grid.times
+        return [
+            Candidate(
+                plan.name, plan.l_bits, plan.r_bits, {knob: values[j]}, float(times[i, j])
+            )
+            for i, (plan, j) in enumerate(zip(grid.plans, times.argmin(axis=1)))
+        ]
 
 
 class MagicubeStrictBackend(MagicubeEmulationBackend):

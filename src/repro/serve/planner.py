@@ -388,8 +388,11 @@ class ExecutionPlanner:
     # ------------------------------------------------------------------
     @staticmethod
     def _check_problem(rows: int, vector_length: int, sparsity: float) -> None:
-        if not 0.0 <= sparsity < 1.0:
-            raise ConfigError(f"sparsity must be in [0, 1), got {sparsity}")
+        # an empty operand (sparsity 1.0) is a valid problem: the uniform
+        # topologies price it at one vector per strip, as they price a
+        # near-empty one
+        if not 0.0 <= sparsity <= 1.0:
+            raise ConfigError(f"sparsity must be in [0, 1], got {sparsity}")
         if rows % vector_length != 0:
             raise ConfigError(
                 f"rows ({rows}) must divide by the vector length ({vector_length})"

@@ -3,12 +3,15 @@
 The planner (and the Fig. 17 latency model) needs the *accounting* view
 of a sparse operand — strip counts, padded vectors, nnz — without
 materializing values. These classes duck-type exactly the attributes the
-kernels' ``_account`` methods read, with the mask's nonzero vectors
-spread uniformly over strips, so a candidate kernel configuration can be
-costed in microseconds for any (shape, sparsity, vector length): one
-SpMM ``_account`` takes ~11 us and a fresh SpMM class's 84 candidates
-(7 pairs x 4 ``BSn`` x 3 TP widths) price in ~2.6 ms on a 2-vCPU x86
-VM (CPython 3.11, numpy 2.4).
+kernels' count functions (``spmm_counts`` / ``sddmm_counts``) read, with
+the mask's nonzero vectors spread uniformly over strips, so any (shape,
+sparsity, vector length) can be costed without an operand. The SR-BCRS
+``stride`` may be an array over a grid's pair axis: the planner builds
+one topology per request class and prices the class's whole (pair x
+knob) grid from it in one NumPy pass: on a 2-vCPU x86 VM (CPython 3.11,
+numpy 2.4) ``repro bench autotune --count 9`` reads a median cold
+search of 0.17 ms and 1.24 ms of cold planner time for its three
+classes, against 0.32 ms and 1.82 ms pricing one candidate at a time.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from repro.gpu.warp import ceil_div
 class UniformSRBCRS:
     """Duck-typed SR-BCRS stats: nonzero vectors spread uniformly.
 
-    Mirrors the attributes :meth:`MagicubeSpMM._account` reads from a
-    real :class:`~repro.formats.srbcrs.SRBCRSMatrix`.
+    Mirrors the attributes :func:`~repro.kernels.spmm.spmm_counts` reads
+    from a real :class:`~repro.formats.srbcrs.SRBCRSMatrix`; ``stride``
+    (and so the padded counts) may be an array, one entry per pair.
     """
 
     def __init__(

@@ -76,6 +76,32 @@ class TestVerbs:
             served.output.to_dense(), direct.output.to_dense()
         )
 
+    def test_empty_operand_served_like_direct(self, rng):
+        """An all-zero weight or mask (sparsity 1.0) is a valid problem
+        on both front doors: the served result equals the one-shot one."""
+        empty = repro.SparseMatrix.from_dense(
+            np.zeros((32, 64), dtype=np.int64), vector_length=8
+        )
+        rhs = rng.integers(-128, 128, size=(64, 16))
+        a = rng.integers(-128, 128, size=(32, 48))
+        b = rng.integers(-128, 128, size=(48, 64))
+        with repro.open_engine() as client:
+            spmm = client.run(api.SpmmRequest(lhs=empty, rhs=rhs))
+            sddmm = client.run(api.SddmmRequest(a=a, b=b, mask=empty))
+        assert spmm.plan.key.split("|")[4] == "s=1.000"
+        direct = api.run(api.SpmmRequest(
+            lhs=empty, rhs=rhs, precision=spmm.plan.precision
+        ))
+        np.testing.assert_array_equal(spmm.output, direct.output)
+        assert not spmm.output.any()
+        direct = api.run(api.SddmmRequest(
+            a=a, b=b, mask=empty, precision=sddmm.plan.precision
+        ))
+        np.testing.assert_array_equal(
+            sddmm.output.to_dense(), direct.output.to_dense()
+        )
+        assert sddmm.output.num_vectors == 0
+
     def test_scale_applies_and_groups(self, matrix, rhs):
         with repro.open_engine() as client:
             plain = client.run(api.SpmmRequest(lhs=matrix, rhs=rhs))

@@ -1,5 +1,7 @@
 """The fastpath backend on the runtime registry: default, priority, protocol."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,104 @@ class TestProtocolSurface:
         be = get_backend("fastpath-vectorized")
         assert be.cost("A100") is be.cost("A100")
         assert be.cost("A100") is not be.cost("H100")
+
+
+#: (rows, cols) x V x sparsity, with SpMM N / SDDMM K per shape; the
+#: SpMM N values are not all multiples of BSn (48 < 64, 100)
+GRID_SHAPES = ((64, 128, 48, 32), (256, 512, 100, 64), (512, 256, 128, 128))
+GRID_VS = (2, 4, 8)
+GRID_SPARSITIES = (0.0, 0.5, 0.9, 1.0)
+
+
+def _launch_time(backend, device, op, l_bits, r_bits, knob, problem):
+    """One launch's modelled time the way a served launch accounts it."""
+    from repro.kernels.sddmm import SDDMMConfig
+    from repro.serve.topology import UniformBCRSMask, UniformSRBCRS
+
+    cm = backend.cost(device, op=op)
+    rows, cols, v, s = (
+        problem.rows, problem.cols, problem.vector_length, problem.sparsity
+    )
+    if op == "spmm":
+        kern = backend.spmm_kernel(SpMMConfig(l_bits=l_bits, r_bits=r_bits, bsn=knob))
+        topo = UniformSRBCRS(rows, cols, v, s, kern.required_stride)
+        return cm.time(kern._account(topo, problem.inner))
+    kern = backend.sddmm_kernel(
+        SDDMMConfig(l_bits=l_bits, r_bits=r_bits, warps=knob)
+    )
+    mask = UniformBCRSMask(rows, cols, v, s)
+    return cm.time(kern._account(
+        (rows, problem.inner), (problem.inner, cols), mask
+    ))
+
+
+class TestGridPricing:
+    """The planner prices a class's whole (pair x knob) grid in one pass;
+    every entry must equal the per-launch accounting, to the bit."""
+
+    @pytest.mark.parametrize("device", ["A100", "H100"])
+    @pytest.mark.parametrize("op", ["spmm", "sddmm"])
+    @pytest.mark.parametrize(
+        "name", ["magicube-emulation", "magicube-strict", "fastpath-vectorized"]
+    )
+    def test_every_launch_priced_exactly(self, name, op, device):
+        from repro.kernels.emulation import plan_for, supported_pairs
+        from repro.runtime.magicube import BSN_CANDIDATES, WARP_CANDIDATES
+
+        backend = get_backend(name)
+        knobs = BSN_CANDIDATES if op == "spmm" else WARP_CANDIDATES
+        # Table II: H100 has no int4 tensor-core path
+        admitted = [
+            (l, r) for l, r in supported_pairs(op)
+            if device == "A100" or plan_for(l, r, op=op).native_bits == 8
+        ]
+        for (rows, cols, n, k), v, s in itertools.product(
+            GRID_SHAPES, GRID_VS, GRID_SPARSITIES
+        ):
+            problem = Problem(op, rows, cols, n if op == "spmm" else k, v, s)
+            grid = backend.price_grid(problem, device)
+            assert [(p.l_bits, p.r_bits) for p in grid.plans] == admitted
+            assert grid.values == knobs
+            assert grid.times.shape == (len(admitted), len(knobs))
+            candidates = backend.plan_candidates(problem, device)
+            assert len(candidates) == len(admitted)
+            for i, ((l_bits, r_bits), cand) in enumerate(zip(admitted, candidates)):
+                times = {
+                    knob: _launch_time(backend, device, op, l_bits, r_bits, knob, problem)
+                    for knob in knobs
+                }
+                assert list(grid.times[i]) == list(times.values()), (problem, l_bits, r_bits)
+                best = min(times, key=times.get)  # the first minimum
+                assert (cand.precision, cand.l_bits, cand.r_bits) == (
+                    f"L{l_bits}-R{r_bits}", l_bits, r_bits
+                )
+                assert cand.config == {grid.knob: best}
+                assert cand.time_s == times[best]
+                assert type(cand.time_s) is float
+
+    @pytest.mark.parametrize("op", ["spmm", "sddmm"])
+    def test_class_past_int64_counts_exactly(self, op):
+        """MMA op counts of a 4K x 64M x 64M class overflow int64; the grid
+        counts it on Python ints like a launch's accounting does."""
+        backend = get_backend("magicube-emulation")
+        problem = Problem(op, 2**12, 2**26, 2**26, 1, 0.0)
+        grid = backend.price_grid(problem, "A100")
+        for plan, row in zip(grid.plans, grid.times):
+            assert list(row) == [
+                _launch_time(
+                    backend, "A100", op, plan.l_bits, plan.r_bits, knob, problem
+                )
+                for knob in grid.values
+            ]
+
+    def test_admits_filters_the_pair_axis(self):
+        backend = get_backend("fastpath-vectorized")
+        problem = Problem("spmm", 256, 256, 64, 8, 0.9)
+        every = backend.plan_candidates(problem, "A100")
+        wide = backend.plan_candidates(
+            problem, "A100", admits=lambda l_bits, r_bits: r_bits >= 8
+        )
+        assert wide == [c for c in every if c.r_bits >= 8]
+        assert backend.plan_candidates(
+            problem, "A100", admits=lambda l_bits, r_bits: False
+        ) == []
